@@ -7,7 +7,9 @@ bracket, phi, theta, concat, graft) parse their forest arguments in the
 configured alphabet, compute exactly, and print the result in canonical
 order. enumerate lists a small universe. verify runs one exhaustive
 law suite and exits 0 on pass, 1 on an algebraic failure, 2 on usage or
-parse errors; that exit contract is shared by every command.
+parse errors (a negative --max-vertices or a forest nested deeper than
+the interpreter's recursion limit included); that exit contract is
+shared by every command.
 
 Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
 --eval-mu p/q --eval-nu p/q --json --workers N. Evaluation points
@@ -44,6 +46,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _bound(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {n}")
+    return n
+
+
 def _symbols(text: str) -> tuple:
     return tuple(s for s in text.split(",") if s)
 
@@ -54,7 +66,7 @@ def _common_flags() -> argparse.ArgumentParser:
                    metavar="a,b", help="Omega decorations (default a,b)")
     p.add_argument("--xset", type=_symbols, default=("x",),
                    metavar="x", help="X decorations (default x; may be empty)")
-    p.add_argument("--max-vertices", type=int, default=None, metavar="N",
+    p.add_argument("--max-vertices", type=_bound, default=None, metavar="N",
                    help="vertex bound (suites have per-suite defaults)")
     p.add_argument("--eval-lambda", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--eval-mu", type=_fraction, default=None, metavar="p/q")
@@ -214,6 +226,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: forest nested too deep", file=sys.stderr)
         return 2
 
 

@@ -7,6 +7,13 @@ negative powers of lambda), b and c non-negative. Values are canonical
 combinations is plain structural equality; that equality is the oracle
 every verification suite reduces to.
 
+A rational part q is stored as an int when it is integral and as a
+Fraction otherwise. Coproduct, star, phi and theta coefficients are all
+integral, so ring arithmetic runs on ints, which are far cheaper than
+Fractions; Fractions enter only through evaluation at rational points. Since Fraction(2) == 2 and the two
+hash alike, equality, hashing, text and JSON do not depend on which type
+holds an integral value.
+
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples.
 """
@@ -29,7 +36,8 @@ class Coefficient:
     """Element of Q[mu,nu][lambda, 1/lambda] in canonical form.
 
     terms maps exponent triples (a, b, c) for l^a m^b n^c to nonzero
-    Fractions. Treat instances as immutable.
+    rationals: an int when integral, a Fraction otherwise. Treat
+    instances as immutable.
     """
 
     __slots__ = ("terms",)
@@ -38,7 +46,10 @@ class Coefficient:
         self.terms = {}
         if terms:
             for mono, q in dict(terms).items():
-                q = Fraction(q)
+                if type(q) is not int:
+                    q = Fraction(q)
+                    if q.denominator == 1:
+                        q = q.numerator
                 if q:
                     a, b, c = mono
                     if b < 0 or c < 0:
@@ -92,9 +103,17 @@ class Coefficient:
     def __mul__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
+        st, ot = self.terms, other.terms
+        if len(st) == 1 and len(ot) == 1:
+            # monomial times monomial: the product of nonzero rationals is nonzero
+            ((a1, b1, c1), q1), = st.items()
+            ((a2, b2, c2), q2), = ot.items()
+            out = Coefficient.__new__(Coefficient)
+            out.terms = {(a1 + a2, b1 + b2, c1 + c2): q1 * q2}
+            return out
         acc = {}
-        for (a1, b1, c1), q1 in self.terms.items():
-            for (a2, b2, c2), q2 in other.terms.items():
+        for (a1, b1, c1), q1 in st.items():
+            for (a2, b2, c2), q2 in ot.items():
                 mono = (a1 + a2, b1 + b2, c1 + c2)
                 s = acc.get(mono, 0) + q1 * q2
                 if s:
@@ -155,7 +174,7 @@ class Coefficient:
     def eval_at(self, lam, mu, nu) -> Fraction:
         c = self.subst_partial(lam=lam, mu=mu, nu=nu)
         assert all(m == (0, 0, 0) for m in c.terms)
-        return c.terms.get((0, 0, 0), Fraction(0))
+        return Fraction(c.terms.get((0, 0, 0), 0))
 
     # text and JSON forms ---------------------------------------------------
 
@@ -318,9 +337,18 @@ class LinComb:
 
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a basis map f: basis -> LinComb."""
-        out = LinComb.zero()
+        acc = {}
         for b, c in self.terms.items():
-            out = out + f(b).scale(c)
+            for key, d in f(b).terms.items():
+                p = d * c
+                s = acc.get(key)
+                s = p if s is None else s + p
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        out = LinComb.__new__(LinComb)
+        out.terms = acc
         return out
 
     def map_basis(self, g: Callable) -> "LinComb":

@@ -105,6 +105,24 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_deep_nesting_exits_2(capsys):
+    deep = "a[" * 1200 + "x" + "]" * 1200
+    code, out, err = run(capsys, "counit", deep)
+    assert code == 2 and out == ""
+    assert err == "error: forest nested too deep\n"
+
+
+@pytest.mark.parametrize("argv", [["enumerate"], ["verify", "counit"]],
+                         ids=["enumerate", "verify"])
+def test_negative_bound_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--max-vertices", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-vertices: must be non-negative" in captured.err
+
+
 def test_verify_pass_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "examples-golden")
     assert code == 0

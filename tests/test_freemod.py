@@ -190,3 +190,154 @@ def test_lincomb_json_shape():
     u = LinComb.single((F("a"), F("1")), -LAM)
     assert u.to_json() == [{"coeff": [{"q": "-1", "l": 1, "m": 0, "n": 0}],
                             "legs": ["a", "1"]}]
+
+
+# ------------------------------------------- representation invariance
+
+# Integral rational parts arrive as int, as Fraction(k) or as Fraction(2k, 2);
+# all three must denote one value.
+mixed_rationals = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(lambda k: Fraction(2 * k, 2)),
+    rationals,
+)
+mixed_coefficients = st.dictionaries(
+    monomials, mixed_rationals, max_size=5).map(Coefficient)
+
+
+def _raw(terms):
+    """A Coefficient holding terms exactly as given, bypassing __init__."""
+    c = Coefficient.__new__(Coefficient)
+    c.terms = dict(terms)
+    return c
+
+
+def test_integral_fraction_and_int_are_one_value():
+    for mono in [(0, 0, 0), (1, 2, 0), (-2, 1, 3)]:
+        for u in (Coefficient({mono: Fraction(4, 2)}), _raw({mono: Fraction(2)})):
+            v = Coefficient({mono: 2})
+            assert u == v and hash(u) == hash(v)
+            assert str(u) == str(v)
+            assert u.to_json() == v.to_json()
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(monomials, mixed_rationals, max_size=5))
+def test_storage_type_is_invisible(terms):
+    terms = {m: q for m, q in terms.items() if q}
+    as_fraction = _raw({m: Fraction(q) for m, q in terms.items()})
+    as_int = _raw({m: q.numerator if Fraction(q).denominator == 1 else q
+                   for m, q in terms.items()})
+    built = Coefficient(terms)
+    for u in (as_fraction, as_int):
+        assert u == built and hash(u) == hash(built)
+        assert str(u) == str(built)
+        assert u.to_json() == built.to_json()
+    assert as_fraction * as_int == built * built
+    assert as_fraction + as_int == built + built
+
+
+def test_evaluation_returns_fraction():
+    half = Coefficient.monomial(Fraction(1, 2), a=1)
+    for c in (ZERO, ONE, LAM * MU, half, Coefficient.monomial(-1, a=-2, b=1)):
+        for point in ((2, 3, 0), (Fraction(2), Fraction(1, 3), Fraction(5))):
+            r = c.eval_at(*point)
+            assert type(r) is Fraction
+            assert type(coeff_eval(c, *point)) is Fraction
+    assert ZERO.eval_at(1, 1, 1) == 0
+    assert half.eval_at(4, 0, 0) == 2
+
+
+def test_apply_drops_cancelled_terms():
+    u = LinComb.single(F("a"), MU) + LinComb.single(F("b"), MU)
+    to_x = lambda b: LinComb.single(F("x"), ONE if b == F("a") else -ONE)
+    assert u.apply(to_x).terms == {}
+    # a basis that cancels part-way and reappears is kept with its final value
+    w = u + LinComb.single(F("a b"), LAM)
+    g = lambda b: to_x(b) if b != F("a b") else LinComb.single(F("x"), LAM)
+    assert w.apply(g) == LinComb.single(F("x"), LAM * LAM)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "x", "a b"]),
+                          mixed_coefficients), max_size=4))
+def test_apply_matches_sum_of_scaled_images(pairs):
+    u = LinComb.zero()
+    for text, c in pairs:
+        u = u + LinComb.single(F(text), c)
+    images = {F(t): LinComb.single(F("x"), LAM) + LinComb.single(F(t), -MU)
+              for t in ["a", "b", "x", "a b"]}
+    expect = LinComb.zero()
+    for b, c in u.terms.items():
+        expect = expect + images[b].scale(c)
+    assert u.apply(images.__getitem__) == expect
+
+
+# ------------------------------------------------------ sympy ring oracle
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+SHIFT = 3  # monomials have lambda exponents >= -3; l^SHIFT clears them
+
+
+def _expr(sp, c):
+    l, m, n = sp.symbols("l m n")
+    return sp.Add(*[sp.Rational(q.numerator, q.denominator) * l**a * m**b * n**e
+                    for (a, b, e), q in c.terms.items()])
+
+
+def _poly(sp, expr, shift):
+    """expr * l^shift as a Poly over QQ, a canonical form for Laurent exprs."""
+    l, m, n = sp.symbols("l m n")
+    return sp.Poly(sp.expand(expr * l**shift), l, m, n, domain="QQ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_coefficients, mixed_coefficients, st.integers(0, 3))
+def test_ring_matches_sympy(u, v, k):
+    sp = _sympy()
+    eu, ev = _expr(sp, u), _expr(sp, v)
+    assert _poly(sp, _expr(sp, u + v), SHIFT) == _poly(sp, eu + ev, SHIFT)
+    assert _poly(sp, _expr(sp, u - v), SHIFT) == _poly(sp, eu - ev, SHIFT)
+    assert _poly(sp, _expr(sp, u * v), 2 * SHIFT) == _poly(sp, eu * ev, 2 * SHIFT)
+    assert _poly(sp, _expr(sp, u ** k), k * SHIFT) == _poly(sp, eu ** k, k * SHIFT)
+
+
+polynomial_coefficients = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    mixed_rationals, max_size=3).map(Coefficient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_coefficients, polynomial_coefficients)
+def test_subst_mu_matches_sympy(u, p):
+    sp = _sympy()
+    m = sp.Symbol("m")
+    expect = _expr(sp, u).subs(m, _expr(sp, p))
+    assert _poly(sp, _expr(sp, u.subst_mu(p)), SHIFT) == _poly(sp, expect, SHIFT)
+
+
+points = st.one_of(st.none(), mixed_rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_coefficients, points, points, points)
+def test_subst_partial_and_eval_match_sympy(u, lam, mu, nu):
+    sp = _sympy()
+    l, m, n = sp.symbols("l m n")
+    has_pole = any(a < 0 for (a, _, _) in u.terms)
+    if lam == 0 and has_pole:
+        with pytest.raises(ZeroDivisionError):
+            u.subst_partial(lam=lam, mu=mu, nu=nu)
+        return
+    values = {s: sp.Rational(Fraction(x).numerator, Fraction(x).denominator)
+              for s, x in ((l, lam), (m, mu), (n, nu)) if x is not None}
+    expect = _expr(sp, u).subs(values)
+    got = u.subst_partial(lam=lam, mu=mu, nu=nu)
+    assert _poly(sp, _expr(sp, got), SHIFT) == _poly(sp, expect, SHIFT)
+    if len(values) == 3:
+        r = u.eval_at(lam, mu, nu)
+        assert type(r) is Fraction
+        assert sp.Rational(r.numerator, r.denominator) == expect
