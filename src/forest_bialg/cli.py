@@ -15,8 +15,7 @@ Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
 --eval-mu p/q --eval-nu p/q --json --workers N. Evaluation points
 substitute rationals for the corresponding variables in every printed
 coefficient; lambda = 0 is rejected wherever a negative power of lambda
-would need it. FOREST_BIALG_SEED is reserved for future randomized
-suites; the exhaustive suites ignore it.
+would need it.
 """
 
 from __future__ import annotations

@@ -140,15 +140,9 @@ def counit_lin(x: LinComb) -> Coefficient:
 
 def counit_left(t: LinComb) -> LinComb:
     """(eps (x) id): pair tensors down to LinComb<Forest>."""
-    out = LinComb.zero()
-    for (g, h), c in t.terms.items():
-        out = out + LinComb.single(h, c * counit(g))
-    return out
+    return t.apply(lambda legs: LinComb.single(legs[1], counit(legs[0])))
 
 
 def counit_right(t: LinComb) -> LinComb:
     """(id (x) eps)."""
-    out = LinComb.zero()
-    for (g, h), c in t.terms.items():
-        out = out + LinComb.single(g, c * counit(h))
-    return out
+    return t.apply(lambda legs: LinComb.single(legs[0], counit(legs[1])))

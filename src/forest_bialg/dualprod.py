@@ -18,6 +18,7 @@ Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -96,34 +97,26 @@ def star(F: Forest, G: Forest) -> LinComb:
 
 
 def _graft_along(F: Forest, G: Forest, spine, sigma) -> Forest:
-    # blocks[j] = trees sent to target j, kept in F's order; grafting
-    # T_m first and always prepending makes each block a prefix of the
-    # target's child list, in original order
-    n = len(spine)
-    blocks = [[] for _ in range(n + 1)]
-    for i, j in enumerate(sigma):
-        blocks[j].append(F.trees[i])
-    if n == 0:
-        return Forest.make(tuple(blocks[0]) + G.trees)
-    sub = None
-    for j in range(n, 0, -1):
+    # sigma is weakly increasing, so the trees sent to target j are the
+    # slice trees[lo:hi]; grafting T_m first and always prepending makes
+    # each block a prefix of the target's child list. sub holds the
+    # regrafted spine vertex above, which replaces the target's first child
+    trees = F.trees
+    hi = len(trees)
+    sub = ()
+    for j in range(len(spine), 0, -1):
+        lo = bisect_left(sigma, j, 0, hi)
         node = spine[j - 1]
-        if j == n:
-            kids = tuple(blocks[j]) + node.children
-        else:
-            kids = tuple(blocks[j]) + (sub,) + node.children[1:]
-        sub = Tree.make(node.deco, kids)
-    return Forest.make(tuple(blocks[0]) + (sub,) + G.trees[1:])
+        sub = (Tree.make(node.deco,
+                         trees[lo:hi] + sub + node.children[len(sub):]),)
+        hi = lo
+    return Forest.make(trees[:hi] + sub + G.trees[len(sub):])
 
 
 def star_lin(x, y) -> LinComb:
     """Bilinear extension of star."""
     x, y = _as_lincomb(x), _as_lincomb(y)
-    out = LinComb.zero()
-    for F, c in x.terms.items():
-        for G, d in y.terms.items():
-            out = out + star(F, G).scale(c * d)
-    return out
+    return x.apply(lambda F: y.apply(lambda G: star(F, G)))
 
 
 def star_weighted(x, y, alphabet: Alphabet) -> LinComb:

@@ -14,6 +14,13 @@ upward-closed vertex sets (forest biideals, a chain under inclusion), and
 restricting a forest to a vertex subset keeps the induced ancestry with
 contraction through deleted vertices.
 
+Trees and forests are canonical: Tree.make and Forest.make intern every
+instance, so two structurally equal forests are the same object. Equality
+and hash are therefore plain object identity (no Python-level __eq__ or
+__hash__), and pickle and copy return the interned instance rather than
+a second copy. make stores a new instance with dict.setdefault, so threads
+that race on one new key (verify --workers) still share one instance.
+
 Text form: "1" for the empty forest, "a[x b[y]] c" style otherwise; leaves
 render bare, children go in brackets separated by spaces.
 """
@@ -119,9 +126,14 @@ def _check_symbol(sym):
 
 
 class Tree:
-    """Planar rooted tree. Construct only through Tree.make (interned)."""
+    """Planar rooted tree, canonical: construct only through Tree.make.
 
-    __slots__ = ("deco", "children", "nvertices", "depth", "_hash")
+    Tree.make interns on (decoration, children), so structurally equal
+    trees are one object and equality and hash are object identity.
+    pickle and copy go back through Tree.make and return that object.
+    """
+
+    __slots__ = ("deco", "children", "nvertices", "depth")
 
     _intern: dict = {}
 
@@ -142,20 +154,12 @@ class Tree:
         # X-leaves live at depth 0; every Omega-vertex adds one grafting level
         t.depth = 0 if deco.kind == KIND_X else 1 + max(
             (c.depth for c in children), default=0)
-        t._hash = hash(key)
-        cls._intern[key] = t
-        return t
+        # setdefault is one C call, so threads racing on a new key all
+        # get the instance stored first
+        return cls._intern.setdefault(key, t)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return (self._hash == other._hash and self.deco == other.deco
-                and self.children == other.children)
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Tree.make, (self.deco, self.children)
 
     def __str__(self):
         if not self.children:
@@ -170,10 +174,14 @@ class Tree:
 
 
 class Forest:
-    """Ordered sequence of trees; () is the empty forest 1. Interned."""
+    """Ordered sequence of trees; () is the empty forest 1.
 
-    __slots__ = ("trees", "nvertices", "_hash", "_text", "_enc", "_paths",
-                 "_post", "_pathidx")
+    Canonical like Tree: Forest.make interns on the tree tuple, equality
+    and hash are identity, and pickle and copy return the interned object.
+    """
+
+    __slots__ = ("trees", "nvertices", "_text", "_enc", "_paths", "_post",
+                 "_pathidx")
 
     _intern: dict = {}
 
@@ -186,14 +194,12 @@ class Forest:
         f = object.__new__(cls)
         f.trees = trees
         f.nvertices = sum(t.nvertices for t in trees)
-        f._hash = hash(trees)
         f._text = None
         f._enc = None
         f._paths = None
         f._post = None
         f._pathidx = None
-        cls._intern[trees] = f
-        return f
+        return cls._intern.setdefault(trees, f)
 
     @property
     def breadth(self):
@@ -203,15 +209,8 @@ class Forest:
     def depth(self):
         return max((t.depth for t in self.trees), default=0)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self._hash == other._hash and self.trees == other.trees
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return Forest.make, (self.trees,)
 
     def __mul__(self, other):
         if not isinstance(other, Forest):
@@ -469,7 +468,7 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
     """
     if not isinstance(I, VertexSet):
         raise TypeError("restrict needs a VertexSet")
-    if I.host is not F and I.host != F:
+    if I.host is not F:
         raise ValueError("VertexSet belongs to a different forest")
     idx = F.path_index()
     keep = tuple(sorted(idx[v] for v in I.members))

@@ -1,6 +1,10 @@
 """Command line contract: output text, JSON shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,43 @@ def test_verify_json_is_deterministic(capsys):
         doc.pop("wall_time")
         docs.append(doc)
     assert docs[0] == docs[1] == docs[2]
+
+
+def test_output_is_the_same_in_fresh_interpreters():
+    # forests hash by object address, so dict and set layouts may differ
+    # between interpreters; printed output must not follow them. Three
+    # fresh runs: string-hash seeds 0 and 1, and seed 0 again after
+    # allocating unrelated objects first so forests land at other addresses
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    commands = [
+        ["star", "a[x b] a", "b[a[x]] x"],
+        ["star-weighted", "a[x]", "b a"],
+        ["coproduct", "a[x b[x]] b", "--json"],
+        ["phi", "a[b x] b[x]"],
+        ["verify", "star-census", "--max-vertices", "2", "--json"],
+    ]
+    shifted = ("import runpy; junk = [[i] * (i % 7) for i in range(50000)]; "
+               "runpy.run_module('forest_bialg.cli', run_name='__main__')")
+
+    def outputs(seed, prelude):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = ["-c", prelude] if prelude else ["-m", "forest_bialg.cli"]
+        outs = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, *start, *argv],
+                env=env, capture_output=True, text=True, check=True)
+            out = proc.stdout
+            if argv[0] == "verify":
+                doc = json.loads(out)
+                doc.pop("wall_time")
+                out = json.dumps(doc)
+            outs.append(out)
+        return outs
+
+    first = outputs(0, None)
+    assert all(first)
+    assert outputs(1, None) == first
+    assert outputs(0, shifted) == first

@@ -1,7 +1,14 @@
 """Forests: parsing, rendering, structure, order, biideals, restriction."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
+from forest_bialg.coalgebra import coproduct
+from forest_bialg.dualprod import star
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, DecorationError,
                                  Forest, ForestSyntaxError, Tree, VertexId,
                                  VertexSet, biideals, breadth, concat, depth,
@@ -101,6 +108,72 @@ def test_interning_makes_equal_forests_identical():
     assert concat(F("a"), F("x")) is F("a x")
     assert concat(EMPTY_FOREST, F("a")) is F("a")
     assert F("a") * F("x") is F("a x")
+
+
+def test_pickle_and_copy_return_the_interned_instance():
+    for f in enumerate_forests(4, AB):
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        for t in f.trees:
+            assert pickle.loads(pickle.dumps(t)) is t
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+    # keys hash by identity, so == holds only if every leg comes back
+    # as the interned forest
+    cop = coproduct(F("a[x b[y]] b"))
+    assert pickle.loads(pickle.dumps(cop)) == cop
+    assert copy.deepcopy(cop) == cop
+
+
+def test_every_construction_route_returns_the_interned_instance():
+    g = F("a[x] b")
+    for f in enumerate_forests(4, AB):
+        assert parse_forest(str(f), AB) is f
+        assert forest_from_encoding(*f.encoding) is f
+        assert restrict(f, biideals(f)[-1]) is f
+        assert concat(f, EMPTY_FOREST) is f
+        for h in star(f, g).terms:
+            assert parse_forest(str(h), AB) is h
+
+
+def test_threads_racing_on_new_forests_get_one_instance():
+    # equality is identity, so two threads that both miss the intern
+    # table on one key must still end up holding the same object
+    def build(ab, out):
+        leaves = [Tree.make(d) for d in ab.decorations()]
+        trees = [Tree.make(ab.decoration(o), (c, d))
+                 for o in ab.omega for c in leaves for d in leaves]
+        out.extend(Forest.make((s, t)) for s in trees for t in trees)
+        out.extend(trees)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(5):
+            # fresh symbols each round, so every key is new to the tables
+            ab = Alphabet(omega=(f"race{r}a", f"race{r}b"),
+                          xset=(f"race{r}x", f"race{r}y"))
+            results = [[] for _ in range(6)]
+            barrier = threading.Barrier(len(results))
+
+            def run(out, ab=ab, barrier=barrier):
+                barrier.wait()
+                build(ab, out)
+
+            threads = [threading.Thread(target=run, args=(out,))
+                       for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            first = results[0]
+            assert first
+            for other in results[1:]:
+                assert len(other) == len(first)
+                assert all(a is b for a, b in zip(first, other))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_graft():
