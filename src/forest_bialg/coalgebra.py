@@ -114,15 +114,19 @@ def coproduct_lin(x: LinComb, cop=None) -> LinComb:
 
 
 def coproduct_left(t: LinComb, cop=None) -> LinComb:
-    """(D (x) id) on a pair tensor, producing triple tensors."""
-    cop = cop or coproduct
-    return t.apply(lambda legs: cop(legs[0]).tensor(LinComb.single(legs[1])))
+    """(D (x) id) on a pair tensor, producing triple tensors.
+
+    Maps leg 0 of every term in one pass, through LinComb.apply_leg.
+    """
+    return t.apply_leg(0, cop or coproduct)
 
 
 def coproduct_right(t: LinComb, cop=None) -> LinComb:
-    """(id (x) D) on a pair tensor, producing triple tensors."""
-    cop = cop or coproduct
-    return t.apply(lambda legs: LinComb.single(legs[0]).tensor(cop(legs[1])))
+    """(id (x) D) on a pair tensor, producing triple tensors.
+
+    Maps leg 1 of every term in one pass, through LinComb.apply_leg.
+    """
+    return t.apply_leg(1, cop or coproduct)
 
 
 def counit(F: Forest) -> Coefficient:

@@ -122,8 +122,5 @@ def star_lin(x, y) -> LinComb:
 def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
     """x star_{l,m} y = -l x star y + m sum_{d in X + Omega} x star .d star y."""
     x, y = _as_lincomb(x), _as_lincomb(y)
-    out = star_lin(x, y).scale(-LAM)
-    for d in alphabet.decorations():
-        dot = LinComb.single(leaf(d))
-        out = out + star_lin(star_lin(x, dot), y).scale(MU)
-    return out
+    dots = LinComb({leaf(d): MU for d in alphabet.decorations()})
+    return star_lin(star_lin(x, dots), y) - star_lin(x, y).scale(LAM)

@@ -15,7 +15,9 @@ hash alike, equality, hashing, text and JSON do not depend on which type
 holds an integral value.
 
 LinComb maps basis elements to coefficients. Bases are forests or tuples
-of forests (tensor legs); tensoring concatenates leg tuples.
+of forests (tensor legs); tensoring concatenates leg tuples, and
+apply_leg maps one leg of every tuple in a single pass, splicing the
+image's legs in place of it.
 """
 
 from __future__ import annotations
@@ -340,6 +342,31 @@ class LinComb:
         acc = {}
         for b, c in self.terms.items():
             for key, d in f(b).terms.items():
+                p = d * c
+                s = acc.get(key)
+                s = p if s is None else s + p
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        out = LinComb.__new__(LinComb)
+        out.terms = acc
+        return out
+
+    def apply_leg(self, i: int, f: Callable) -> "LinComb":
+        """Linear extension of a basis map f on tensor leg i.
+
+        Each term c (legs) contributes d c (legs[:i] + k + legs[i+1:]) for
+        every term d k of f(legs[i]), where a forest k counts as one leg
+        and a tuple k as its legs. Everything accumulates into one dict
+        with the cancellation of apply, so (D (x) id) D needs no
+        intermediate tensor per term.
+        """
+        acc = {}
+        for legs, c in self.terms.items():
+            head, tail = legs[:i], legs[i + 1:]
+            for k, d in f(legs[i]).terms.items():
+                key = head + _legs(k) + tail
                 p = d * c
                 s = acc.get(key)
                 s = p if s is None else s + p

@@ -54,13 +54,7 @@ def prelie_sandwich(F1: Forest, F2: Forest) -> LinComb:
 
 def prelie_lin(x: LinComb, y: LinComb, product=prelie) -> LinComb:
     """Bilinear extension, for nesting products in identity checks."""
-    out = LinComb.zero()
-    for F2, d in y.terms.items():
-        inner = LinComb.zero()
-        for F1, c in x.terms.items():
-            inner = inner + product(F1, F2).scale(c)
-        out = out + inner.scale(d)
-    return out
+    return y.apply(lambda F2: x.apply(lambda F1: product(F1, F2)))
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:

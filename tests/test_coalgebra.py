@@ -9,6 +9,7 @@ from forest_bialg.coalgebra import (coproduct, coproduct_biideal,
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, concat,
                                  enumerate_forests, graft, parse_forest)
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
+from forest_bialg.morphisms import phi
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 
@@ -61,6 +62,26 @@ def test_coassociativity_small():
     for h in enumerate_forests(4, AB):
         cop = coproduct(h)
         assert coproduct_left(cop) == coproduct_right(cop)
+
+
+def _leg_map_reference(t, i, f):
+    """f on leg i of pair tensors by one tensor per term, then apply."""
+    if i == 0:
+        return t.apply(lambda legs: f(legs[0]).tensor(LinComb.single(legs[1])))
+    return t.apply(lambda legs: LinComb.single(legs[0]).tensor(f(legs[1])))
+
+
+def test_apply_leg_matches_tensor_then_apply():
+    # coproduct images are pairs (triple keys), phi images forests (pair keys)
+    for h in enumerate_forests(4, AB):
+        t = coproduct(h)
+        for f in (coproduct, phi):
+            for i in (0, 1):
+                got = t.apply_leg(i, f)
+                assert got == _leg_map_reference(t, i, f)
+                assert all(got.terms.values())
+        assert coproduct_left(t) == t.apply_leg(0, coproduct)
+        assert coproduct_right(t, phi) == t.apply_leg(1, phi)
 
 
 def test_counit_values():

@@ -258,6 +258,29 @@ def test_apply_drops_cancelled_terms():
     assert w.apply(g) == LinComb.single(F("x"), LAM * LAM)
 
 
+def test_apply_leg_drops_cancelled_terms():
+    # a (x) x and b (x) x both map to l (1 (x) 1) (x) x, with opposite signs
+    t = LinComb.single((F("a"), F("x")), MU) + LinComb.single((F("b"), F("x")), -MU)
+    to_pair = lambda b: LinComb.single((F("1"), F("1")), LAM)
+    assert t.apply_leg(0, to_pair).terms == {}
+    # on leg 1 with forest images, cancelling part-way and reappearing
+    u = (LinComb.single((F("x"), F("a")), MU) + LinComb.single((F("x"), F("b")), MU)
+         + LinComb.single((F("x"), F("a b")), LAM))
+    to_x = lambda b: LinComb.single(F("x"), {F("a"): ONE, F("b"): -ONE}.get(b, LAM))
+    assert u.apply_leg(1, to_x).terms == {(F("x"), F("x")): LAM * LAM}
+
+
+def test_apply_leg_splices_the_image_in_place_of_the_leg():
+    t = LinComb.single((F("a"), F("b"), F("x")), LAM)
+    to_pair = lambda b: LinComb.single((b, F("1")), MU)
+    assert t.apply_leg(1, to_pair) == LinComb.single(
+        (F("a"), F("b"), F("1"), F("x")), LAM * MU)
+    assert t.apply_leg(2, to_pair) == LinComb.single(
+        (F("a"), F("b"), F("x"), F("1")), LAM * MU)
+    assert t.apply_leg(0, lambda b: LinComb.single(F("x b"))) == LinComb.single(
+        (F("x b"), F("b"), F("x")), LAM)
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "x", "a b"]),
                           mixed_coefficients), max_size=4))

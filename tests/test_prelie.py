@@ -2,6 +2,9 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from forest_bialg.forest import EMPTY_FOREST, Alphabet, enumerate_forests, parse_forest
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb
 from forest_bialg.prelie import (bracket, bracket_lin, prelie, prelie_lin,
@@ -78,3 +81,31 @@ def test_jacobi_small():
                  + bracket_lin(bracket(y, z), lc(x))
                  + bracket_lin(bracket(z, x), lc(y)))
         assert total.is_zero()
+
+
+def _prelie_lin_reference(x, y, product=prelie):
+    """Bilinear extension by nested running sums, one copy per term."""
+    out = LinComb.zero()
+    for F2, d in y.terms.items():
+        inner = LinComb.zero()
+        for F1, c in x.terms.items():
+            inner = inner + product(F1, F2).scale(c)
+        out = out + inner.scale(d)
+    return out
+
+
+SMALL1 = list(enumerate_forests(2, AB1))
+# opposite coefficients on overlapping forests make images cancel
+signed = st.sampled_from([MU, -MU, LAM, -LAM, Coefficient.monomial(1),
+                          Coefficient.monomial(-1)])
+lincombs = st.lists(st.tuples(st.sampled_from(SMALL1), signed), max_size=4).map(
+    lambda pairs: sum((LinComb.single(f, c) for f, c in pairs), LinComb.zero()))
+
+
+@settings(max_examples=200)
+@given(lincombs, lincombs, st.sampled_from([prelie, prelie_sandwich, bracket]))
+def test_prelie_lin_matches_nested_sums(x, y, product):
+    got = prelie_lin(x, y, product)
+    assert got == _prelie_lin_reference(x, y, product)
+    assert all(got.terms.values())
+    assert prelie_lin(x, x, bracket).terms == {}
