@@ -7,9 +7,9 @@ bracket, phi, theta, concat, graft) parse their forest arguments in the
 configured alphabet, compute exactly, and print the result in canonical
 order. enumerate lists a small universe. verify runs one exhaustive
 law suite and exits 0 on pass, 1 on an algebraic failure, 2 on usage or
-parse errors (a negative --max-vertices or a forest nested deeper than
-the interpreter's recursion limit included); that exit contract is
-shared by every command.
+parse errors (a negative --max-vertices, --workers below 1 or a forest
+nested deeper than the interpreter's recursion limit included); that
+exit contract is shared by every command.
 
 Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
 --eval-mu p/q --eval-nu p/q --json --workers N. Evaluation points
@@ -45,13 +45,24 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _bound(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _bound(text: str) -> int:
+    n = _integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {n}")
+    return n
+
+
+def _workers(text: str) -> int:
+    n = _integer(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
     return n
 
 
@@ -71,7 +82,7 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--eval-mu", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--eval-nu", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
+    p.add_argument("--workers", type=_workers, default=1, metavar="N",
                    help="parallel workers for verify (report-identical)")
     return p
 

@@ -9,7 +9,10 @@ coproduct dualizes to products:
   forest obtained by grafting T_m, ..., T_1 each "most possible on the
   left" of its target (0 = prepend as a new leftmost root). The path
   excludes the terminal leaf exactly when it is X-decorated, so grafting
-  never lands under an X-vertex.
+  never lands under an X-vertex. The sum is built top-down along the
+  path, one level at a time, so each regrafted path vertex is made once
+  for all the sigma that agree above it; the forests made, and so the
+  intern tables, are those of grafting sigma by sigma.
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
@@ -18,12 +21,10 @@ Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .forest import (KIND_X, Alphabet, Forest, Tree, VertexId, leaf)
-from .freemod import LAM, MU, ZERO, Coefficient, LinComb
+from .freemod import LAM, MU, ONE, ZERO, Coefficient, LinComb
 
 __all__ = ["LeftPath", "pairing", "left_path", "star", "star_lin",
            "star_weighted"]
@@ -83,34 +84,34 @@ def left_path(G: Forest) -> LeftPath:
 
 
 def star(F: Forest, G: Forest) -> LinComb:
-    """F star G: all C(m+n, n) left-graftings of F's trees along G's path."""
-    m = F.breadth
-    spine = _spine(G)
-    n = len(spine)
-    acc: dict = {}
-    one = Coefficient.monomial(1)
-    for sigma in combinations_with_replacement(range(n + 1), m):
-        H = _graft_along(F, G, spine, sigma)
-        c = acc.get(H)
-        acc[H] = one if c is None else c + one
-    return LinComb(acc)
+    """F star G: all C(m+n, n) left-graftings of F's trees along G's path.
 
-
-def _graft_along(F: Forest, G: Forest, spine, sigma) -> Forest:
-    # sigma is weakly increasing, so the trees sent to target j are the
-    # slice trees[lo:hi]; grafting T_m first and always prepending makes
-    # each block a prefix of the target's child list. sub holds the
-    # regrafted spine vertex above, which replaces the target's first child
+    The graftings are built top-down along the spine (roots drawn at the
+    bottom), one level at a time. An entry (hi, sub) of a level stands
+    for every sigma that sends exactly trees[hi:] to the spine nodes
+    already rebuilt, and sub holds the last node rebuilt (none at the
+    start). Going down one node, each choice of lo <= hi sends the block trees[lo:hi]
+    to that node: it goes in front of the node's child list, ahead of
+    sub, which replaces the old spine child. So each regrafted node is
+    made once for all the sigma that agree above it. The forests made
+    are exactly those of the sigma-by-sigma construction, so the intern
+    tables end with the same entries.
+    """
     trees = F.trees
-    hi = len(trees)
-    sub = ()
-    for j in range(len(spine), 0, -1):
-        lo = bisect_left(sigma, j, 0, hi)
-        node = spine[j - 1]
-        sub = (Tree.make(node.deco,
-                         trees[lo:hi] + sub + node.children[len(sub):]),)
-        hi = lo
-    return Forest.make(trees[:hi] + sub + G.trees[len(sub):])
+    level = [(len(trees), ())]
+    for node in reversed(_spine(G)):
+        level = [(lo, (Tree.make(node.deco, trees[lo:hi] + sub
+                                 + node.children[len(sub):]),))
+                 for hi, sub in level for lo in range(hi + 1)]
+    gtrees = G.trees
+    acc: dict = {}
+    for hi, sub in level:
+        H = Forest.make(trees[:hi] + sub + gtrees[len(sub):])
+        c = acc.get(H)
+        acc[H] = ONE if c is None else c + ONE
+    out = LinComb.__new__(LinComb)
+    out.terms = acc
+    return out
 
 
 def star_lin(x, y) -> LinComb:

@@ -127,6 +127,18 @@ def test_negative_bound_exits_2(capsys, argv):
     assert "--max-vertices: must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["star", "a", "b"], ["verify", "counit"]],
+                         ids=["star", "verify"])
+def test_nonpositive_workers_exits_2(capsys, argv):
+    for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--workers", bad])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers: must be at least 1" in captured.err
+
+
 def test_verify_pass_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "examples-golden")
     assert code == 0

@@ -1,16 +1,20 @@
 """Pairing, left grafting products, and the duality with the coproduct."""
 
 import itertools
+from bisect import bisect_left
 from math import comb
+
+import pytest
 
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import (left_path, pairing, star, star_lin,
                                    star_weighted)
-from forest_bialg.forest import (EMPTY_FOREST, Alphabet, enumerate_forests,
-                                 leaf, parse_forest)
+from forest_bialg.forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
+                                 Tree, enumerate_forests, leaf, parse_forest)
 from forest_bialg.freemod import LAM, MU, ONE, ZERO, LinComb
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
+AXY = Alphabet(omega=("a",), xset=("x", "y"))
 
 
 def F(text):
@@ -54,6 +58,60 @@ def test_star_term_census_instances():
         m, n = f.breadth, len(left_path(g))
         assert len(prod.terms) == comb(m + n, n)
         assert all(c == ONE for c in prod.terms.values())
+
+
+def star_by_sigma(f, g):
+    """Reference star: one grafting per weakly increasing sigma.
+
+    Trees sent to target j form the slice trees[lo:hi] found by bisect on
+    sigma; each spine node is regrafted from the bottom of the path up.
+    """
+    spine = []
+    node = g.trees[0] if g.trees else None
+    while node is not None:
+        spine.append(node)
+        node = node.children[0] if node.children else None
+    if spine and spine[-1].deco.kind == KIND_X:
+        spine.pop()
+    trees = f.trees
+    acc = {}
+    for sigma in itertools.combinations_with_replacement(
+            range(len(spine) + 1), len(trees)):
+        hi, sub = len(trees), ()
+        for j in range(len(spine), 0, -1):
+            lo = bisect_left(sigma, j, 0, hi)
+            node = spine[j - 1]
+            sub = (Tree.make(node.deco,
+                             trees[lo:hi] + sub + node.children[len(sub):]),)
+            hi = lo
+        H = Forest.make(trees[:hi] + sub + g.trees[len(sub):])
+        acc[H] = acc.get(H, ZERO) + ONE
+    return LinComb(acc)
+
+
+@pytest.mark.parametrize("ab", [AB, AXY], ids=["ab-x", "a-xy"])
+def test_star_matches_sigma_by_sigma_grafting(ab):
+    small = list(enumerate_forests(3, ab))
+    for f, g in itertools.product(small, repeat=2):
+        got, want = star(f, g), star_by_sigma(f, g)
+        assert got == want, (str(f), str(g))
+        assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("ftext, gtext, nterms", [
+    ("1", "1", 1),
+    ("a b", "x", 1),
+    ("a b", "a[x]", 3),
+    ("a b a b a", "a[a[a[a[a[x]]]]]", 252),
+    ("a x b[x] a[b] x b", "b", 7),
+])
+def test_star_edge_cases_match_sigma_by_sigma(ftext, gtext, nterms):
+    f, g = F(ftext), F(gtext)
+    got, want = star(f, g), star_by_sigma(f, g)
+    assert got == want
+    assert str(got) == str(want)
+    assert len(got.terms) == nterms
+    assert all(c == ONE for c in got.terms.values())
 
 
 def test_star_single_graft_instance():
