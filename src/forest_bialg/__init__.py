@@ -18,13 +18,11 @@ arithmetic.
 (m) x (x) 1
 (-l) x (x) a
 
-Hot kernels (postorder, restriction, biideal splitting) run through a
-compiled extension when it is importable and through a pure-Python twin
-otherwise; set FOREST_BIALG_PURE=1 to force the fallback. The selected
-backend is exposed as forest_bialg.KERNEL_BACKEND.
+The package is pure Python: the structural routines (postorder,
+restriction, biideal splitting) have one implementation, in the private
+module _kernel, with no backend switch.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
                         counit, counit_left, counit_lin, counit_right)
@@ -46,7 +44,7 @@ from .verify import SUITE_NAMES, RunConfig, SuiteReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "__version__",
+    "__version__",
     # forests
     "KIND_OMEGA", "KIND_X", "Decoration", "Alphabet", "Tree", "Forest",
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",

@@ -11,7 +11,13 @@ Two independent implementations are kept side by side on purpose:
       D(F) = -l * sum_{k=0..n} F|I_k (x) F|J_k
              + m * sum_{k=1..n} F|I_{k-1} (x) F|J_k,
 
-  the fast path used by the verification suites.
+  the fast path used by the verification suites. I_k, the first k
+  vertices in postorder, is closed under descendants and its complement
+  J_k under ancestors, so one walk over the nested trees lists every
+  pair (F|I_k, F|J_k): the whole subtrees before the cut, and F with
+  them cut off (_kernel.biideal_splits). The 2n + 1 keys of the two sums
+  are pairwise distinct, so each term keeps its constant coefficient -l
+  or m and the sum is built without coefficient arithmetic.
 
 Their pointwise equality is a standing regression gate (suite
 rec-vs-biideal), never assumed. The counit is F -> -m^n / l^(n+1), a
@@ -21,7 +27,7 @@ Laurent coefficient, so no evaluation is required to state the counit laws.
 from __future__ import annotations
 
 from . import _kernel
-from .forest import EMPTY_FOREST, Forest, forest_from_encoding, graft
+from .forest import EMPTY_FOREST, Forest, graft
 from .freemod import LAM, MU, ZERO, Coefficient, LinComb, act_left, act_right
 
 __all__ = [
@@ -32,6 +38,10 @@ __all__ = [
 
 _REC_CACHE: dict = {}
 _BIID_CACHE: dict = {}
+_COUNIT_CACHE: dict = {}
+
+# coefficients are immutable, so every biideal term shares these
+_NEG_LAM = -LAM
 
 
 def coproduct_rec(F: Forest) -> LinComb:
@@ -73,32 +83,28 @@ def coproduct_rec(F: Forest) -> LinComb:
 
 
 def coproduct_biideal(F: Forest) -> LinComb:
-    """Coproduct by restriction along the biideal chain (closed form)."""
+    """Coproduct by splitting along the biideal chain (closed form).
+
+    _kernel.biideal_splits lists the pairs (F|I_k, F|J_k) for k = 0..n in
+    one walk over the nested trees. The term (F|I_k, F|J_k) gets -l and
+    the term (F|I_{k-1}, F|J_k) gets m. No two of these 2n + 1 keys are
+    equal: the legs of a -l key hold n vertices in all and those of an m
+    key n - 1, and within each sum the first leg of the k-th key has a
+    different vertex count. So every coefficient is a constant and no
+    arithmetic or zero check is needed.
+    """
     hit = _BIID_CACHE.get(F)
     if hit is not None:
         return hit
-    parents, decos = F.encoding
-    splits = _kernel.biideal_splits(parents, F.postorder)
     acc: dict = {}
-    prev_first = None
-    for k, (ki, pi, kj, pj) in enumerate(splits):
-        first = forest_from_encoding(pi, tuple(decos[i] for i in ki))
-        second = forest_from_encoding(pj, tuple(decos[i] for i in kj))
-        key = (first, second)
-        c = acc.get(key, ZERO) - LAM
-        if c:
-            acc[key] = c
-        else:
-            acc.pop(key, None)
-        if k >= 1:
-            key = (prev_first, second)
-            c = acc.get(key, ZERO) + MU
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        prev_first = first
-    out = LinComb(acc)
+    prev = None
+    for first, second in _kernel.biideal_splits(F):
+        acc[first, second] = _NEG_LAM
+        if prev is not None:
+            acc[prev, second] = MU
+        prev = first
+    out = LinComb.__new__(LinComb)
+    out.terms = acc
     _BIID_CACHE[F] = out
     return out
 
@@ -130,9 +136,16 @@ def coproduct_right(t: LinComb, cop=None) -> LinComb:
 
 
 def counit(F: Forest) -> Coefficient:
-    """eps(F) = -m^n / l^(n+1) with n = n_F; eps(1) = -1/l."""
+    """eps(F) = -m^n / l^(n+1) with n = n_F; eps(1) = -1/l.
+
+    One shared Coefficient per vertex count, since coefficients are
+    immutable.
+    """
     n = F.nvertices
-    return Coefficient.monomial(-1, a=-(n + 1), b=n)
+    c = _COUNIT_CACHE.get(n)
+    if c is None:
+        c = _COUNIT_CACHE[n] = Coefficient.monomial(-1, a=-(n + 1), b=n)
+    return c
 
 
 def counit_lin(x: LinComb) -> Coefficient:

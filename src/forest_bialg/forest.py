@@ -12,7 +12,9 @@ the more-left one is the greater. The decreasing listing of this order is
 the left-to-right postorder walk, its prefixes are exactly the n_F + 1
 upward-closed vertex sets (forest biideals, a chain under inclusion), and
 restricting a forest to a vertex subset keeps the induced ancestry with
-contraction through deleted vertices.
+contraction through deleted vertices. Postorder and restriction run on the
+flat preorder encoding through the pure-Python routines of _kernel; there
+is one implementation of each and no backend switch.
 
 Trees and forests are canonical: Tree.make and Forest.make intern every
 instance, so two structurally equal forests are the same object. Equality

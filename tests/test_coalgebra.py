@@ -2,16 +2,19 @@
 
 import itertools
 
+from forest_bialg._kernel import biideal_splits
 from forest_bialg.coalgebra import (coproduct, coproduct_biideal,
                                     coproduct_left, coproduct_lin,
                                     coproduct_rec, coproduct_right, counit,
                                     counit_left, counit_right)
-from forest_bialg.forest import (EMPTY_FOREST, Alphabet, concat,
-                                 enumerate_forests, graft, parse_forest)
+from forest_bialg.forest import (EMPTY_FOREST, Alphabet, VertexSet, biideals,
+                                 concat, enumerate_forests, graft,
+                                 parse_forest, restrict)
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
 from forest_bialg.morphisms import phi
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
+ABXY = Alphabet(omega=("a", "b"), xset=("x", "y"))
 
 
 def F(text):
@@ -56,6 +59,38 @@ def test_product_derivation_instance():
 def test_rec_and_biideal_agree_small():
     for h in enumerate_forests(4, AB):
         assert coproduct_rec(h) == coproduct_biideal(h)
+
+
+SPLIT_EDGE_CASES = [
+    EMPTY_FOREST,
+    F("x"),
+    F("a[" * 60 + "x" + "]" * 60),
+    F("x a b[x] a[x x] b x a[b] x b[a[x]] a x b"),
+    parse_forest("a[b[x y] x] b[x]", ABXY),
+]
+
+
+def test_biideal_splits_match_restriction():
+    for h in itertools.chain(enumerate_forests(5, AB), SPLIT_EDGE_CASES):
+        splits = biideal_splits(h)
+        ideals = biideals(h)
+        everything = frozenset(h.paths)
+        assert len(splits) == len(ideals) == h.nvertices + 1
+        for (first, second), ideal in zip(splits, ideals):
+            rest = VertexSet(h, everything - ideal.members)
+            assert first is restrict(h, ideal)
+            assert second is restrict(h, rest)
+
+
+def test_coproduct_biideal_term_shape():
+    # 2n + 1 distinct keys, so no coefficient is ever summed
+    neg_lam = -LAM
+    for h in enumerate_forests(5, AB):
+        n = h.nvertices
+        coeffs = list(coproduct_biideal(h).terms.values())
+        assert len(coeffs) == 2 * n + 1
+        assert sum(c == neg_lam for c in coeffs) == n + 1
+        assert sum(c == MU for c in coeffs) == n
 
 
 def test_coassociativity_small():

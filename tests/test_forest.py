@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, DecorationError,
@@ -200,6 +201,21 @@ def test_vertex_order_is_postorder():
     assert [str(v) for v in vertex_order(f)] == ["0/0", "0/1", "0", "1"]
     f2 = F("b a[x]")
     assert [str(v) for v in vertex_order(f2)] == ["0", "1/0", "1"]
+
+
+def test_postorder_shape():
+    # one explicit trace: a[x b] x has preorder (root, x, b, x-root)
+    f = F("a[x b] x")
+    parents, _ = f.encoding
+    assert parents == (-1, 0, 0, -1)
+    assert postorder_indices(parents) == (1, 2, 0, 3)
+
+
+def test_postorder_of_a_deep_path_needs_no_recursion():
+    n = 5000
+    parents = (-1,) + tuple(range(n - 1))
+    assert n > sys.getrecursionlimit()
+    assert postorder_indices(parents) == tuple(range(n - 1, -1, -1))
 
 
 def test_biideals_chain():
