@@ -23,6 +23,18 @@ __hash__), and pickle and copy return the interned instance rather than
 a second copy. make stores a new instance with dict.setdefault, so threads
 that race on one new key (verify --workers) still share one instance.
 
+The intern tables forget. sweep_interned drops every entry that nothing
+but its table refers to; verify.run_suite calls it through sweep_if_due
+between cases, on one worker and only while its thread is the only one,
+once Forest._intern has grown to max(2**16, twice its size after the last
+sweep). Identity semantics survive because a dropped instance is
+unobservable: no object, cache or frame refers to it, so no comparison
+can meet it again, and the next make of that structure builds the one
+instance anything can then hold. An instance that anything holds, a
+coproduct cache key, a pickled copy's target or a local variable, keeps
+its entry. Between sweeps the tables keep everything, so the hit path of
+make costs nothing extra.
+
 Text form: "1" for the empty forest, "a[x b[y]] c" style otherwise; leaves
 render bare, children go in brackets separated by spaces.
 """
@@ -30,6 +42,8 @@ render bare, children go in brackets separated by spaces.
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from typing import Iterator, NamedTuple
 
 from . import _kernel
@@ -39,7 +53,8 @@ __all__ = [
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",
     "DecorationError", "parse_forest", "render_forest", "concat", "graft",
     "depth", "breadth", "nvertices", "vertex_order", "biideals", "restrict",
-    "enumerate_forests", "forest_from_encoding", "leaf",
+    "enumerate_forests", "forest_from_encoding", "leaf", "sweep_interned",
+    "sweep_if_due",
 ]
 
 KIND_OMEGA = "omega"
@@ -133,6 +148,8 @@ class Tree:
     Tree.make interns on (decoration, children), so structurally equal
     trees are one object and equality and hash are object identity.
     pickle and copy go back through Tree.make and return that object.
+    Tree._intern forgets a tree only in sweep_interned, and only once no
+    forest, parent tree or other object refers to it (module docstring).
     """
 
     __slots__ = ("deco", "children", "nvertices", "depth")
@@ -180,6 +197,8 @@ class Forest:
 
     Canonical like Tree: Forest.make interns on the tree tuple, equality
     and hash are identity, and pickle and copy return the interned object.
+    Forest._intern forgets a forest only in sweep_interned, at a point
+    where nothing else refers to it, so no one can tell it was dropped.
     """
 
     __slots__ = ("trees", "nvertices", "_text", "_enc", "_paths", "_post",
@@ -277,6 +296,64 @@ class Forest:
 
 
 EMPTY_FOREST = Forest.make(())
+
+
+# ------------------------------------------------------ forgetting interns
+
+def _lone_refs():
+    # the count an entry shows when only its table holds it differs
+    # between CPython versions, so read it off a probe entry the two ways
+    # the sweep reads entries: by key, and in a pass over items()
+    table, key = {None: object()}, None
+    by_key = sys.getrefcount(table[key])
+    in_items = {k: sys.getrefcount(v) for k, v in table.items()}[key]
+    return by_key, in_items
+
+
+_LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
+_SWEEP_FLOOR = 1 << 16
+_sweep_at = _SWEEP_FLOOR
+
+
+def _forget_forests(table):
+    # no forest refers to another, so one pass reads every final count;
+    # nearly every entry goes, and rebuilding beats deleting them one by one
+    keep = {trees: f for trees, f in table.items()
+            if sys.getrefcount(f) != _LONE_IN_ITEMS}
+    table.clear()
+    table.update(keep)
+
+
+def _forget_trees(table):
+    # newest first: a tree is interned after its children, so a dropped
+    # parent releases its children before they are reached; each key
+    # leaves the snapshot as it is read, since a key holds the children
+    keys = list(table)
+    while keys:
+        key = keys.pop()
+        if sys.getrefcount(table[key]) == _LONE_BY_KEY:
+            del table[key]
+
+
+def sweep_interned() -> None:
+    """Drop every Forest._intern entry, then every Tree._intern entry,
+    that nothing but its table refers to.
+
+    Call it only where no other thread can take a reference between the
+    count and the drop; run_suite does, through sweep_if_due. Forests go
+    first, since a dropped forest releases its trees.
+    """
+    global _sweep_at
+    _forget_forests(Forest._intern)
+    _forget_trees(Tree._intern)
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
+
+
+def sweep_if_due() -> None:
+    """Run sweep_interned if Forest._intern has reached its trigger size
+    and the calling thread is the only one."""
+    if len(Forest._intern) >= _sweep_at and threading.active_count() == 1:
+        sweep_interned()
 
 
 def leaf(deco: Decoration) -> Forest:

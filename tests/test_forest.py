@@ -15,7 +15,8 @@ from forest_bialg.forest import (EMPTY_FOREST, Alphabet, DecorationError,
                                  VertexSet, biideals, breadth, concat, depth,
                                  enumerate_forests, forest_from_encoding,
                                  graft, leaf, nvertices, parse_forest,
-                                 render_forest, restrict, vertex_order)
+                                 render_forest, restrict, sweep_interned,
+                                 vertex_order)
 
 AB = Alphabet(omega=("a", "b"), xset=("x", "y"))
 AB4 = Alphabet(omega=("a", "b", "c", "d"), xset=("x",))
@@ -175,6 +176,51 @@ def test_threads_racing_on_new_forests_get_one_instance():
                 assert all(a is b for a, b in zip(first, other))
     finally:
         sys.setswitchinterval(old)
+
+
+def _assert_canonical(forests=(), trees=()):
+    for f in forests:
+        assert Forest.make(f.trees) is f, str(f)
+    for t in trees:
+        assert Tree.make(t.deco, t.children) is t, str(t)
+
+
+def test_sweep_forgets_only_what_nothing_else_holds():
+    # fresh symbols, so every instance below is new to the tables
+    ab = Alphabet(omega=("swa", "swb"), xset=("swx",))
+    a, b = ab.decoration("swa"), ab.decoration("swb")
+    base = list(enumerate_forests(3, ab))
+    # held only in local lists
+    local = [h for f in base[:12] for g in base[:12] for h in star(f, g).terms]
+    lone_trees = [graft(a, h) for h in local[::7]]
+    # held only as legs of a cached coproduct
+    cached = [F("swa[swb[swx swa] swx] swb[swa[swx]] swx", ab),
+              F("swb[swa[swa[swb swx]]] swa", ab)]
+    for f in cached:
+        coproduct(f)
+    # returned by pickle.loads
+    unpickled = pickle.loads(pickle.dumps(
+        [graft(b, h).as_forest() for h in local[::5]]))
+    # garbage: forests and trees nothing holds once made
+    for f in base[-20:]:
+        for g in base[-20:]:
+            star(f, g)
+    gone = F("swb[swb[swb[swb[swa swx]]]] swa swx", ab).trees
+    n_forests, n_trees = len(Forest._intern), len(Tree._intern)
+
+    sweep_interned()
+
+    assert len(Forest._intern) < n_forests
+    assert len(Tree._intern) < n_trees
+    # a forest only the table held is forgotten; the trees it shares
+    # with the held tuple stay
+    assert gone not in Forest._intern
+    legs = [leg for f in cached for pair in coproduct(f).terms for leg in pair]
+    held = base + local + legs + unpickled
+    _assert_canonical(held, lone_trees + list(gone)
+                      + [t for f in held for t in f.trees])
+    _assert_canonical(list(Forest._intern.values()),
+                      list(Tree._intern.values()))
 
 
 def test_graft():
