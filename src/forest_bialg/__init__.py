@@ -35,8 +35,7 @@ from .forest import (EMPTY_FOREST, KIND_OMEGA, KIND_X, Alphabet, Decoration,
                      nvertices, parse_forest, render_forest, restrict,
                      vertex_order)
 from .freemod import (LAM, MU, NU, ONE, ZERO, Coefficient, LinComb,
-                      act_left, act_right, coeff_add, coeff_eval, coeff_mul,
-                      coeff_neg, coeff_subst_mu, lc_add, lc_scale, lc_tensor)
+                      act_left, act_right)
 from .morphisms import lc_concat, phi, phi_at, phi_forest, phi_subsets, theta
 from .prelie import bracket, bracket_lin, prelie, prelie_lin, prelie_sandwich
 from .verify import SUITE_NAMES, RunConfig, SuiteReport, run_suite
@@ -53,8 +52,7 @@ __all__ = [
     "restrict", "enumerate_forests", "forest_from_encoding",
     # coefficients and free modules
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
-    "coeff_add", "coeff_mul", "coeff_neg", "coeff_subst_mu", "coeff_eval",
-    "lc_add", "lc_scale", "lc_tensor", "act_left", "act_right",
+    "act_left", "act_right",
     # coalgebra
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
     "coproduct_left", "coproduct_right", "counit", "counit_lin",

@@ -315,11 +315,13 @@ _SWEEP_FLOOR = 1 << 16
 _sweep_at = _SWEEP_FLOOR
 
 
-def _forget_forests(table):
-    # no forest refers to another, so one pass reads every final count;
-    # nearly every entry goes, and rebuilding beats deleting them one by one
-    keep = {trees: f for trees, f in table.items()
-            if sys.getrefcount(f) != _LONE_IN_ITEMS}
+def _forget_unheld(table):
+    # for tables whose values refer to no other value of the table
+    # (forests, and freemod's coefficients): one pass reads every final
+    # count; nearly every entry goes, and rebuilding beats deleting them
+    # one by one
+    keep = {key: v for key, v in table.items()
+            if sys.getrefcount(v) != _LONE_IN_ITEMS}
     table.clear()
     table.update(keep)
 
@@ -344,16 +346,18 @@ def sweep_interned() -> None:
     first, since a dropped forest releases its trees.
     """
     global _sweep_at
-    _forget_forests(Forest._intern)
+    _forget_unheld(Forest._intern)
     _forget_trees(Tree._intern)
     _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
 
 
-def sweep_if_due() -> None:
+def sweep_if_due() -> bool:
     """Run sweep_interned if Forest._intern has reached its trigger size
-    and the calling thread is the only one."""
+    and the calling thread is the only one; return whether it ran."""
     if len(Forest._intern) >= _sweep_at and threading.active_count() == 1:
         sweep_interned()
+        return True
+    return False
 
 
 def leaf(deco: Decoration) -> Forest:

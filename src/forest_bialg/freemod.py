@@ -2,17 +2,39 @@
 
 Coefficients live in Q[mu,nu][lambda, 1/lambda]: finitely many monomials
 q * l^a * m^b * n^c with q rational, a any integer (the counit needs
-negative powers of lambda), b and c non-negative. Values are canonical
-(no zero monomials stored), so equality of coefficients and of linear
-combinations is plain structural equality; that equality is the oracle
-every verification suite reduces to.
+negative powers of lambda), b and c non-negative. Equality of
+coefficients and of linear combinations is the oracle every verification
+suite reduces to.
+
+Coefficients are canonical, as trees and forests are: every one is made
+by _make, which interns on the set of its (monomial, rational) terms, so
+two equal values are one object. Equality and hash are therefore object
+identity (no Python-level __eq__ or __hash__), LinComb.__eq__ compares
+its dicts in C, and pickle and copy return the interned instance. _make
+stores a new value with dict.setdefault, so threads racing on one new
+value share one instance. Never mutate a coefficient's terms dict: the
+intern table and every holder of the value share it.
+
+Because values are canonical, sums and products are memoised by operand
+identity: _ADD and _MUL map a pair (c, d) to the canonical c + d and
+c * d. The suites multiply a handful of distinct coefficients over and
+over (every biideal coproduct term is -l or m), so nearly every ring
+operation in a law check is one dict lookup. Only this module reads
+the memos: the operators look a pair up first, and LinComb.apply and
+apply_leg, which carry the suites' ring work, read them inline. Every
+accumulation loop tests cancellation with `is ZERO`. sweep_coefficients
+clears both memos and drops every interned value that nothing else
+holds; verify.run_suite calls it whenever forest.sweep_if_due sweeps the
+forest tables between cases.
 
 A rational part q is stored as an int when it is integral and as a
-Fraction otherwise. Coproduct, star, phi and theta coefficients are all
-integral, so ring arithmetic runs on ints, which are far cheaper than
-Fractions; Fractions enter only through evaluation at rational points. Since Fraction(2) == 2 and the two
-hash alike, equality, hashing, text and JSON do not depend on which type
-holds an integral value.
+Fraction otherwise: _make converts integral Fractions when it stores a
+new value, so the one instance of an integral value holds ints whichever
+route (evaluation, a Fraction sum) made it first. Coproduct, star, phi
+and theta coefficients are all integral, so ring arithmetic runs on
+ints, which are far cheaper than Fractions; Fractions enter only through
+evaluation at rational points. Since Fraction(2) == 2 and the two hash
+alike, a lookup with Fraction-stored terms finds the same instance.
 
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples, and
@@ -23,40 +45,74 @@ image's legs in place of it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .forest import Forest, concat
+from .forest import Forest, _forget_unheld, concat
 
 __all__ = [
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
-    "coeff_add", "coeff_mul", "coeff_neg", "coeff_subst_mu", "coeff_eval",
-    "lc_add", "lc_scale", "lc_tensor", "act_left", "act_right",
+    "act_left", "act_right", "sweep_coefficients",
 ]
+
+# frozenset of a value's terms -> its one Coefficient
+_INTERN: dict = {}
+# (c, d) -> c + d and c * d; tuples of coefficients hash by identity in C
+_ADD: dict = {}
+_MUL: dict = {}
+
+
+def _make(acc: dict) -> "Coefficient":
+    """The canonical Coefficient whose terms are acc.
+
+    acc must already be canonical but for storage (int exponent triples,
+    no zero rational; integral Fractions are converted here). It becomes
+    the new value's terms when the value is new, so the caller must not
+    touch it afterwards.
+    """
+    key = frozenset(acc.items())
+    hit = _INTERN.get(key)
+    if hit is not None:
+        return hit
+    # integral Fractions (from evaluation, or Fraction sums such as
+    # 1/2 + 1/2) are stored as ints, whichever route makes a value first
+    for mono, q in acc.items():
+        if type(q) is not int and q.denominator == 1:
+            acc[mono] = q.numerator
+    c = object.__new__(Coefficient)
+    c.terms = acc
+    # setdefault is one C call, so threads racing on a new value all get
+    # the instance stored first
+    return _INTERN.setdefault(key, c)
 
 
 class Coefficient:
     """Element of Q[mu,nu][lambda, 1/lambda] in canonical form.
 
     terms maps exponent triples (a, b, c) for l^a m^b n^c to nonzero
-    rationals: an int when integral, a Fraction otherwise. Treat
-    instances as immutable.
+    rationals: an int when integral, a Fraction otherwise. Canonical:
+    Coefficient(...) validates its terms and returns the one interned
+    instance of that value, so equality and hash are identity. Sums and
+    products are memoised by operand identity (module docstring). Never
+    mutate terms.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
+    def __new__(cls, terms=None):
+        acc = {}
         if terms:
             for mono, q in dict(terms).items():
                 if type(q) is not int:
                     q = Fraction(q)
-                    if q.denominator == 1:
-                        q = q.numerator
                 if q:
                     a, b, c = mono
                     if b < 0 or c < 0:
                         raise ValueError(f"negative mu/nu exponent in {mono}")
-                    self.terms[(int(a), int(b), int(c))] = q
+                    acc[(int(a), int(b), int(c))] = q
+        return _make(acc)
+
+    def __reduce__(self):
+        return Coefficient, (self.terms,)
 
     @staticmethod
     def monomial(q, a=0, b=0, c=0) -> "Coefficient":
@@ -72,32 +128,23 @@ class Coefficient:
     def __bool__(self):
         return bool(self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, q in other.terms.items():
-            s = acc.get(mono, 0) + q
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-        out = Coefficient.__new__(Coefficient)
-        out.terms = acc
+        out = _ADD.get((self, other))
+        if out is None:
+            acc = dict(self.terms)
+            for mono, q in other.terms.items():
+                s = acc.get(mono, 0) + q
+                if s:
+                    acc[mono] = s
+                else:
+                    acc.pop(mono, None)
+            out = _ADD[self, other] = _make(acc)
         return out
 
     def __neg__(self):
-        out = Coefficient.__new__(Coefficient)
-        out.terms = {m: -q for m, q in self.terms.items()}
-        return out
+        return _make({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -105,25 +152,18 @@ class Coefficient:
     def __mul__(self, other):
         if not isinstance(other, Coefficient):
             return NotImplemented
-        st, ot = self.terms, other.terms
-        if len(st) == 1 and len(ot) == 1:
-            # monomial times monomial: the product of nonzero rationals is nonzero
-            ((a1, b1, c1), q1), = st.items()
-            ((a2, b2, c2), q2), = ot.items()
-            out = Coefficient.__new__(Coefficient)
-            out.terms = {(a1 + a2, b1 + b2, c1 + c2): q1 * q2}
-            return out
-        acc = {}
-        for (a1, b1, c1), q1 in st.items():
-            for (a2, b2, c2), q2 in ot.items():
-                mono = (a1 + a2, b1 + b2, c1 + c2)
-                s = acc.get(mono, 0) + q1 * q2
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        out = Coefficient.__new__(Coefficient)
-        out.terms = acc
+        out = _MUL.get((self, other))
+        if out is None:
+            acc = {}
+            for (a1, b1, c1), q1 in self.terms.items():
+                for (a2, b2, c2), q2 in other.terms.items():
+                    mono = (a1 + a2, b1 + b2, c1 + c2)
+                    s = acc.get(mono, 0) + q1 * q2
+                    if s:
+                        acc[mono] = s
+                    else:
+                        acc.pop(mono, None)
+            out = _MUL[self, other] = _make(acc)
         return out
 
     def __pow__(self, k: int):
@@ -169,9 +209,7 @@ class Coefficient:
                     acc[mono] = s
                 else:
                     acc.pop(mono, None)
-        out = Coefficient.__new__(Coefficient)
-        out.terms = acc
-        return out
+        return _make(acc)
 
     def eval_at(self, lam, mu, nu) -> Fraction:
         c = self.subst_partial(lam=lam, mu=mu, nu=nu)
@@ -222,25 +260,19 @@ LAM = Coefficient.monomial(1, a=1)
 MU = Coefficient.monomial(1, b=1)
 NU = Coefficient.monomial(1, c=1)
 
+def sweep_coefficients() -> None:
+    """Clear the sum and product memos, then drop every interned
+    coefficient that nothing else holds.
 
-def coeff_add(c, d):
-    return c + d
-
-
-def coeff_mul(c, d):
-    return c * d
-
-
-def coeff_neg(c):
-    return -c
-
-
-def coeff_subst_mu(c, p):
-    return c.subst_mu(p)
-
-
-def coeff_eval(c, lam, mu, nu=Fraction(0)):
-    return c.eval_at(lam, mu, nu)
+    The memos go first, since their keys and values hold coefficients.
+    No coefficient refers to another, so one pass over the intern table
+    reads every final count, as for forests (forest.sweep_interned, whose
+    threading caveat applies here too). run_suite runs it after each
+    forest sweep.
+    """
+    _ADD.clear()
+    _MUL.clear()
+    _forget_unheld(_INTERN)
 
 
 # --------------------------------------------------------------- free module
@@ -294,11 +326,14 @@ class LinComb:
         acc = dict(self.terms)
         for b, c in other.terms.items():
             s = acc.get(b)
-            s = c if s is None else s + c
-            if s:
-                acc[b] = s
+            if s is None:
+                acc[b] = c
+                continue
+            s = s + c
+            if s is ZERO:
+                del acc[b]
             else:
-                acc.pop(b, None)
+                acc[b] = s
         out = LinComb.__new__(LinComb)
         out.terms = acc
         return out
@@ -326,29 +361,47 @@ class LinComb:
             l1 = _legs(b1)
             for b2, c2 in other.terms.items():
                 key = l1 + _legs(b2)
-                c = c1 * c2
+                p = c1 * c2
                 s = acc.get(key)
-                s = c if s is None else s + c
-                if s:
-                    acc[key] = s
+                if s is None:
+                    acc[key] = p
+                    continue
+                s = s + p
+                if s is ZERO:
+                    del acc[key]
                 else:
-                    acc.pop(key, None)
+                    acc[key] = s
         out = LinComb.__new__(LinComb)
         out.terms = acc
         return out
 
+    # apply and apply_leg carry the law suites' ring work, so they read
+    # the memos directly instead of calling the operators (with the
+    # operators, a laws-symbolic pass took ~9% longer)
+
     def apply(self, f: Callable) -> "LinComb":
-        """Linear extension of a basis map f: basis -> LinComb."""
+        """Linear extension of a basis map f: basis -> LinComb.
+
+        Products of nonzero coefficients are nonzero (the ring has no zero
+        divisors), so only a sum can cancel a term.
+        """
         acc = {}
         for b, c in self.terms.items():
             for key, d in f(b).terms.items():
-                p = d * c
+                p = _MUL.get((d, c))
+                if p is None:
+                    p = d * c
                 s = acc.get(key)
-                s = p if s is None else s + p
-                if s:
-                    acc[key] = s
+                if s is None:
+                    acc[key] = p
+                    continue
+                t = _ADD.get((s, p))
+                if t is None:
+                    t = s + p
+                if t is ZERO:
+                    del acc[key]
                 else:
-                    acc.pop(key, None)
+                    acc[key] = t
         out = LinComb.__new__(LinComb)
         out.terms = acc
         return out
@@ -367,13 +420,20 @@ class LinComb:
             head, tail = legs[:i], legs[i + 1:]
             for k, d in f(legs[i]).terms.items():
                 key = head + _legs(k) + tail
-                p = d * c
+                p = _MUL.get((d, c))
+                if p is None:
+                    p = d * c
                 s = acc.get(key)
-                s = p if s is None else s + p
-                if s:
-                    acc[key] = s
+                if s is None:
+                    acc[key] = p
+                    continue
+                t = _ADD.get((s, p))
+                if t is None:
+                    t = s + p
+                if t is ZERO:
+                    del acc[key]
                 else:
-                    acc.pop(key, None)
+                    acc[key] = t
         out = LinComb.__new__(LinComb)
         out.terms = acc
         return out
@@ -383,11 +443,14 @@ class LinComb:
         for b, c in self.terms.items():
             key = g(b)
             s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
+            if s is None:
+                acc[key] = c
+                continue
+            s = s + c
+            if s is ZERO:
+                del acc[key]
             else:
-                acc.pop(key, None)
+                acc[key] = s
         out = LinComb.__new__(LinComb)
         out.terms = acc
         return out
@@ -417,18 +480,6 @@ class LinComb:
     def to_json(self):
         return [{"coeff": c.to_json(), "legs": [str(leg) for leg in _legs(b)]}
                 for b, c in self.terms_sorted()]
-
-
-def lc_add(x: LinComb, y: LinComb) -> LinComb:
-    return x + y
-
-
-def lc_scale(coeff, x: LinComb) -> LinComb:
-    return x.scale(coeff)
-
-
-def lc_tensor(x: LinComb, y: LinComb) -> LinComb:
-    return x.tensor(y)
 
 
 def act_left(F: Forest, t: LinComb) -> LinComb:

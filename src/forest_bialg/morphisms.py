@@ -34,12 +34,16 @@ def lc_concat(x: LinComb, y: LinComb) -> LinComb:
     for F, c in x.terms.items():
         for G, d in y.terms.items():
             key = F * G
+            p = c * d
             s = acc.get(key)
-            s = c * d if s is None else s + c * d
-            if s:
-                acc[key] = s
+            if s is None:
+                acc[key] = p
+                continue
+            s = s + p
+            if s is ZERO:
+                del acc[key]
             else:
-                acc.pop(key, None)
+                acc[key] = s
     out = LinComb.__new__(LinComb)
     out.terms = acc
     return out

@@ -28,18 +28,7 @@ __all__ = ["prelie", "prelie_sandwich", "prelie_lin", "bracket",
 
 
 def _sandwich(F1: Forest, delta2: LinComb) -> LinComb:
-    acc: dict = {}
-    for (g, h), c in delta2.terms.items():
-        key = g * F1 * h
-        s = acc.get(key)
-        s = c if s is None else s + c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    out = LinComb.__new__(LinComb)
-    out.terms = acc
-    return out
+    return delta2.map_basis(lambda gh: gh[0] * F1 * gh[1])
 
 
 def prelie(F1: Forest, F2: Forest) -> LinComb:

@@ -46,7 +46,8 @@ from .dualprod import pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest, biideals,
                      concat, enumerate_forests, graft, sweep_if_due,
                      vertex_order)
-from .freemod import LAM, MU, NU, ONE, Coefficient, LinComb, act_left, act_right
+from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, act_left,
+                      act_right, sweep_coefficients)
 from .golden import golden_cases
 from .morphisms import lc_concat, phi, phi_at, phi_subsets, theta
 from .prelie import bracket_lin, prelie, prelie_lin, prelie_sandwich
@@ -478,9 +479,11 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
 
     On one worker, the intern tables are swept between cases once they
-    have grown enough (forest.sweep_if_due), so memory stays bounded by
-    what the suite and the caches hold rather than by everything the run
-    ever built.
+    have grown enough (forest.sweep_if_due for forests and trees; each
+    such sweep also runs freemod.sweep_coefficients for coefficients and
+    their sum and product memos), so memory stays bounded by what the
+    suite and the caches hold rather than by everything the run ever
+    built.
 
     A call that starts on the process's only thread also raises the
     collector's thresholds to _GC_THRESHOLDS for its length and restores
@@ -525,6 +528,6 @@ def _run(name, gen, config) -> SuiteReport:
         cases += 1
         if res is not None:
             failures.append(res)
-        if sweep:
-            sweep_if_due()
+        if sweep and sweep_if_due():
+            sweep_coefficients()
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)

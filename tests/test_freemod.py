@@ -1,15 +1,21 @@
-"""Coefficient ring and free-module laws, rendering, substitution."""
+"""Coefficient ring and free-module laws, rendering, substitution,
+canonical (interned, memoised) coefficients."""
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_bialg import freemod
 from forest_bialg.forest import Alphabet, parse_forest
 from forest_bialg.freemod import (LAM, MU, NU, ONE, ZERO, Coefficient,
-                                  LinComb, act_left, act_right, coeff_eval,
-                                  lc_add, lc_scale, lc_tensor)
+                                  LinComb, act_left, act_right,
+                                  sweep_coefficients)
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 
@@ -43,6 +49,7 @@ def test_ring_laws(u, v, w):
 @settings(max_examples=300)
 @given(coefficients, coefficients)
 def test_hash_consistency(u, v):
+    assert (u == v) == (u is v) == (u.terms == v.terms)
     if u == v:
         assert hash(u) == hash(v)
 
@@ -102,7 +109,7 @@ def test_subst_partial_and_eval():
     c = -LAM + MU - LAM * NU
     at = c.subst_partial(lam=Fraction(2))
     assert at == Coefficient.from_rational(-2) + MU + Coefficient.monomial(-2, c=1)
-    assert coeff_eval(c, Fraction(2), Fraction(3), Fraction(1, 2)) == Fraction(0)
+    assert c.eval_at(Fraction(2), Fraction(3), Fraction(1, 2)) == Fraction(0)
     assert c.eval_at(Fraction(1), Fraction(1), Fraction(0)) == Fraction(0)
 
 
@@ -145,8 +152,8 @@ def test_lincomb_basics():
     assert u.coeff_of(F("a")) == MU
     assert u.coeff_of(F("1")) == ZERO
     assert (u - u).is_zero()
-    assert lc_add(u, LinComb.zero()) == u
-    assert lc_scale(Fraction(0), u).is_zero()
+    assert u + LinComb.zero() == u
+    assert u.scale(Fraction(0)).is_zero()
     assert u.scale(LAM).coeff_of(F("a")) == LAM * MU
 
 
@@ -158,7 +165,7 @@ def test_lincomb_merges_duplicate_bases():
 def test_tensor_concatenates_legs():
     u = LinComb.single(F("a"))
     v = LinComb.single((F("x"), F("1")), MU)
-    w = lc_tensor(u, v)
+    w = u.tensor(v)
     assert w.coeff_of((F("a"), F("x"), F("1"))) == MU
 
 
@@ -206,19 +213,30 @@ mixed_coefficients = st.dictionaries(
 
 
 def _raw(terms):
-    """A Coefficient holding terms exactly as given, bypassing __init__."""
-    c = Coefficient.__new__(Coefficient)
+    """A probe Coefficient holding terms exactly as given, int or Fraction.
+
+    It bypasses the constructor and the intern table, so it is not
+    canonical: it stands for a value stored in the other type, to check
+    that nothing observable depends on that type.
+    """
+    c = object.__new__(Coefficient)
     c.terms = dict(terms)
     return c
 
 
+def _stores_ints(c):
+    return all(type(q) is int or q.denominator != 1 for q in c.terms.values())
+
+
 def test_integral_fraction_and_int_are_one_value():
     for mono in [(0, 0, 0), (1, 2, 0), (-2, 1, 3)]:
-        for u in (Coefficient({mono: Fraction(4, 2)}), _raw({mono: Fraction(2)})):
-            v = Coefficient({mono: 2})
-            assert u == v and hash(u) == hash(v)
-            assert str(u) == str(v)
-            assert u.to_json() == v.to_json()
+        v = Coefficient({mono: 2})
+        assert Coefficient({mono: Fraction(4, 2)}) is v
+        assert _stores_ints(v)
+        for probe in (_raw({mono: Fraction(2)}), _raw({mono: 2})):
+            assert str(probe) == str(v)
+            assert probe.to_json() == v.to_json()
+            assert freemod._make(dict(probe.terms)) is v
 
 
 @settings(max_examples=300)
@@ -228,13 +246,32 @@ def test_storage_type_is_invisible(terms):
     as_fraction = _raw({m: Fraction(q) for m, q in terms.items()})
     as_int = _raw({m: q.numerator if Fraction(q).denominator == 1 else q
                    for m, q in terms.items()})
+    assert as_fraction is not as_int
     built = Coefficient(terms)
+    assert _stores_ints(built)
     for u in (as_fraction, as_int):
-        assert u == built and hash(u) == hash(built)
         assert str(u) == str(built)
         assert u.to_json() == built.to_json()
-    assert as_fraction * as_int == built * built
-    assert as_fraction + as_int == built + built
+        assert freemod._make(dict(u.terms)) is built
+    # mixed int/Fraction arithmetic lands on the canonical int-stored values
+    for out, expect in ((as_fraction * as_int, built * built),
+                        (as_fraction + as_int, built + built),
+                        (as_fraction - as_int, ZERO)):
+        assert out is expect
+        assert _stores_ints(out)
+
+
+def test_evaluation_first_still_stores_ints():
+    # 7919 m^401 and m^402 occur nowhere else, so evaluation interns them
+    # first, with integral Fraction parts
+    c = Coefficient.monomial(7919, a=2, b=401).subst_partial(lam=Fraction(1))
+    assert c is Coefficient.monomial(7919, b=401)
+    assert type(c.terms[(0, 401, 0)]) is int
+    assert type((c + c).terms[(0, 401, 0)]) is int
+    half = Coefficient.monomial(Fraction(1, 2), b=402)
+    whole = half + half
+    assert whole is Coefficient.monomial(1, b=402)
+    assert type(whole.terms[(0, 402, 0)]) is int
 
 
 def test_evaluation_returns_fraction():
@@ -243,7 +280,6 @@ def test_evaluation_returns_fraction():
         for point in ((2, 3, 0), (Fraction(2), Fraction(1, 3), Fraction(5))):
             r = c.eval_at(*point)
             assert type(r) is Fraction
-            assert type(coeff_eval(c, *point)) is Fraction
     assert ZERO.eval_at(1, 1, 1) == 0
     assert half.eval_at(4, 0, 0) == 2
 
@@ -364,3 +400,167 @@ def test_subst_partial_and_eval_match_sympy(u, lam, mu, nu):
         r = u.eval_at(lam, mu, nu)
         assert type(r) is Fraction
         assert sp.Rational(r.numerator, r.denominator) == expect
+
+
+# ------------------------------------------------- canonical coefficients
+
+def _assert_interned(c):
+    assert freemod._INTERN[frozenset(c.terms.items())] is c, repr(c)
+    assert Coefficient(c.terms) is c, repr(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_coefficients, mixed_coefficients, polynomial_coefficients,
+       st.integers(0, 3), points, points, points)
+def test_every_construction_route_returns_the_interned_instance(
+        u, v, p, k, lam, mu, nu):
+    if lam == 0:
+        lam = None  # keep clear of the lambda = 0 pole
+    results = [u, v, p, u + v, u - v, u * v, -u, u ** k, u.subst_mu(p),
+               u.subst_partial(lam=lam, mu=mu, nu=nu),
+               pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u)]
+    w = LinComb.single(F("a"), u) + LinComb.single(F("x"), v)
+    results += w.map_coeff(lambda c: c * p).terms.values()
+    for c in results:
+        _assert_interned(c)
+    assert pickle.loads(pickle.dumps(u)) is u
+    assert copy.copy(u) is u and copy.deepcopy(u) is u
+    assert copy.deepcopy(w) == w
+
+
+def test_constructors_return_the_interned_instance():
+    m = (2, 1, 0)
+    assert Coefficient({m: Fraction(4, 2)}) is Coefficient({m: 2})
+    assert Coefficient.monomial(Fraction(6, 3), *m) is Coefficient({m: 2})
+    assert Coefficient.from_rational(Fraction(1)) is ONE
+    assert Coefficient() is ZERO and Coefficient({}) is ZERO
+    assert Coefficient({(1, 0, 0): 0}) is ZERO
+    assert Coefficient.monomial(1, a=1) is LAM
+    assert MU - MU is ZERO and LAM * ONE is LAM
+    for c in (ZERO, ONE, LAM, MU, NU, -LAM, MU - LAM * NU, LAM ** 3):
+        _assert_interned(c)
+
+
+def test_threads_racing_on_new_coefficients_get_one_instance():
+    # equality is identity, so two threads that both miss the intern table
+    # or a memo on one value must still end up holding the same object
+    def build(r, out):
+        # nu^(100 + r) appears in no other test, so every value is new
+        base = [Coefficient.monomial(q, a=a, c=100 + r)
+                for q in (1, -2, Fraction(1, 3)) for a in (-1, 0, 2)]
+        out.extend(base)
+        out.extend(x + y for x in base for y in base)
+        out.extend(x * y for x in base for y in base)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(5):
+            results = [[] for _ in range(6)]
+            barrier = threading.Barrier(len(results), timeout=60)
+
+            def run(out, r=r, barrier=barrier):
+                barrier.wait()
+                build(r, out)
+
+            threads = [threading.Thread(target=run, args=(out,))
+                       for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            first = results[0]
+            assert first
+            for other in results[1:]:
+                assert len(other) == len(first)
+                assert all(a is b for a, b in zip(first, other))
+            for c in first:
+                _assert_interned(c)
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_memo_hit_and_recomputation_return_one_instance():
+    sp = _sympy()
+    # m^200 occurs nowhere else, so the first round misses every memo
+    u = Coefficient({(1, 200, 0): 3, (-2, 200, 1): Fraction(-1, 2)})
+    v = Coefficient({(0, 0, 0): 1, (-2, 200, 1): Fraction(1, 2)})
+    t = LinComb.single(F("a"), u) + LinComb.single(F("b"), v)
+    image = lambda b: LinComb.single(F("x"), v) + LinComb.single(b, u)
+
+    def compute():
+        return u + v, u * v, u - v, t.apply(image), t.tensor(t)
+
+    assert (u, v) not in freemod._ADD and (u, v) not in freemod._MUL
+    first = compute()
+    assert (u, v) in freemod._ADD and (u, v) in freemod._MUL
+    again = compute()                  # every ring operation a memo hit
+    freemod._ADD.clear()
+    freemod._MUL.clear()
+    recomputed = compute()             # every ring operation a miss
+    for x, y, z in zip(first[:3], again[:3], recomputed[:3]):
+        assert x is y is z
+    for x, y, z in zip(first[3:], again[3:], recomputed[3:]):
+        assert x == y == z
+        assert all(x.terms[b] is z.terms[b] for b in x.terms)
+    eu, ev = _expr(sp, u), _expr(sp, v)
+    shift = 2 * SHIFT
+    assert _poly(sp, _expr(sp, first[0]), shift) == _poly(sp, eu + ev, shift)
+    assert _poly(sp, _expr(sp, first[1]), shift) == _poly(sp, eu * ev, shift)
+    assert _poly(sp, _expr(sp, first[2]), shift) == _poly(sp, eu - ev, shift)
+    # u a + v b goes to u (v x + u a) + v (v x + u b)
+    applied = first[3]
+    assert _poly(sp, _expr(sp, applied.coeff_of(F("x"))), shift) == \
+        _poly(sp, ev * eu + ev * ev, shift)
+    assert _poly(sp, _expr(sp, applied.coeff_of(F("a"))), shift) == \
+        _poly(sp, eu * eu, shift)
+
+
+def test_sweep_forgets_only_coefficients_nothing_else_holds():
+    # n^300 and up occur nowhere else, so every value below is new
+    fresh = [Coefficient.monomial(q, a=a, c=300) for q in (1, -3)
+             for a in (-2, 0, 1)]
+    # held only in a local list, including memoised sums and products
+    local = fresh + [x + y for x in fresh for y in fresh] \
+        + [x * y for x in fresh for y in fresh]
+    # held only as the values of a LinComb
+    held_lc = LinComb({F("a"): Coefficient.monomial(5, c=301),
+                       F("b"): Coefficient.monomial(-5, c=301) + NU})
+    # returned by pickle.loads
+    unpickled = pickle.loads(pickle.dumps(
+        [Coefficient.monomial(7, b=2, c=302), Coefficient.monomial(1, c=303)]))
+    # garbage: values nothing holds once made, and memo entries of them
+    for q in range(1, 40):
+        Coefficient.monomial(q, c=304) * Coefficient.monomial(q, a=1, c=304)
+    gone = frozenset({((1, 0, 608), 4)})
+    assert gone in freemod._INTERN
+    n_values = len(freemod._INTERN)
+
+    sweep_coefficients()
+
+    assert len(freemod._INTERN) < n_values
+    assert gone not in freemod._INTERN
+    assert not freemod._ADD and not freemod._MUL
+    held = local + list(held_lc.terms.values()) + unpickled \
+        + [ZERO, ONE, LAM, MU, NU]
+    for c in held:
+        _assert_interned(c)
+    for key, c in freemod._INTERN.items():
+        assert frozenset(c.terms.items()) == key
+    # arithmetic after the sweep lands on the held instances
+    assert fresh[0] + fresh[1] is local[len(fresh) + 1]
+    assert fresh[2] * fresh[3] is local[len(fresh) + 6 * 6 + 2 * 6 + 3]
+    assert held_lc.terms[F("b")] - NU is Coefficient.monomial(-5, c=301)
+
+
+def test_constants_survive_the_ring_tests():
+    # runs after the property tests above, which make and memoise
+    # thousands of values: the shared constants keep their terms
+    assert [str(c) for c in (ZERO, ONE, LAM, MU, NU)] == \
+        ["0", "1", "l", "m", "n"]
+    assert ZERO.terms == {} and ONE.terms == {(0, 0, 0): 1}
+    assert LAM.terms == {(1, 0, 0): 1} and MU.terms == {(0, 1, 0): 1}
+    assert NU.terms == {(0, 0, 1): 1}
+    for c in (ZERO, ONE, LAM, MU, NU):
+        _assert_interned(c)

@@ -6,8 +6,7 @@ from fractions import Fraction
 from forest_bialg.coalgebra import coproduct, coproduct_lin
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, concat,
                                  enumerate_forests, parse_forest)
-from forest_bialg.freemod import (LAM, MU, NU, Coefficient, LinComb,
-                                  lc_tensor)
+from forest_bialg.freemod import LAM, MU, NU, Coefficient, LinComb
 from forest_bialg.morphisms import (lc_concat, phi, phi_at, phi_forest,
                                     phi_subsets, theta)
 
@@ -66,7 +65,7 @@ def test_phi_intertwines_coproduct_after_mu_shift():
     for f in enumerate_forests(3, AB):
         lhs = coproduct_lin(phi(f)).map_coeff(lambda c: c.subst_mu(shift))
         rhs = coproduct(f).apply(
-            lambda legs: lc_tensor(phi(legs[0]), phi(legs[1])))
+            lambda legs: phi(legs[0]).tensor(phi(legs[1])))
         assert lhs == rhs
 
 
@@ -89,5 +88,5 @@ def test_theta_intertwines_coproduct_after_mu_scale():
         lhs = coproduct_lin(theta(f))
         rhs = (coproduct(f)
                .map_coeff(lambda c: c.subst_mu(MU * NU))
-               .apply(lambda legs: lc_tensor(theta(legs[0]), theta(legs[1]))))
+               .apply(lambda legs: theta(legs[0]).tensor(theta(legs[1]))))
         assert lhs == rhs

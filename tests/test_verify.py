@@ -20,15 +20,22 @@ SMALL = Alphabet(omega=("a",), xset=("x",))
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Counts the intern-table sweeps run while the test runs."""
+    """Lists the intern-table sweeps run while the test runs: "forests"
+    for the forest and tree tables, "coefficients" for the coefficient
+    table and its memos."""
     calls = []
-    real = forest.sweep_interned
 
-    def counted():
-        calls.append(1)
-        real()
+    def counted(module, name, kind):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(forest, "sweep_interned", counted)
+        def sweep():
+            calls.append(kind)
+            real()
+
+        monkeypatch.setattr(module, name, sweep)
+
+    counted(forest, "sweep_interned", "forests")
+    counted(verify, "sweep_coefficients", "coefficients")
     return calls
 
 
@@ -79,7 +86,7 @@ def test_workers_do_not_change_the_report(monkeypatch, sweeps):
     monkeypatch.setattr(forest, "_sweep_at", 0)
     base = run_suite("rec-vs-biideal",
                      RunConfig(alphabet=SMALL, max_vertices=4, workers=1))
-    assert sweeps
+    assert set(sweeps) == {"forests", "coefficients"}
     sweeps.clear()
     monkeypatch.setattr(forest, "_sweep_at", 0)
     parallel = run_suite("rec-vs-biideal",
@@ -131,7 +138,7 @@ def test_sweeping_does_not_change_the_report(monkeypatch, sweeps, suite,
     monkeypatch.setattr(forest, "_SWEEP_FLOOR", 64)
     monkeypatch.setattr(forest, "_sweep_at", 64)
     swept = run_suite(suite, cfg)
-    assert sweeps
+    assert set(sweeps) == {"forests", "coefficients"}
     assert _without_wall_time(swept) == _without_wall_time(kept)
 
 
