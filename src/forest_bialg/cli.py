@@ -21,6 +21,7 @@ would need it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -87,7 +88,14 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first main call.
+
+    Building it (thirteen subparsers, each copying the shared flags)
+    costs several times a small query, so main reuses it. parse_args
+    keeps nothing between calls: each returns a new namespace.
+    """
     common = _common_flags()
     ap = argparse.ArgumentParser(
         prog="forest-bialg",

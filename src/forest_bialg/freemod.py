@@ -22,10 +22,13 @@ over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
 the memos: the operators look a pair up first, and LinComb.apply and
 apply_leg, which carry the suites' ring work, read them inline. Every
-accumulation loop tests cancellation with `is ZERO`. sweep_coefficients
-clears both memos and drops every interned value that nothing else
-holds; verify.run_suite calls it whenever forest.sweep_if_due sweeps the
-forest tables between cases.
+accumulation loop tests cancellation with `is ZERO`. Evaluation is
+memoised the same way: _SUBST maps (c, lam, mu, nu) to
+c.subst_partial(lam, mu, nu), since an evaluated suite or CLI result
+substitutes one point into the same few coefficients over and over.
+sweep_coefficients clears the three memos and drops every interned value
+that nothing else holds; verify.run_suite calls it whenever
+forest.sweep_if_due sweeps the forest tables between cases.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -59,6 +62,9 @@ _INTERN: dict = {}
 # (c, d) -> c + d and c * d; tuples of coefficients hash by identity in C
 _ADD: dict = {}
 _MUL: dict = {}
+# (c, lam, mu, nu) -> c.subst_partial(lam, mu, nu); a point of 2 and one
+# of Fraction(2) are equal and hash alike, so they share an entry
+_SUBST: dict = {}
 
 
 def _make(acc: dict) -> "Coefficient":
@@ -191,7 +197,15 @@ class Coefficient:
         return out
 
     def subst_partial(self, lam=None, mu=None, nu=None) -> "Coefficient":
-        """Substitute rational values for any subset of the variables."""
+        """Substitute rational values for any subset of the variables.
+
+        Memoised by (self, lam, mu, nu); a pole (lam = 0 against a
+        negative lambda power) raises on every call and is not stored.
+        """
+        key = (self, lam, mu, nu)
+        out = _SUBST.get(key)
+        if out is not None:
+            return out
         acc = {}
         for (a, b, c), q in self.terms.items():
             if lam is not None:
@@ -209,7 +223,8 @@ class Coefficient:
                     acc[mono] = s
                 else:
                     acc.pop(mono, None)
-        return _make(acc)
+        out = _SUBST[key] = _make(acc)
+        return out
 
     def eval_at(self, lam, mu, nu) -> Fraction:
         c = self.subst_partial(lam=lam, mu=mu, nu=nu)
@@ -261,8 +276,8 @@ MU = Coefficient.monomial(1, b=1)
 NU = Coefficient.monomial(1, c=1)
 
 def sweep_coefficients() -> None:
-    """Clear the sum and product memos, then drop every interned
-    coefficient that nothing else holds.
+    """Clear the sum, product and evaluation memos, then drop every
+    interned coefficient that nothing else holds.
 
     The memos go first, since their keys and values hold coefficients.
     No coefficient refers to another, so one pass over the intern table
@@ -272,6 +287,7 @@ def sweep_coefficients() -> None:
     """
     _ADD.clear()
     _MUL.clear()
+    _SUBST.clear()
     _forget_unheld(_INTERN)
 
 

@@ -1,4 +1,5 @@
-"""Command line contract: output text, JSON shapes, exit codes."""
+"""Command line contract: output text, JSON shapes, exit codes, one
+parser per process."""
 
 import json
 import os
@@ -12,10 +13,19 @@ import forest_bialg.cli as cli
 from forest_bialg.verify import SuiteReport
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports from src/."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def test_counit_text(capsys):
@@ -24,16 +34,19 @@ def test_counit_text(capsys):
     assert out == "-m*l^-2\n"
 
 
+COPRODUCT_A_X = [
+    "(m) 1 (x) a",
+    "(-l) 1 (x) a[x]",
+    "(-l) a[x] (x) 1",
+    "(m) x (x) 1",
+    "(-l) x (x) a",
+]
+
+
 def test_coproduct_text_lines(capsys):
     code, out, _ = run(capsys, "coproduct", "a[x]")
     assert code == 0
-    assert out.splitlines() == [
-        "(m) 1 (x) a",
-        "(-l) 1 (x) a[x]",
-        "(-l) a[x] (x) 1",
-        "(m) x (x) 1",
-        "(-l) x (x) a",
-    ]
+    assert out.splitlines() == COPRODUCT_A_X
 
 
 def test_star_json_schema(capsys):
@@ -179,7 +192,6 @@ def test_output_is_the_same_in_fresh_interpreters():
     # between interpreters; printed output must not follow them. Three
     # fresh runs: string-hash seeds 0 and 1, and seed 0 again after
     # allocating unrelated objects first so forests land at other addresses
-    src = str(Path(__file__).resolve().parents[1] / "src")
     commands = [
         ["star", "a[x b] a", "b[a[x]] x"],
         ["star-weighted", "a[x]", "b a"],
@@ -191,9 +203,7 @@ def test_output_is_the_same_in_fresh_interpreters():
                "runpy.run_module('forest_bialg.cli', run_name='__main__')")
 
     def outputs(seed, prelude):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed),
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env(PYTHONHASHSEED=str(seed))
         start = ["-c", prelude] if prelude else ["-m", "forest_bialg.cli"]
         outs = []
         for argv in commands:
@@ -212,3 +222,74 @@ def test_output_is_the_same_in_fresh_interpreters():
     assert all(first)
     assert outputs(1, None) == first
     assert outputs(0, shifted) == first
+
+
+# ------------------------------------------------------ the shared parser
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    common_flags = cli._common_flags
+
+    def counted():
+        builds.append(1)
+        return common_flags()
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_common_flags", counted)
+    for i in range(40):
+        run(capsys, "counit", "a[x]" if i % 2 else "x")
+        run(capsys, "star", "a", "b", "--json", "--eval-mu", str(i))
+    with pytest.raises(SystemExit):
+        cli.main(["not-a-command"])
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_shared_parser_leaks_no_flags(capsys):
+    code, out, _ = run(capsys, "coproduct", "a[x]", "--json",
+                       "--omega", "a,b,c", "--xset", "x,y", "--eval-nu=2")
+    assert code == 0 and out.startswith("[")
+    code, out, err = run(capsys, "coproduct", "a[x]")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == COPRODUCT_A_X
+    # y and c belong only to the earlier call's alphabets
+    for text in ("y", "c"):
+        code, out, err = run(capsys, "counit", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+def test_usage_error_leaves_the_parser_as_fresh():
+    argv = ["star-weighted", "a[x] b", "b[x]", "--eval-lambda", "2/3"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "forest_bialg.cli", *argv],
+        env=fresh_env(), capture_output=True, text=True, check=True).stdout
+    # a usage error raised from inside a subparser, then one from the
+    # top-level parser
+    script = (
+        "import sys\n"
+        "import forest_bialg.cli as cli\n"
+        "for bad in (['star', 'a', '--eval-mu', 'x/y'], ['no-such']):\n"
+        "    try:\n"
+        "        cli.main(bad)\n"
+        "    except SystemExit as e:\n"
+        "        assert e.code == 2, e.code\n"
+        "    else:\n"
+        "        sys.exit('no usage error')\n"
+        f"sys.exit(cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stderr
+    assert proc.stdout == fresh and fresh.count("\n") > 1
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first main call, so importing the CLI
+    # costs no more than importing the library
+    script = ("import forest_bialg.cli as cli; "
+              "print(cli._build_parser.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"

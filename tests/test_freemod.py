@@ -114,10 +114,20 @@ def test_subst_partial_and_eval():
 
 
 def test_lambda_zero_pole():
+    # a pole raises on every call and is never memoised, also once
+    # lam = 0 has succeeded on a polynomial
     eps = Coefficient.monomial(-1, a=-2, b=1)
-    with pytest.raises(ZeroDivisionError):
-        eps.subst_partial(lam=0)
-    assert MU.subst_partial(lam=0) == MU  # no pole without negative powers
+    poly = LAM * NU + MU
+    for lam in (0, Fraction(0), 0):
+        # no pole without negative powers
+        assert poly.subst_partial(lam=lam) is MU
+        with pytest.raises(ZeroDivisionError):
+            eps.subst_partial(lam=lam)
+        with pytest.raises(ZeroDivisionError):
+            eps.subst_partial(lam=lam, mu=1, nu=1)
+    assert (poly, 0, None, None) in freemod._SUBST
+    assert (eps, 0, None, None) not in freemod._SUBST
+    assert (eps, 0, 1, 1) not in freemod._SUBST
 
 
 # --------------------------------------------------------------- rendering
@@ -552,6 +562,63 @@ def test_sweep_forgets_only_coefficients_nothing_else_holds():
     assert fresh[0] + fresh[1] is local[len(fresh) + 1]
     assert fresh[2] * fresh[3] is local[len(fresh) + 6 * 6 + 2 * 6 + 3]
     assert held_lc.terms[F("b")] - NU is Coefficient.monomial(-5, c=301)
+
+
+# ----------------------------------------------------- evaluation memo
+
+def test_sweep_clears_the_evaluation_memo():
+    # n^400 and up occur nowhere else, so every value below is new
+    held_in = Coefficient.monomial(3, a=-1, b=1, c=400)
+    held = held_in.subst_partial(lam=Fraction(2, 3))
+    Coefficient.monomial(5, a=2, c=401).subst_partial(lam=Fraction(2, 3))
+    gone = frozenset({((0, 0, 401), Fraction(20, 9))})
+    assert gone in freemod._INTERN
+    assert (held_in, Fraction(2, 3), None, None) in freemod._SUBST
+
+    sweep_coefficients()
+
+    assert not freemod._SUBST
+    assert gone not in freemod._INTERN
+    _assert_interned(held)
+    # a fresh evaluation lands on the held instance
+    assert held_in.subst_partial(lam=Fraction(2, 3)) is held
+    assert held is Coefficient.monomial(Fraction(9, 2), b=1, c=400)
+
+
+def test_evaluation_memo_hit_and_recomputation_return_one_instance():
+    sp = _sympy()
+    l, m, n = sp.symbols("l m n")
+    # m^210 occurs nowhere else, so the first round misses the memo
+    u = Coefficient({(1, 210, 0): 3, (-2, 210, 1): Fraction(-1, 2),
+                     (0, 0, 2): 1})
+    point = dict(lam=Fraction(2, 3), mu=Fraction(-1, 5), nu=Fraction(7, 3))
+    points = [point, dict(lam=point["lam"]), dict(mu=0, nu=point["nu"])]
+    assert not any(k[0] is u for k in freemod._SUBST)
+    first = [u.subst_partial(**p) for p in points]
+    again = [u.subst_partial(**p) for p in points]      # memo hits
+    sweep_coefficients()
+    assert not freemod._SUBST
+    recomputed = [u.subst_partial(**p) for p in points]  # misses
+    for p, x, y, z in zip(points, first, again, recomputed):
+        assert x is y is z
+        values = {s: sp.Rational(p[k].numerator, p[k].denominator)
+                  for s, k in ((l, "lam"), (m, "mu"), (n, "nu")) if k in p}
+        expect = _expr(sp, u).subs(values)
+        assert _poly(sp, _expr(sp, x), SHIFT) == _poly(sp, expect, SHIFT)
+    assert first[0].terms.keys() == {(0, 0, 0)}
+    assert u.eval_at(**point) == first[0].terms[(0, 0, 0)]
+
+
+def test_int_and_fraction_points_give_one_result():
+    # m^430 occurs nowhere else
+    u = Coefficient({(1, 430, 0): Fraction(1, 2), (-1, 430, 2): 3})
+    for order in ((2, Fraction(2)), (Fraction(2), 2)):
+        sweep_coefficients()
+        a, b = (u.subst_partial(lam=lam, nu=Fraction(4, 2)) for lam in order)
+        c = u.subst_partial(lam=order[0], nu=2)
+        assert a is b is c
+        assert a is Coefficient.monomial(7, b=430)
+        assert _stores_ints(a)
 
 
 def test_constants_survive_the_ring_tests():
