@@ -11,8 +11,10 @@ coproduct dualizes to products:
   excludes the terminal leaf exactly when it is X-decorated, so grafting
   never lands under an X-vertex. The sum is built top-down along the
   path, one level at a time, so each regrafted path vertex is made once
-  for all the sigma that agree above it; the forests made, and so the
-  intern tables, are those of grafting sigma by sigma.
+  for all the sigma that agree above it; the forests made are those of
+  grafting sigma by sigma. Everything but the final forests depends only
+  on F and on G's first tree, and a one-slot memo keeps it for the last
+  F seen (see star).
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
@@ -21,7 +23,7 @@ Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .forest import (KIND_X, Alphabet, Forest, Tree, VertexId, leaf)
 from .freemod import LAM, MU, ONE, ZERO, Coefficient, LinComb
@@ -43,8 +45,11 @@ def pairing(x, y) -> Coefficient:
     """Bilinear extension of <F, G> = delta_{F,G}.
 
     Works on any equal-rank pair of LinCombs (single forests or tensor
-    tuples compare leg-wise through key equality).
+    tuples compare leg-wise through key equality). A Forest paired with
+    a LinComb is a lookup of its coefficient.
     """
+    if isinstance(x, Forest) and isinstance(y, LinComb):
+        return y.terms.get(x, ZERO)
     x, y = _as_lincomb(x), _as_lincomb(y)
     if len(y.terms) < len(x.terms):
         x, y = y, x
@@ -66,21 +71,40 @@ def _as_lincomb(x) -> LinComb:
     raise TypeError(f"expected Forest or LinComb, got {type(x).__name__}")
 
 
-def _spine(G: Forest) -> tuple[Tree, ...]:
-    """Tree nodes along the leftmost chain, X-decorated terminal dropped."""
-    if not G.trees:
-        return ()
-    chain = [G.trees[0]]
+def _spine(first: Optional[Tree]) -> list[Tree]:
+    """Tree nodes along the leftmost chain from a forest's first tree,
+    X-decorated terminal dropped."""
+    if first is None:
+        return []
+    chain = [first]
     while chain[-1].children:
         chain.append(chain[-1].children[0])
     if chain[-1].deco.kind == KIND_X:
         chain.pop()
-    return tuple(chain)
+    return chain
 
 
 def left_path(G: Forest) -> LeftPath:
-    n = len(_spine(G))
+    n = len(_spine(G.trees[0] if G.trees else None))
     return LeftPath(tuple(VertexId((0,) * (i + 1)) for i in range(n)))
+
+
+def _regrafted(trees: tuple, first: Optional[Tree]):
+    """The prefixes trees[:hi] + sub of every grafting of trees along the
+    spine from first, in sigma order, and the number of G's trees they
+    replace (1 when the spine is not empty, else 0)."""
+    level = [(len(trees), ())]
+    for node in reversed(_spine(first)):
+        level = [(lo, (Tree.make(node.deco, trees[lo:hi] + sub
+                                 + node.children[len(sub):]),))
+                 for hi, sub in level for lo in range(hi + 1)]
+    return [trees[:hi] + sub for hi, sub in level], len(level[0][1])
+
+
+# (F, {first tree of G or None: _regrafted(F.trees, first)}) for the last
+# F passed to star; one tuple, so that threads never pair a dict with
+# another thread's F (see star)
+_last = (None, {})
 
 
 def star(F: Forest, G: Forest) -> LinComb:
@@ -90,23 +114,40 @@ def star(F: Forest, G: Forest) -> LinComb:
     bottom), one level at a time. An entry (hi, sub) of a level stands
     for every sigma that sends exactly trees[hi:] to the spine nodes
     already rebuilt, and sub holds the last node rebuilt (none at the
-    start). Going down one node, each choice of lo <= hi sends the block trees[lo:hi]
-    to that node: it goes in front of the node's child list, ahead of
-    sub, which replaces the old spine child. So each regrafted node is
-    made once for all the sigma that agree above it. The forests made
-    are exactly those of the sigma-by-sigma construction, so the intern
-    tables end with the same entries.
+    start). Going down one node, each choice of lo <= hi sends the block
+    trees[lo:hi] to that node: it goes in front of the node's child list,
+    ahead of sub, which replaces the old spine child. So each regrafted
+    node is made once for all the sigma that agree above it, and the
+    forests made are exactly those of the sigma-by-sigma construction.
+
+    The spine, and so every prefix trees[:hi] + sub and the count of G's
+    trees that sub replaces, depend only on F and on G's first tree;
+    each term is that prefix followed by the rest of G's trees. The
+    prefixes are memoised per first tree for the last F passed in, until
+    a call with another F replaces the memo: F in the outer loop, as in
+    the star suites and star_lin, regrafts each (F, first tree) once.
+    The same forests are made as without the memo; it keeps that one F
+    and its regrafted trees alive until the next F, and nothing else.
+    It lives in a single module slot holding an (F, dict) tuple, read
+    once per call and replaced whole, so concurrent callers with
+    different F never mix their entries; two callers with the same F
+    store equal values.
     """
-    trees = F.trees
-    level = [(len(trees), ())]
-    for node in reversed(_spine(G)):
-        level = [(lo, (Tree.make(node.deco, trees[lo:hi] + sub
-                                 + node.children[len(sub):]),))
-                 for hi, sub in level for lo in range(hi + 1)]
+    global _last
+    owner, memo = _last
+    if owner is not F:
+        memo = {}
+        _last = (F, memo)
     gtrees = G.trees
+    first = gtrees[0] if gtrees else None
+    hit = memo.get(first)
+    if hit is None:
+        hit = memo[first] = _regrafted(F.trees, first)
+    prefixes, cut = hit
+    rest = gtrees[cut:]
     acc: dict = {}
-    for hi, sub in level:
-        H = Forest.make(trees[:hi] + sub + gtrees[len(sub):])
+    for prefix in prefixes:
+        H = Forest.make(prefix + rest)
         c = acc.get(H)
         acc[H] = ONE if c is None else c + ONE
     out = LinComb.__new__(LinComb)

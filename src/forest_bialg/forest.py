@@ -461,7 +461,7 @@ def _parse_forest_at(toks, i, alphabet, text):
         return EMPTY_FOREST, i + 1
     trees = []
     while i < len(toks) and toks[i][0] == "ident":
-        t, i = _parse_tree_at(toks, i, alphabet)
+        t, i = _parse_tree_at(toks, i, alphabet, text)
         trees.append(t)
     if not trees:
         pos = toks[i][2] if i < len(toks) else len(text)
@@ -469,7 +469,7 @@ def _parse_forest_at(toks, i, alphabet, text):
     return Forest.make(trees), i
 
 
-def _parse_tree_at(toks, i, alphabet):
+def _parse_tree_at(toks, i, alphabet, text):
     kind, sym, pos = toks[i]
     assert kind == "ident"
     deco = alphabet.get(sym)
@@ -479,7 +479,7 @@ def _parse_tree_at(toks, i, alphabet):
     children = EMPTY_FOREST
     if i < len(toks) and toks[i][0] == "[":
         open_pos = toks[i][2]
-        children, i = _parse_forest_at(toks, i + 1, alphabet, "")
+        children, i = _parse_forest_at(toks, i + 1, alphabet, text)
         if i >= len(toks) or toks[i][0] != "]":
             raise ForestSyntaxError("unbalanced '['", open_pos)
         i += 1

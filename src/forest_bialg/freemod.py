@@ -323,7 +323,9 @@ class LinComb:
 
     @staticmethod
     def single(basis, coeff=ONE) -> "LinComb":
-        return LinComb({basis: coeff})
+        out = LinComb.__new__(LinComb)
+        out.terms = {basis: coeff} if coeff else {}
+        return out
 
     def is_zero(self):
         return not self.terms

@@ -153,8 +153,7 @@ def _triples(cfg: RunConfig, total: int):
 
 
 def _norm(v, cfg: RunConfig):
-    if not cfg.has_eval:
-        return v
+    """v at cfg's evaluation point; called only when cfg.has_eval."""
     if isinstance(v, Coefficient):
         return v.subst_partial(lam=cfg.eval_lam, mu=cfg.eval_mu, nu=cfg.eval_nu)
     if isinstance(v, LinComb):
@@ -513,14 +512,16 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
 
 def _run(name, gen, config) -> SuiteReport:
     t0 = time.perf_counter()
+    evaluate = config.has_eval
 
     def check(case):
         label, thunk = case
         got, want = thunk()
-        g, w = _norm(got, config), _norm(want, config)
-        if g == w:
+        if evaluate:
+            got, want = _norm(got, config), _norm(want, config)
+        if got == want:
             return None
-        return {"case": label, "lhs": _render(g), "rhs": _render(w)}
+        return {"case": label, "lhs": _render(got), "rhs": _render(want)}
 
     sweep = config.workers == 1
     cases, failures = 0, []

@@ -1,6 +1,9 @@
 """Pairing, left grafting products, and the duality with the coproduct."""
 
 import itertools
+import random
+import sys
+import threading
 from bisect import bisect_left
 from math import comb
 
@@ -25,6 +28,15 @@ def test_pairing_is_orthonormal():
     small = list(enumerate_forests(3, AB))
     for f, g in itertools.product(small, repeat=2):
         assert pairing(f, g) == (ONE if f is g else ZERO)
+
+
+def test_pairing_a_forest_with_a_lincomb_reads_its_coefficient():
+    x = LinComb.single(F("a"), MU) + LinComb.single(F("b[x]"), -LAM)
+    for text in ("a", "b[x]", "b", "1"):
+        assert pairing(F(text), x) is x.coeff_of(F(text))
+    assert pairing(F("b"), x) is ZERO
+    assert pairing(F("a"), LinComb.zero()) is ZERO
+    assert pairing(F("a"), LinComb.single((F("a"), F("1")))) is ZERO
 
 
 def test_pairing_is_bilinear_on_tensors():
@@ -96,6 +108,51 @@ def test_star_matches_sigma_by_sigma_grafting(ab):
         got, want = star(f, g), star_by_sigma(f, g)
         assert got == want, (str(f), str(g))
         assert str(got) == str(want)
+
+
+def _star_pairs(ab):
+    """Every pair of forests of <= 3 vertices with its reference product,
+    G in the outer loop so that consecutive calls change F."""
+    small = list(enumerate_forests(3, ab))
+    return [(f, g, star_by_sigma(f, g)) for g in small for f in small]
+
+
+@pytest.mark.parametrize("ab", [AB, AXY], ids=["ab-x", "a-xy"])
+def test_star_memo_survives_a_new_f_on_every_call(ab):
+    pairs = _star_pairs(ab)
+    for f, g, want in pairs:
+        assert star(f, g) == want, (str(f), str(g))
+    random.Random(10).shuffle(pairs)
+    for f, g, want in pairs:
+        assert star(f, g) == want, (str(f), str(g))
+
+
+@pytest.mark.parametrize("ab", [AB, AXY], ids=["ab-x", "a-xy"])
+def test_star_memo_is_safe_across_threads(ab):
+    pairs = _star_pairs(ab)
+    wrong, finished = [], []
+
+    def run(seed):
+        mine = list(pairs)
+        random.Random(seed).shuffle(mine)
+        wrong.extend((str(f), str(g)) for f, g, want in mine
+                     if star(f, g) != want)
+        finished.append(seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert not wrong, wrong[:3]
 
 
 @pytest.mark.parametrize("ftext, gtext, nterms", [

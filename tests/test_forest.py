@@ -82,6 +82,16 @@ def test_parse_errors_carry_positions():
         parse_forest("a[x] ?", AB)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("a[", 2), ("a b[", 4),    # input ends where a tree is expected
+    ("a[[x]", 2), ("a[]", 2),  # a token stands where a tree is expected
+])
+def test_missing_tree_reports_where_one_is_expected(text, pos):
+    with pytest.raises(ForestSyntaxError) as ei:
+        parse_forest(text, AB)
+    assert ei.value.pos == pos
+
+
 def test_x_symbols_must_be_leaves():
     with pytest.raises(ForestSyntaxError):
         parse_forest("x[a]", AB)

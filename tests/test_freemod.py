@@ -167,6 +167,15 @@ def test_lincomb_basics():
     assert u.scale(LAM).coeff_of(F("a")) == LAM * MU
 
 
+def test_single_keeps_the_zero_rule():
+    assert LinComb.single(F("a"), ZERO) == LinComb.zero()
+    assert LinComb.single(F("a"), ZERO).terms == {}
+    for c in (ONE, -LAM, MU):
+        assert LinComb.single(F("a"), c) == LinComb({F("a"): c})
+        assert LinComb.single((F("a"), F("x")), c) == \
+            LinComb({(F("a"), F("x")): c})
+
+
 def test_lincomb_merges_duplicate_bases():
     u = LinComb.single(F("a"), LAM) + LinComb.single(F("a"), -LAM)
     assert u.is_zero()

@@ -95,6 +95,17 @@ def test_workers_do_not_change_the_report(monkeypatch, sweeps):
     assert _without_wall_time(base) == _without_wall_time(parallel)
 
 
+@pytest.mark.parametrize("suite, bound", [("star-census", 3),
+                                          ("star-assoc", 4)])
+def test_workers_do_not_change_the_star_reports(suite, bound):
+    # four threads share star's memo of the last F's regraftings
+    reports = [_without_wall_time(run_suite(suite, RunConfig(
+        alphabet=SMALL, max_vertices=bound, workers=workers)))
+        for workers in (1, 4)]
+    assert reports[0]["ok"] and reports[0]["cases"] > 0
+    assert reports[0] == reports[1]
+
+
 def test_report_json_shape():
     rep = run_suite("examples-golden", RunConfig())
     doc = rep.to_json()
