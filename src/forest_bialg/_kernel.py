@@ -67,8 +67,13 @@ def biideal_splits(F):
     from v's parent down to the root: each over the J-part below it,
     followed by that ancestor's own later siblings. Trees off that path
     are shared, not rebuilt.
+
+    Each step moves one vertex from J to I, so the k-th pair has k and
+    n_F - k vertices; both forests are made with Forest._sized and those
+    counts, and no vertex count is summed again.
     """
-    make_tree, make_forest = _forest.Tree.make, _forest.Forest.make
+    make_tree, sized = _forest.Tree.make, _forest.Forest._sized
+    n, k = F.nvertices, 0
     out = [(_forest.EMPTY_FOREST, F)]
     cut = []      # (decoration, later siblings) of each open ancestor
     saved = []    # (siblings, index, I-trees to their left) per open ancestor
@@ -89,7 +94,8 @@ def biideal_splits(F):
             return out
         # sibs[j] is the next vertex in postorder: its subtree joins I
         j += 1
+        k += 1
         rest = sibs[j:]
         for deco, later in reversed(cut):
             rest = (make_tree(deco, rest),) + later
-        out.append((make_forest(left + sibs[:j]), make_forest(rest)))
+        out.append((sized(left + sibs[:j], k), sized(rest, n - k)))

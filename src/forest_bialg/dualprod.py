@@ -132,6 +132,10 @@ def star(F: Forest, G: Forest) -> LinComb:
     once per call and replaced whole, so concurrent callers with
     different F never mix their entries; two callers with the same F
     store equal values.
+
+    Grafting adds and drops no vertex, so every term has
+    F.nvertices + G.nvertices vertices; the terms are made with
+    Forest._sized and that count instead of recounting each one.
     """
     global _last
     owner, memo = _last
@@ -145,9 +149,10 @@ def star(F: Forest, G: Forest) -> LinComb:
         hit = memo[first] = _regrafted(F.trees, first)
     prefixes, cut = hit
     rest = gtrees[cut:]
+    sized, n = Forest._sized, F.nvertices + G.nvertices
     acc: dict = {}
     for prefix in prefixes:
-        H = Forest.make(prefix + rest)
+        H = sized(prefix + rest, n)
         c = acc.get(H)
         acc[H] = ONE if c is None else c + ONE
     out = LinComb.__new__(LinComb)

@@ -23,6 +23,20 @@ __hash__), and pickle and copy return the interned instance rather than
 a second copy. make stores a new instance with dict.setdefault, so threads
 that race on one new key (verify --workers) still share one instance.
 
+Each tree and forest stores its vertex count; depth is computed on
+demand by Forest.depth. Every new forest is created in Forest._sized,
+which trusts the count its caller passes. Forest.make counts the trees
+of a tuple it has not seen and then takes that path. Only the callers
+below pass a count of their own, each exact by construction:
+
+* concat and Forest.__mul__ (and so freemod's act_left and act_right):
+  the trees of FG are those of F followed by those of G, so
+  n_FG = n_F + n_G.
+* dualprod.star: grafting moves F's trees onto G and adds or drops no
+  vertex, so every term of F star G has n_F + n_G vertices.
+* _kernel.biideal_splits: F|I_k is the restriction to the first k
+  vertices in postorder and F|J_k to the other n_F - k.
+
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to; verify.run_suite calls it through sweep_if_due
 between cases, on one worker and only while its thread is the only one,
@@ -150,9 +164,13 @@ class Tree:
     pickle and copy go back through Tree.make and return that object.
     Tree._intern forgets a tree only in sweep_interned, and only once no
     forest, parent tree or other object refers to it (module docstring).
+
+    A tree stores its vertex count, summed from its children's counts in
+    one loop when it is made. Depth is not stored; Forest.depth computes
+    it on demand.
     """
 
-    __slots__ = ("deco", "children", "nvertices", "depth")
+    __slots__ = ("deco", "children", "nvertices")
 
     _intern: dict = {}
 
@@ -166,13 +184,13 @@ class Tree:
         if children and deco.kind != KIND_OMEGA:
             raise DecorationError(
                 f"internal vertex {deco.symbol!r} must be Omega-decorated")
+        n = 1
+        for c in children:
+            n += c.nvertices
         t = object.__new__(cls)
         t.deco = deco
         t.children = children
-        t.nvertices = 1 + sum(c.nvertices for c in children)
-        # X-leaves live at depth 0; every Omega-vertex adds one grafting level
-        t.depth = 0 if deco.kind == KIND_X else 1 + max(
-            (c.depth for c in children), default=0)
+        t.nvertices = n
         # setdefault is one C call, so threads racing on a new key all
         # get the instance stored first
         return cls._intern.setdefault(key, t)
@@ -199,6 +217,12 @@ class Forest:
     and hash are identity, and pickle and copy return the interned object.
     Forest._intern forgets a forest only in sweep_interned, at a point
     where nothing else refers to it, so no one can tell it was dropped.
+
+    Every new forest is created in Forest._sized, which takes its vertex
+    count from the caller instead of recounting it; make counts the trees
+    of a tuple it has not seen and then takes that path. Only callers
+    whose count is exact by construction call _sized (module docstring).
+    Depth is computed on demand.
     """
 
     __slots__ = ("trees", "nvertices", "_text", "_enc", "_paths", "_post",
@@ -212,9 +236,24 @@ class Forest:
         hit = cls._intern.get(trees)
         if hit is not None:
             return hit
+        n = 0
+        for t in trees:
+            n += t.nvertices
+        return cls._sized(trees, n)
+
+    @classmethod
+    def _sized(cls, trees: tuple, n: int) -> "Forest":
+        """The forest of the tuple trees, whose vertex count must be n.
+
+        n is trusted, not checked: a wrong n makes a forest that reports
+        a wrong nvertices for as long as it is interned.
+        """
+        hit = cls._intern.get(trees)
+        if hit is not None:
+            return hit
         f = object.__new__(cls)
         f.trees = trees
-        f.nvertices = sum(t.nvertices for t in trees)
+        f.nvertices = n
         f._text = None
         f._enc = None
         f._paths = None
@@ -228,7 +267,19 @@ class Forest:
 
     @property
     def depth(self):
-        return max((t.depth for t in self.trees), default=0)
+        """Most Omega vertices on one root-to-leaf path: X-leaves sit at
+        depth 0 and each Omega vertex adds one level. An explicit-stack
+        walk, so no nesting reaches the recursion limit."""
+        best = 0
+        stack = [(t, 1) for t in self.trees if t.deco.kind == KIND_OMEGA]
+        while stack:
+            t, d = stack.pop()
+            if d > best:
+                best = d
+            for c in t.children:
+                if c.deco.kind == KIND_OMEGA:
+                    stack.append((c, d + 1))
+        return best
 
     def __reduce__(self):
         return Forest.make, (self.trees,)
@@ -236,7 +287,8 @@ class Forest:
     def __mul__(self, other):
         if not isinstance(other, Forest):
             return NotImplemented
-        return Forest.make(self.trees + other.trees)
+        return Forest._sized(self.trees + other.trees,
+                             self.nvertices + other.nvertices)
 
     def __str__(self):
         if self._text is None:
@@ -498,7 +550,7 @@ def render_forest(F: Forest) -> str:
 
 def concat(F: Forest, G: Forest) -> Forest:
     """Noncommutative concatenation FG; 1 is the two-sided unit."""
-    return Forest.make(F.trees + G.trees)
+    return Forest._sized(F.trees + G.trees, F.nvertices + G.nvertices)
 
 
 def graft(omega: Decoration, F: Forest) -> Tree:

@@ -1,12 +1,16 @@
 """Forests: parsing, rendering, structure, order, biideals, restriction."""
 
 import copy
+import gc
+import inspect
 import pickle
 import sys
+import textwrap
 import threading
 
 import pytest
 
+from forest_bialg import _kernel, coalgebra, dualprod
 from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
@@ -231,6 +235,112 @@ def test_sweep_forgets_only_what_nothing_else_holds():
                       + [t for f in held for t in f.trees])
     _assert_canonical(list(Forest._intern.values()),
                       list(Tree._intern.values()))
+
+
+# ------------------------------------------------------- sized construction
+
+def _tuples_of_trees(n, ab, memo):
+    # every tuple of trees with n vertices in all, made without a Forest,
+    # so the forests that the splits below produce are new to the table
+    hit = memo.get(n)
+    if hit is None:
+        hit = [()] if n == 0 else [
+            (t,) + rest for k in range(1, n + 1)
+            for t in _trees_of(k, ab, memo)
+            for rest in _tuples_of_trees(n - k, ab, memo)]
+        memo[n] = hit
+    return hit
+
+
+def _trees_of(k, ab, memo):
+    if k == 1:
+        return [Tree.make(d) for d in ab.decorations()]
+    return [Tree.make(ab.decoration(w), kids) for w in ab.omega
+            for kids in _tuples_of_trees(k - 1, ab, memo)]
+
+
+def _exercise_sized_callers(tag):
+    """Run every caller that passes its own count to Forest._sized, on
+    symbols new to the intern tables; return what they made."""
+    one = Alphabet(omega=(f"sz{tag}a",), xset=(f"sz{tag}x", f"sz{tag}y"))
+    small = list(enumerate_forests(3, one))
+    made = [dualprod.star(f, g) for f in small for g in small]
+    made += [concat(f, g) for f in small for g in small]
+    made += [f * g for f in small for g in small]
+    # largest first, so the splits of the largest forests are made by
+    # biideal_splits, not found in the table from an earlier make
+    two = Alphabet(omega=(f"sz{tag}a", f"sz{tag}b"), xset=(f"sz{tag}x",))
+    memo = {}
+    for n in range(5, -1, -1):
+        made += [coalgebra.coproduct_biideal(Forest.make(trees))
+                 for trees in _tuples_of_trees(n, two, memo)]
+    return made
+
+
+def _miscounted():
+    bad = [repr(f) for f in list(Forest._intern.values())
+           if f.nvertices != sum(t.nvertices for t in f.trees)]
+    bad += [repr(t) for t in list(Tree._intern.values())
+            if t.nvertices != 1 + sum(c.nvertices for c in t.children)]
+    return bad
+
+
+def test_sized_constructions_store_exact_vertex_counts():
+    made = _exercise_sized_callers("ok")
+    assert made
+    assert _miscounted() == []
+
+
+@pytest.mark.parametrize("module, name, old, new", [
+    (dualprod, "star", "n = Forest._sized, F.nvertices + G.nvertices\n",
+     "n = Forest._sized, F.nvertices + G.nvertices + 1\n"),
+    (_kernel, "biideal_splits", "sized(left + sibs[:j], k), sized(rest, n - k)",
+     "sized(left + sibs[:j], n - k), sized(rest, k)"),
+], ids=["star-off-by-one", "biideal-sizes-swapped"])
+def test_sized_count_check_catches_miscounting_mutants(
+        monkeypatch, module, name, old, new):
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert src.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+    # a cached coproduct would keep the mutant's forests alive
+    monkeypatch.setattr(coalgebra, "_BIID_CACHE", {})
+    made = _exercise_sized_callers(f"m{name}")
+    caught = _miscounted()
+    del made, namespace
+    monkeypatch.undo()
+    gc.collect()
+    sweep_interned()
+    assert caught
+    # the mutant's forests are forgotten, so later tests see none of them
+    assert _miscounted() == []
+
+
+def _depth_rec(t):
+    if t.deco.kind == "x":
+        return 0
+    return 1 + max((_depth_rec(c) for c in t.children), default=0)
+
+
+def test_depth_matches_the_recursive_definition():
+    ab = Alphabet(omega=("a", "b"), xset=("x",))
+    for f in enumerate_forests(5, ab):
+        assert depth(f) == max(map(_depth_rec, f.trees), default=0), str(f)
+
+
+def test_depth_of_a_deep_path_needs_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    a, x = AB.decoration("a"), AB.decoration("x")
+    t = Tree.make(x)
+    for _ in range(n - 1):
+        t = Tree.make(a, (t,))
+    f = t.as_forest()
+    assert f.nvertices == n
+    assert depth(f) == n - 1
+    assert depth(f * F("b[a]")) == n - 1
+    assert depth(F("b[a]") * f * F("x")) == n - 1
 
 
 def test_graft():
