@@ -7,12 +7,12 @@ bracket, phi, theta, concat, graft) parse their forest arguments in the
 configured alphabet, compute exactly, and print the result in canonical
 order. enumerate lists a small universe. verify runs one exhaustive
 law suite and exits 0 on pass, 1 on an algebraic failure, 2 on usage or
-parse errors (a negative --max-vertices, --workers below 1 or a forest
+parse errors (a negative --max-vertices, an unknown flag or a forest
 nested deeper than the interpreter's recursion limit included); that
 exit contract is shared by every command.
 
 Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
---eval-mu p/q --eval-nu p/q --json --workers N. Evaluation points
+--eval-mu p/q --eval-nu p/q --json. Evaluation points
 substitute rationals for the corresponding variables in every printed
 coefficient; lambda = 0 is rejected wherever a negative power of lambda
 would need it.
@@ -60,13 +60,6 @@ def _bound(text: str) -> int:
     return n
 
 
-def _workers(text: str) -> int:
-    n = _integer(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {n}")
-    return n
-
-
 def _symbols(text: str) -> tuple:
     return tuple(s for s in text.split(",") if s)
 
@@ -83,8 +76,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--eval-mu", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--eval-nu", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.add_argument("--workers", type=_workers, default=1, metavar="N",
-                   help="parallel workers for verify (report-identical)")
     return p
 
 
@@ -214,7 +205,6 @@ def _cmd_verify(args) -> int:
         eval_lam=args.eval_lambda,
         eval_mu=args.eval_mu,
         eval_nu=args.eval_nu,
-        workers=args.workers,
     )
     report = run_suite(args.suite, config)
     if args.json:

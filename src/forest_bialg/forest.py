@@ -20,8 +20,8 @@ Trees and forests are canonical: Tree.make and Forest.make intern every
 instance, so two structurally equal forests are the same object. Equality
 and hash are therefore plain object identity (no Python-level __eq__ or
 __hash__), and pickle and copy return the interned instance rather than
-a second copy. make stores a new instance with dict.setdefault, so threads
-that race on one new key (verify --workers) still share one instance.
+a second copy. make stores a new instance with dict.setdefault, so library
+callers whose threads race on one new key still share one instance.
 
 Each tree and forest stores its vertex count; depth is computed on
 demand by Forest.depth. Every new forest is created in Forest._sized,
@@ -39,7 +39,7 @@ below pass a count of their own, each exact by construction:
 
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to; verify.run_suite calls it through sweep_if_due
-between cases, on one worker and only while its thread is the only one,
+between cases, only while its thread is the process's only one, and
 once Forest._intern has grown to max(2**16, twice its size after the last
 sweep). Identity semantics survive because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
@@ -303,19 +303,18 @@ class Forest:
 
     @property
     def encoding(self):
-        """(parents, decorations) in preorder; the kernel's flat form."""
+        """(parents, decorations) in preorder; the kernel's flat form.
+        An explicit-stack walk, so no nesting reaches the recursion limit."""
         if self._enc is None:
             parents, decos = [], []
-
-            def walk(t, parent):
+            # children go on reversed, so the leftmost is popped first
+            stack = [(t, -1) for t in reversed(self.trees)]
+            while stack:
+                t, parent = stack.pop()
                 idx = len(parents)
                 parents.append(parent)
                 decos.append(t.deco)
-                for c in t.children:
-                    walk(c, idx)
-
-            for t in self.trees:
-                walk(t, -1)
+                stack.extend((c, idx) for c in reversed(t.children))
             self._enc = (tuple(parents), tuple(decos))
         return self._enc
 
@@ -324,14 +323,13 @@ class Forest:
         """VertexIds in preorder, aligned with encoding indices."""
         if self._paths is None:
             out = []
-
-            def walk(t, path):
+            stack = [(t, (i,)) for i, t in enumerate(self.trees)]
+            stack.reverse()
+            while stack:
+                t, path = stack.pop()
                 out.append(VertexId(path))
-                for i, c in enumerate(t.children):
-                    walk(c, path + (i,))
-
-            for i, t in enumerate(self.trees):
-                walk(t, (i,))
+                for i in range(len(t.children) - 1, -1, -1):
+                    stack.append((t.children[i], path + (i,)))
             self._paths = tuple(out)
         return self._paths
 
@@ -631,11 +629,12 @@ def forest_from_encoding(parents, decos) -> Forest:
     for i in range(n):
         p = parents[i]
         (kids[p] if p >= 0 else roots).append(i)
-
-    def build(i):
-        return Tree.make(decos[i], tuple(build(c) for c in kids[i]))
-
-    f = Forest.make(tuple(build(r) for r in roots))
+    # in preorder every child comes after its parent, so building from the
+    # last index down makes each subtree before the tree that holds it
+    built = [None] * n
+    for i in range(n - 1, -1, -1):
+        built[i] = Tree.make(decos[i], tuple(built[c] for c in kids[i]))
+    f = Forest.make(tuple(built[r] for r in roots))
     _ENC_INTERN[key] = f
     return f
 

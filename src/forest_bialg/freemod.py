@@ -476,7 +476,20 @@ class LinComb:
         return out
 
     def map_coeff(self, h: Callable) -> "LinComb":
-        return LinComb({b: h(c) for b, c in self.terms.items()})
+        """Apply h to every coefficient, dropping the terms it sends to
+        zero. Coefficients are canonical, so h runs once per distinct
+        coefficient of this call and the terms sharing it reuse the image."""
+        images: dict = {}
+        acc: dict = {}
+        for b, c in self.terms.items():
+            v = images.get(c)
+            if v is None:
+                v = images[c] = h(c)
+            if v:
+                acc[b] = v
+        out = LinComb.__new__(LinComb)
+        out.terms = acc
+        return out
 
     def coeff_of(self, basis) -> Coefficient:
         return self.terms.get(basis, ZERO)

@@ -4,10 +4,13 @@ Every algebraic law in the library has a suite that checks it on all
 forests (or pairs, or triples) up to a vertex bound, symbolically in the
 coefficient ring. A suite is a deterministic stream of cases; each case
 produces two values that must be equal. Reports are reproducible: two
-runs with the same RunConfig differ at most in wall time, and the worker
-count never changes the report because results are merged in enumeration
-order, not completion order. The first failure in stream order is the
-smallest counterexample.
+runs with the same RunConfig differ at most in wall time. Failures are
+listed in stream order. In a suite over single forests that order runs
+by vertex count, so its first failure is a smallest counterexample.
+Suites over pairs and triples order by the first forest rather than by
+total size, and suites with several sections (counit, star-assoc,
+phi-laws, theta-laws) start each section from the smallest forests
+again, so there the first failure need not be the smallest.
 
 Per-suite default bounds (used when RunConfig.max_vertices is None) are
 chosen so the heaviest suites stay in the minutes range on one core:
@@ -31,13 +34,11 @@ from __future__ import annotations
 import gc
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
@@ -78,13 +79,10 @@ class RunConfig:
     eval_lam: Optional[Fraction] = None
     eval_mu: Optional[Fraction] = None
     eval_nu: Optional[Fraction] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_vertices is not None and self.max_vertices < 0:
             raise ValueError("max_vertices must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def has_eval(self):
@@ -170,59 +168,48 @@ def _render(v) -> str:
     return str(v).replace("\n", " ; ")
 
 
-def _ordered_map(fn: Callable, items, workers: int):
-    """Map fn over items preserving order; workers only add concurrency."""
-    if workers <= 1:
-        for it in items:
-            yield fn(it)
-        return
-    window = max(64, 8 * workers)
-    buf: deque = deque()
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for it in items:
-            buf.append(ex.submit(fn, it))
-            if len(buf) >= window:
-                yield buf.popleft().result()
-        while buf:
-            yield buf.popleft().result()
-
-
 # ------------------------------------------------------------------- suites
 #
-# A suite is a generator of (label, thunk); thunk() -> (got, want).
+# A suite is a generator of cases (fmt, fn, args): fn(*args) -> (got, want),
+# and fmt.format(*args) is the case's label, built only for a failure.
+# Each suite defines its check functions once, outside its loops.
 
 def _suite_coassoc(cfg):
+    def check(F):
+        d = coproduct(F)
+        return coproduct_left(d), coproduct_right(d)
+
     for F in _forests(cfg, _max_for(cfg, "coassoc")):
-        def thunk(F=F):
-            d = coproduct(F)
-            return coproduct_left(d), coproduct_right(d)
-        yield f"F={F}", thunk
+        yield "F={}", check, (F,)
 
 
 def _suite_derivation(cfg):
-    for F, G in _pairs(cfg, _max_for(cfg, "derivation")):
-        def thunk(F=F, G=G):
-            lhs = coproduct(concat(F, G))
-            rhs = (act_left(F, coproduct(G)) + act_right(coproduct(F), G)
-                   + LinComb.single((F, G), LAM))
-            return lhs, rhs
-        yield f"F={F} G={G}", thunk
+    def check(F, G):
+        lhs = coproduct(concat(F, G))
+        rhs = (act_left(F, coproduct(G)) + act_right(coproduct(F), G)
+               + LinComb.single((F, G), LAM))
+        return lhs, rhs
+
+    for FG in _pairs(cfg, _max_for(cfg, "derivation")):
+        yield "F={} G={}", check, FG
 
 
 def _suite_cocycle(cfg):
     ab = cfg.alphabet
+
+    def check(w, F):
+        dec = ab.decoration(w)
+        T = graft(dec, F).as_forest()
+        d = coproduct(F)
+        rhs = (LinComb.single((T, EMPTY_FOREST), -LAM)
+               + LinComb.single((F, EMPTY_FOREST), MU)
+               + d.map_basis(
+                   lambda legs: (legs[0], graft(dec, legs[1]).as_forest())))
+        return coproduct(T), rhs
+
     for F in _forests(cfg, _max_for(cfg, "cocycle")):
         for w in ab.omega:
-            def thunk(F=F, w=w):
-                dec = ab.decoration(w)
-                T = graft(dec, F).as_forest()
-                d = coproduct(F)
-                rhs = (LinComb.single((T, EMPTY_FOREST), -LAM)
-                       + LinComb.single((F, EMPTY_FOREST), MU)
-                       + d.map_basis(
-                           lambda legs: (legs[0], graft(dec, legs[1]).as_forest())))
-                return coproduct(T), rhs
-            yield f"w={w} F={F}", thunk
+            yield "w={} F={}", check, (w, F)
 
 
 def _suite_counit(cfg):
@@ -231,21 +218,24 @@ def _suite_counit(cfg):
     if cfg.eval_lam == 0:
         raise ZeroDivisionError("the counit has a pole at lambda = 0")
     m = _max_for(cfg, "counit")
+
+    def left(F):
+        return counit_left(coproduct(F)), LinComb.single(F)
+
+    def right(F):
+        return counit_right(coproduct(F)), LinComb.single(F)
+
     for F in _forests(cfg, m):
-        def left(F=F):
-            return counit_left(coproduct(F)), LinComb.single(F)
+        yield "(eps x id) D F={}", left, (F,)
+        yield "(id x eps) D F={}", right, (F,)
 
-        def right(F=F):
-            return counit_right(coproduct(F)), LinComb.single(F)
+    def mult(F, G):
+        lhs = counit(concat(F, G)).subst_partial(lam=Fraction(-1))
+        rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(-1))
+        return lhs, rhs
 
-        yield f"(eps x id) D F={F}", left
-        yield f"(id x eps) D F={F}", right
-    for F, G in _pairs(cfg, max(m - 1, 0)):
-        def mult(F=F, G=G):
-            lhs = counit(concat(F, G)).subst_partial(lam=Fraction(-1))
-            rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(-1))
-            return lhs, rhs
-        yield f"multiplicative at lambda=-1 F={F} G={G}", mult
+    for FG in _pairs(cfg, max(m - 1, 0)):
+        yield "multiplicative at lambda=-1 F={} G={}", mult, FG
 
     def witness():
         # eps is not an algebra morphism away from lambda = -1; at
@@ -257,14 +247,15 @@ def _suite_counit(cfg):
                 return f"F={F} G={G}", "F=1 G=1"
         return "none", "F=1 G=1"
 
-    yield "non-multiplicativity witness at lambda=1", witness
+    yield "non-multiplicativity witness at lambda=1", witness, ()
 
 
 def _suite_rec_vs_biideal(cfg):
+    def check(F):
+        return coproduct_rec(F), coproduct_biideal(F)
+
     for F in _forests(cfg, _max_for(cfg, "rec-vs-biideal")):
-        def thunk(F=F):
-            return coproduct_rec(F), coproduct_biideal(F)
-        yield f"F={F}", thunk
+        yield "F={}", check, (F,)
 
 
 def _path_leq(p, q) -> bool:
@@ -286,16 +277,17 @@ def _cmp_desc(u, v) -> int:
 def _suite_biideal_count(cfg):
     # listing correctness is re-derived from the definitional comparator
     # on index paths, independently of the postorder kernel
+    def check(F):
+        ideals = biideals(F)
+        chain = all(ideals[k].members < ideals[k + 1].members
+                    for k in range(len(ideals) - 1))
+        got = (len(ideals), list(vertex_order(F)), chain)
+        want = (F.nvertices + 1,
+                sorted(F.paths, key=cmp_to_key(_cmp_desc)), True)
+        return got, want
+
     for F in _forests(cfg, _max_for(cfg, "biideal-count")):
-        def thunk(F=F):
-            ideals = biideals(F)
-            chain = all(ideals[k].members < ideals[k + 1].members
-                        for k in range(len(ideals) - 1))
-            got = (len(ideals), list(vertex_order(F)), chain)
-            want = (F.nvertices + 1,
-                    sorted(F.paths, key=cmp_to_key(_cmp_desc)), True)
-            return got, want
-        yield f"F={F}", thunk
+        yield "F={}", check, (F,)
 
 
 def _suite_duality(cfg):
@@ -303,32 +295,37 @@ def _suite_duality(cfg):
     m = _max_for(cfg, "duality")
     yz = max(m - 1, 0)
     xs = list(_forests(cfg, m))
+
+    # p = y star_{l,m} z, made once per (y, z) and passed to each x's
+    # case; the label's format takes the first three arguments only
+    def check(x, y, z, p):
+        lhs = pairing(coproduct(x), LinComb.single((y, z)))
+        return lhs, pairing(x, p)
+
     for y in _forests(cfg, yz):
         for z in _forests(cfg, yz):
-            cell = {}
+            p = star_weighted(y, z, ab)
             for x in xs:
-                def thunk(x=x, y=y, z=z, cell=cell):
-                    if "p" not in cell:
-                        cell["p"] = star_weighted(y, z, ab)
-                    lhs = pairing(coproduct(x), LinComb.single((y, z)))
-                    rhs = pairing(x, cell["p"])
-                    return lhs, rhs
-                yield f"x={x} y={y} z={z}", thunk
+                yield "x={} y={} z={}", check, (x, y, z, p)
 
 
 def _suite_star_assoc(cfg):
     ab = cfg.alphabet
     m = _max_for(cfg, "star-assoc")
-    for x, y, z in _triples(cfg, m):
-        def plain(x=x, y=y, z=z):
-            return star_lin(star(x, y), z), star_lin(x, star(y, z))
-        yield f"star x={x} y={y} z={z}", plain
-    for x, y, z in _triples(cfg, max(m - 1, 0)):
-        def weighted(x=x, y=y, z=z):
-            lhs = star_weighted(star_weighted(x, y, ab), z, ab)
-            rhs = star_weighted(x, star_weighted(y, z, ab), ab)
-            return lhs, rhs
-        yield f"star-weighted x={x} y={y} z={z}", weighted
+
+    def plain(x, y, z):
+        return star_lin(star(x, y), z), star_lin(x, star(y, z))
+
+    for xyz in _triples(cfg, m):
+        yield "star x={} y={} z={}", plain, xyz
+
+    def weighted(x, y, z):
+        lhs = star_weighted(star_weighted(x, y, ab), z, ab)
+        rhs = star_weighted(x, star_weighted(y, z, ab), ab)
+        return lhs, rhs
+
+    for xyz in _triples(cfg, max(m - 1, 0)):
+        yield "star-weighted x={} y={} z={}", weighted, xyz
 
 
 def _left_path_len(G: Forest) -> int:
@@ -348,46 +345,51 @@ def _left_path_len(G: Forest) -> int:
 
 def _suite_star_census(cfg):
     m = _max_for(cfg, "star-census")
-    gs = list(_forests(cfg, m))
+    # n = the length of G's left path, counted once per G
+    gs = [(G, _left_path_len(G)) for G in _forests(cfg, m)]
+
+    def check(F, G, n):
+        prod = star(F, G)
+        distinct = all(c == ONE for c in prod.terms.values())
+        return ((len(prod.terms), distinct),
+                (comb(F.breadth + n, n), True))
+
     for F in _forests(cfg, m):
-        for G in gs:
-            def thunk(F=F, G=G):
-                prod = star(F, G)
-                distinct = all(c == ONE for c in prod.terms.values())
-                n = _left_path_len(G)
-                return ((len(prod.terms), distinct),
-                        (comb(F.breadth + n, n), True))
-            yield f"F={F} G={G}", thunk
+        for G, n in gs:
+            yield "F={} G={}", check, (F, G, n)
 
 
 def _suite_prelie(cfg):
-    for x, y, z in _triples(cfg, _max_for(cfg, "prelie")):
-        def thunk(x=x, y=y, z=z):
-            ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
-            lhs = (prelie_lin(prelie_lin(ux, uy), uz)
-                   - prelie_lin(ux, prelie_lin(uy, uz)))
-            rhs = (prelie_lin(prelie_lin(uy, ux), uz)
-                   - prelie_lin(uy, prelie_lin(ux, uz)))
-            return lhs, rhs
-        yield f"x={x} y={y} z={z}", thunk
+    def check(x, y, z):
+        ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
+        lhs = (prelie_lin(prelie_lin(ux, uy), uz)
+               - prelie_lin(ux, prelie_lin(uy, uz)))
+        rhs = (prelie_lin(prelie_lin(uy, ux), uz)
+               - prelie_lin(uy, prelie_lin(ux, uz)))
+        return lhs, rhs
+
+    for xyz in _triples(cfg, _max_for(cfg, "prelie")):
+        yield "x={} y={} z={}", check, xyz
 
 
 def _suite_jacobi(cfg):
-    for x, y, z in _triples(cfg, _max_for(cfg, "jacobi")):
-        def thunk(x=x, y=y, z=z):
-            ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
-            got = (bracket_lin(bracket_lin(ux, uy), uz)
-                   + bracket_lin(bracket_lin(uy, uz), ux)
-                   + bracket_lin(bracket_lin(uz, ux), uy))
-            return got, LinComb.zero()
-        yield f"x={x} y={y} z={z}", thunk
+    def check(x, y, z):
+        ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
+        got = (bracket_lin(bracket_lin(ux, uy), uz)
+               + bracket_lin(bracket_lin(uy, uz), ux)
+               + bracket_lin(bracket_lin(uz, ux), uy))
+        return got, LinComb.zero()
+
+    for xyz in _triples(cfg, _max_for(cfg, "jacobi")):
+        yield "x={} y={} z={}", check, xyz
 
 
 def _suite_prelie_closed_form(cfg):
-    for F, G in _pairs(cfg, _max_for(cfg, "prelie-closed-form")):
-        def thunk(F=F, G=G):
-            return prelie(F, G), prelie_sandwich(F, G)
-        yield f"F={F} G={G}", thunk
+    def check(F, G):
+        return prelie(F, G), prelie_sandwich(F, G)
+
+    for FG in _pairs(cfg, _max_for(cfg, "prelie-closed-form")):
+        yield "F={} G={}", check, FG
 
 
 _COMPOSE_POINTS = (
@@ -400,53 +402,67 @@ _COMPOSE_POINTS = (
 def _suite_phi_laws(cfg):
     m = _max_for(cfg, "phi-laws")
     sub = max(m - 1, 0)
+
+    def equiv(F):
+        return phi(F), phi_subsets(F)
+
     for F in _forests(cfg, m):
-        def equiv(F=F):
-            return phi(F), phi_subsets(F)
-        yield f"recursive = subsets F={F}", equiv
+        yield "recursive = subsets F={}", equiv, (F,)
+
+    def compose(nu1, nu2, F):
+        return phi_at(phi_at(F, nu2), nu1), phi_at(F, nu1 + nu2)
+
     for F in _forests(cfg, sub):
         for nu1, nu2 in _COMPOSE_POINTS:
-            def compose(F=F, nu1=nu1, nu2=nu2):
-                return (phi_at(phi_at(F, nu2), nu1),
-                        phi_at(F, nu1 + nu2))
-            yield f"compose nu={nu1} nu'={nu2} F={F}", compose
+            yield "compose nu={} nu'={} F={}", compose, (nu1, nu2, F)
+
+    def at_zero(F):
+        return phi_at(F, Fraction(0)), LinComb.single(F)
+
     for F in _forests(cfg, sub):
-        def at_zero(F=F):
-            return phi_at(F, Fraction(0)), LinComb.single(F)
-        yield f"identity at nu=0 F={F}", at_zero
+        yield "identity at nu=0 F={}", at_zero, (F,)
+
     shift = MU - LAM * NU
+
+    def intertwine(F):
+        lhs = coproduct_lin(phi(F)).map_coeff(lambda c: c.subst_mu(shift))
+        rhs = coproduct(F).apply(
+            lambda legs: phi(legs[0]).tensor(phi(legs[1])))
+        return lhs, rhs
+
     for F in _forests(cfg, sub):
-        def intertwine(F=F):
-            lhs = coproduct_lin(phi(F)).map_coeff(lambda c: c.subst_mu(shift))
-            rhs = coproduct(F).apply(
-                lambda legs: phi(legs[0]).tensor(phi(legs[1])))
-            return lhs, rhs
-        yield f"coproduct intertwining F={F}", intertwine
+        yield "coproduct intertwining F={}", intertwine, (F,)
 
 
 def _suite_theta_laws(cfg):
     m = _max_for(cfg, "theta-laws")
     scaled = MU * NU
+
+    def intertwine(F):
+        lhs = coproduct_lin(theta(F))
+        d = coproduct(F).map_coeff(lambda c: c.subst_mu(scaled))
+        rhs = LinComb({
+            legs: c * Coefficient.monomial(
+                1, c=legs[0].nvertices + legs[1].nvertices)
+            for legs, c in d.terms.items()})
+        return lhs, rhs
+
     for F in _forests(cfg, m):
-        def intertwine(F=F):
-            lhs = coproduct_lin(theta(F))
-            d = coproduct(F).map_coeff(lambda c: c.subst_mu(scaled))
-            rhs = LinComb({
-                legs: c * Coefficient.monomial(
-                    1, c=legs[0].nvertices + legs[1].nvertices)
-                for legs, c in d.terms.items()})
-            return lhs, rhs
-        yield f"coproduct intertwining F={F}", intertwine
+        yield "coproduct intertwining F={}", intertwine, (F,)
     sub = max(m - 1, 0)
+
+    def mult(F, G):
+        return theta(concat(F, G)), lc_concat(theta(F), theta(G))
+
     for F in _forests(cfg, sub):
         for G in _forests(cfg, sub):
-            def mult(F=F, G=G):
-                return theta(concat(F, G)), lc_concat(theta(F), theta(G))
-            yield f"multiplicative F={F} G={G}", mult
+            yield "multiplicative F={} G={}", mult, (F, G)
 
 
 def _suite_examples_golden(cfg):
-    yield from golden_cases()
+    # a golden label is final text: escape it as a format string
+    for label, thunk in golden_cases():
+        yield label.replace("{", "{{").replace("}", "}}"), thunk, ()
 
 
 _SUITES = {
@@ -469,32 +485,27 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# collector thresholds while a suite runs (CPython's defaults are
-# 700, 10, 10 up to 3.12 and 2000, 10, 10 in 3.13)
-_GC_THRESHOLDS = (20_000, 50, 100)
-
-
 def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
 
-    On one worker, the intern tables are swept between cases once they
-    have grown enough (forest.sweep_if_due for forests and trees; each
-    such sweep also runs freemod.sweep_coefficients for coefficients and
-    their sum and product memos), so memory stays bounded by what the
-    suite and the caches hold rather than by everything the run ever
-    built.
+    The intern tables are swept between cases once they have grown
+    enough (forest.sweep_if_due for forests and trees; each such sweep
+    also runs freemod.sweep_coefficients for coefficients and their sum
+    and product memos), so memory stays bounded by what the suite and
+    the caches hold rather than by everything the run ever built.
 
-    A call that starts on the process's only thread also raises the
-    collector's thresholds to _GC_THRESHOLDS for its length and restores
-    the old ones on the way out, whether it returns or raises. Forests and
-    trees are acyclic and are freed by reference counting, but the suites
-    allocate them by the hundred thousand, and at the default thresholds
-    every 700 to 2,000 allocations start a collection that scans them and
-    frees next to nothing. The generation-0 threshold stays moderate because
-    the coproduct suites do make short-lived cycles: at 100,000 their
-    peak memory rose by about 1 MB. Calls that start beside other threads
-    leave the collector alone, so that concurrent calls cannot restore
-    each other's raised setting.
+    A call that starts on the process's only thread also turns automatic
+    garbage collection off for its length, runs one young-generation
+    collection right after each intern sweep, and restores the old
+    enabled state on the way out, whether it returns or raises; the
+    thresholds are never changed. Forests and trees are acyclic and are
+    freed by reference counting, but the suites allocate them by the
+    hundred thousand, so automatic collections would keep scanning them
+    and free next to nothing. This is safe because no suite's case makes
+    reference cycles (tests/test_verify.py runs every suite under
+    gc.DEBUG_SAVEALL and finds no cyclic garbage). Calls that start beside
+    other threads leave the collector alone, and neither sweep nor
+    collect, so that concurrent calls cannot restore each other's setting.
     """
     gen = _SUITES.get(name)
     if gen is None:
@@ -502,33 +513,28 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
             f"unknown suite {name!r}; expected one of: {', '.join(SUITE_NAMES)}")
     if threading.active_count() != 1:
         return _run(name, gen, config)
-    thresholds = gc.get_threshold()
-    gc.set_threshold(*_GC_THRESHOLDS)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _run(name, gen, config)
     finally:
-        gc.set_threshold(*thresholds)
+        if enabled:
+            gc.enable()
 
 
 def _run(name, gen, config) -> SuiteReport:
     t0 = time.perf_counter()
     evaluate = config.has_eval
-
-    def check(case):
-        label, thunk = case
-        got, want = thunk()
+    cases, failures = 0, []
+    for fmt, fn, args in gen(config):
+        cases += 1
+        got, want = fn(*args)
         if evaluate:
             got, want = _norm(got, config), _norm(want, config)
-        if got == want:
-            return None
-        return {"case": label, "lhs": _render(got), "rhs": _render(want)}
-
-    sweep = config.workers == 1
-    cases, failures = 0, []
-    for res in _ordered_map(check, gen(config), config.workers):
-        cases += 1
-        if res is not None:
-            failures.append(res)
-        if sweep and sweep_if_due():
+        if got != want:
+            failures.append({"case": fmt.format(*args),
+                             "lhs": _render(got), "rhs": _render(want)})
+        if sweep_if_due():
             sweep_coefficients()
+            gc.collect(0)
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)

@@ -358,6 +358,47 @@ def test_encoding_round_trip():
         assert forest_from_encoding(parents, decos) is f
 
 
+def _preorder_reference(f):
+    # the recursive definitions the explicit-stack walks replace
+    parents, decos, paths = [], [], []
+
+    def walk(t, parent, path):
+        idx = len(parents)
+        parents.append(parent)
+        decos.append(t.deco)
+        paths.append(VertexId(path))
+        for i, c in enumerate(t.children):
+            walk(c, idx, path + (i,))
+
+    for i, t in enumerate(f.trees):
+        walk(t, -1, (i,))
+    return (tuple(parents), tuple(decos)), tuple(paths)
+
+
+def test_encoding_and_paths_follow_the_recursive_preorder():
+    for f in enumerate_forests(5, Alphabet(omega=("a", "b"), xset=("x",))):
+        assert (f.encoding, f.paths) == _preorder_reference(f)
+        assert forest_from_encoding(*f.encoding) is f
+
+
+def test_encoding_and_paths_of_a_deep_path_need_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    a, x = AB.decoration("a"), AB.decoration("x")
+    t = Tree.make(x)
+    for _ in range(n - 1):
+        t = Tree.make(a, (t,))
+    f = F("b") * t.as_forest()
+    parents, decos = f.encoding
+    assert parents == (-1, -1) + tuple(range(1, n))
+    assert decos == (AB.decoration("b"),) + (a,) * (n - 1) + (x,)
+    paths = f.paths
+    assert len(paths) == n + 1
+    assert paths[0].path == (0,) and paths[-1].path == (1,) + (0,) * (n - 1)
+    assert [len(p.path) for p in paths[1:]] == list(range(1, n + 1))
+    assert forest_from_encoding(parents, decos) is f
+
+
 # ------------------------------------------------- vertex order / biideals
 
 def test_vertex_order_is_postorder():

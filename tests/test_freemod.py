@@ -630,6 +630,29 @@ def test_int_and_fraction_points_give_one_result():
         assert _stores_ints(a)
 
 
+def test_map_coeff_evaluates_each_distinct_coefficient_once():
+    # five terms on three distinct coefficients, one of which h sends to 0
+    w = LinComb({F("x"): LAM, F("a"): MU, F("b"): LAM, F("a[x]"): MU + NU,
+                 F("x x"): MU})
+    point = dict(lam=Fraction(2, 3), mu=Fraction(0), nu=Fraction(7, 3))
+    calls = []
+
+    def h(c):
+        calls.append(c)
+        return c.subst_partial(**point)
+
+    got = w.map_coeff(h)
+    assert len(calls) == 3 and set(calls) == {LAM, MU, MU + NU}
+    old = LinComb({b: c.subst_partial(**point) for b, c in w.terms.items()})
+    assert got == old
+    assert got.terms == {F("x"): Coefficient.monomial(Fraction(2, 3)),
+                         F("b"): Coefficient.monomial(Fraction(2, 3)),
+                         F("a[x]"): Coefficient.monomial(Fraction(7, 3))}
+    pole = LinComb.single(F("x"), Coefficient.monomial(1, a=-1))
+    with pytest.raises(ZeroDivisionError):
+        pole.map_coeff(lambda c: c.subst_partial(lam=0))
+
+
 def test_constants_survive_the_ring_tests():
     # runs after the property tests above, which make and memoise
     # thousands of values: the shared constants keep their terms

@@ -2,16 +2,19 @@
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from forest_bialg import forest, verify
+from forest_bialg import dualprod, forest, verify
 from forest_bialg.forest import Alphabet
+from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
                                  run_suite)
 
@@ -62,8 +65,6 @@ def test_unknown_suite_is_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(max_vertices=-1)
-    with pytest.raises(ValueError):
-        RunConfig(workers=0)
 
 
 def test_suites_pass_at_rational_points():
@@ -79,31 +80,6 @@ def test_counit_suite_requires_invertible_lambda():
     with pytest.raises(ZeroDivisionError):
         run_suite("counit", RunConfig(alphabet=SMALL, max_vertices=2,
                                       eval_lam=Fraction(0)))
-
-
-def test_workers_do_not_change_the_report(monkeypatch, sweeps):
-    # a sweep is due before each run; one worker sweeps, four never do
-    monkeypatch.setattr(forest, "_sweep_at", 0)
-    base = run_suite("rec-vs-biideal",
-                     RunConfig(alphabet=SMALL, max_vertices=4, workers=1))
-    assert set(sweeps) == {"forests", "coefficients"}
-    sweeps.clear()
-    monkeypatch.setattr(forest, "_sweep_at", 0)
-    parallel = run_suite("rec-vs-biideal",
-                         RunConfig(alphabet=SMALL, max_vertices=4, workers=4))
-    assert not sweeps
-    assert _without_wall_time(base) == _without_wall_time(parallel)
-
-
-@pytest.mark.parametrize("suite, bound", [("star-census", 3),
-                                          ("star-assoc", 4)])
-def test_workers_do_not_change_the_star_reports(suite, bound):
-    # four threads share star's memo of the last F's regraftings
-    reports = [_without_wall_time(run_suite(suite, RunConfig(
-        alphabet=SMALL, max_vertices=bound, workers=workers)))
-        for workers in (1, 4)]
-    assert reports[0]["ok"] and reports[0]["cases"] > 0
-    assert reports[0] == reports[1]
 
 
 def test_report_json_shape():
@@ -154,21 +130,148 @@ def test_sweeping_does_not_change_the_report(monkeypatch, sweeps, suite,
 
 
 def test_run_suite_restores_the_collector_thresholds(monkeypatch):
-    seen = []
-    monkeypatch.setattr(verify, "sweep_if_due",
-                        lambda: seen.append(gc.get_threshold()))
-    old = gc.get_threshold()
+    # a sweep is reported due after every case; each must be followed by
+    # one young-generation collection, and no automatic one may run
+    seen, collections = [], []
+
+    def due():
+        seen.append((gc.isenabled(), gc.get_threshold()))
+        return True
+
+    def on_gc(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(verify, "sweep_if_due", due)
+    monkeypatch.setattr(verify, "sweep_coefficients", lambda: None)
+    old, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.callbacks.append(on_gc)
     try:
+        gc.enable()
         gc.set_threshold(555, 7, 9)
-        run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
-        assert gc.get_threshold() == (555, 7, 9)
-        assert seen and set(seen) == {verify._GC_THRESHOLDS}
+        rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+        assert gc.isenabled() and gc.get_threshold() == (555, 7, 9)
+        assert len(seen) == rep.cases and set(seen) == {(False, (555, 7, 9))}
+        assert collections == [0] * rep.cases
         with pytest.raises(ZeroDivisionError):
             run_suite("counit", RunConfig(alphabet=SMALL, max_vertices=2,
                                           eval_lam=Fraction(0)))
-        assert gc.get_threshold() == (555, 7, 9)
+        assert gc.isenabled() and gc.get_threshold() == (555, 7, 9)
+        # a caller that turned collection off gets it back off
+        gc.disable()
+        run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+        assert not gc.isenabled() and gc.get_threshold() == (555, 7, 9)
     finally:
+        gc.callbacks.remove(on_gc)
         gc.set_threshold(*old)
+        if was_enabled:
+            gc.enable()
+
+
+def test_run_suite_beside_another_thread_leaves_the_collector_alone(
+        monkeypatch, sweeps):
+    seen = []
+    real = verify.sweep_if_due
+
+    def due():
+        seen.append(gc.isenabled())
+        return real()
+
+    monkeypatch.setattr(verify, "sweep_if_due", due)
+    monkeypatch.setattr(forest, "_sweep_at", 0)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert gc.isenabled()
+        rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+    finally:
+        release.set()
+        other.join()
+    assert rep.ok and seen and all(seen)
+    assert not sweeps
+
+
+def _drop_last_term(real):
+    def star(F, G):
+        terms = dict(real(F, G).terms)
+        terms.popitem()
+        return LinComb(terms)
+    return star
+
+
+def _labels(report):
+    return len(report.failures), [f["case"] for f in report.failures[:3]]
+
+
+def test_failure_labels_under_a_star_mutant(monkeypatch):
+    # recorded when every case still built its label with an f-string
+    mutant = _drop_last_term(dualprod.star)
+    monkeypatch.setattr(dualprod, "star", mutant)
+    monkeypatch.setattr(verify, "star", mutant)
+
+    def run(suite, bound):
+        return run_suite(suite, RunConfig(alphabet=SMALL, max_vertices=bound))
+
+    census = run("star-census", 2)
+    assert census.cases == 81
+    assert _labels(census) == (81, ["F=1 G=1", "F=1 G=a", "F=1 G=x"])
+    duality = run("duality", 2)
+    assert duality.cases == 81
+    assert _labels(duality) == (
+        23, ["x=1 y=1 z=1", "x=a y=1 z=1", "x=x y=1 z=1"])
+    assoc = run("star-assoc", 3)
+    assert assoc.cases == 220
+    assert _labels(assoc) == (4, ["star x=a y=a z=a", "star x=a y=x z=a",
+                                  "star x=x y=a z=a"])
+
+
+def test_failure_labels_under_a_phi_at_mutant(monkeypatch):
+    # phi_at truncates nu to an integer: of the composition points only
+    # (1/2, 1/2) tells, so every failure carries a rational label
+    real = verify.phi_at
+    monkeypatch.setattr(verify, "phi_at",
+                        lambda x, nu: real(x, math.floor(nu)))
+    rep = run_suite("phi-laws", RunConfig(alphabet=SMALL, max_vertices=3))
+    assert rep.cases == 94
+    assert _labels(rep) == (8, ["compose nu=1/2 nu'=1/2 F=a",
+                                "compose nu=1/2 nu'=1/2 F=x",
+                                "compose nu=1/2 nu'=1/2 F=a a"])
+    assert rep.failures[0] == {"case": "compose nu=1/2 nu'=1/2 F=a",
+                               "lhs": "(1) a", "rhs": "(1) 1 ; (1) a"}
+
+
+def test_suites_leave_no_cyclic_garbage():
+    # the run pauses automatic collection and collects only at intern
+    # sweeps, which is safe only while no case makes reference cycles.
+    # A fresh interpreter, so that no cache filled by an earlier test
+    # hides a cold path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import gc\n"
+        "from fractions import Fraction as Q\n"
+        "from forest_bialg import Alphabet, RunConfig, run_suite\n"
+        "from forest_bialg.verify import SUITE_NAMES\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        "ab = Alphabet(omega=('a', 'b'), xset=('x',))\n"
+        "cfgs = [(n, RunConfig(alphabet=ab, max_vertices=3))\n"
+        "        for n in SUITE_NAMES]\n"
+        "cfgs.append(('phi-laws', RunConfig(alphabet=ab, max_vertices=3,\n"
+        "    eval_lam=Q(2, 3), eval_mu=Q(-1, 5), eval_nu=Q(7, 3))))\n"
+        "for name, cfg in cfgs:\n"
+        "    assert run_suite(name, cfg).ok, name\n"
+        "    gc.collect()\n"
+        "    kinds = sorted({type(o).__name__ for o in gc.garbage})\n"
+        "    assert not gc.garbage, (name, len(gc.garbage), kinds)\n"
+        "print('clean')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["clean"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
