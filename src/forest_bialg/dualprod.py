@@ -18,6 +18,11 @@ coproduct dualizes to products:
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
+star_lin and star_weighted extend star bilinearly with
+freemod._add_products: every term of every product goes straight into
+one sum, with the terms of the left operand in the outer loop so that
+star's memo sees one F for a whole run of calls.
+
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
 
@@ -26,7 +31,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .forest import (KIND_X, Alphabet, Forest, Tree, VertexId, leaf)
-from .freemod import LAM, MU, ONE, ZERO, Coefficient, LinComb
+from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
+                      _add_products)
 
 __all__ = ["LeftPath", "pairing", "left_path", "star", "star_lin",
            "star_weighted"]
@@ -45,10 +51,11 @@ def pairing(x, y) -> Coefficient:
     """Bilinear extension of <F, G> = delta_{F,G}.
 
     Works on any equal-rank pair of LinCombs (single forests or tensor
-    tuples compare leg-wise through key equality). A Forest paired with
-    a LinComb is a lookup of its coefficient.
+    tuples compare leg-wise through key equality). A basis element (a
+    Forest, or a tuple of forests for a tensor basis) paired with a
+    LinComb is a lookup of its coefficient.
     """
-    if isinstance(x, Forest) and isinstance(y, LinComb):
+    if isinstance(x, (Forest, tuple)) and isinstance(y, LinComb):
         return y.terms.get(x, ZERO)
     x, y = _as_lincomb(x), _as_lincomb(y)
     if len(y.terms) < len(x.terms):
@@ -161,13 +168,25 @@ def star(F: Forest, G: Forest) -> LinComb:
 
 
 def star_lin(x, y) -> LinComb:
-    """Bilinear extension of star."""
-    x, y = _as_lincomb(x), _as_lincomb(y)
-    return x.apply(lambda F: y.apply(lambda G: star(F, G)))
+    """Bilinear extension of star, in one accumulation pass with the
+    terms of x in the outer loop (freemod._add_products)."""
+    return _add_products({}, _as_lincomb(x), _as_lincomb(y), star)
+
+
+_NEG_LAM = -LAM
 
 
 def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
-    """x star_{l,m} y = -l x star y + m sum_{d in X + Omega} x star .d star y."""
+    """x star_{l,m} y = -l x star y + m sum_{d in X + Omega} x star .d star y.
+
+    x star (m sum .d) is made first; -l x star y and (x star m sum .d)
+    star y then go into one sum, so no scaled, negated or partial sum is
+    copied. With x a forest, x star y comes right after x star .d and
+    finds star's memo still holding x.
+    """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})
-    return star_lin(star_lin(x, dots), y) - star_lin(x, y).scale(LAM)
+    xdots = _add_products({}, x, dots, star)
+    acc: dict = {}
+    _add_products(acc, x, y, star, _NEG_LAM)
+    return _add_products(acc, xdots, y, star)

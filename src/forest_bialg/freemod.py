@@ -20,12 +20,15 @@ identity: _ADD and _MUL map a pair (c, d) to the canonical c + d and
 c * d. The suites multiply a handful of distinct coefficients over and
 over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
-the memos: the operators look a pair up first, and LinComb.apply and
-apply_leg, which carry the suites' ring work, read them inline. Every
-accumulation loop tests cancellation with `is ZERO`. Evaluation is
-memoised the same way: _SUBST maps (c, lam, mu, nu) to
-c.subst_partial(lam, mu, nu), since an evaluated suite or CLI result
-substitutes one point into the same few coefficients over and over.
+the memos: the operators look a pair up first, and LinComb.apply,
+apply_leg and _add_products, which carry the suites' ring work, read
+them inline. _add_products is the bilinear extension of a basis
+product in one pass; star_lin, star_weighted, prelie_lin and
+bracket_lin are each one to three calls to it. Every accumulation loop
+tests cancellation with `is ZERO`. Evaluation is memoised the same way:
+_SUBST maps (c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an
+evaluated suite or CLI result substitutes one point into the same few
+coefficients over and over.
 sweep_coefficients clears the three memos and drops every interned value
 that nothing else holds; verify.run_suite calls it whenever
 forest.sweep_if_due sweeps the forest tables between cases.
@@ -513,6 +516,51 @@ class LinComb:
     def to_json(self):
         return [{"coeff": c.to_json(), "legs": [str(leg) for leg in _legs(b)]}
                 for b, c in self.terms_sorted()]
+
+
+def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
+                  k: Coefficient = ONE) -> LinComb:
+    """Add k c d f(F, G) into acc for every term c F of x and d G of y
+    (k nonzero), and return the LinComb whose terms are acc.
+
+    The bilinear extension of a basis product f in one pass: each image
+    term is multiplied once and added straight into acc, with no LinComb
+    per pair, and a further call with the same acc adds another product
+    to the same sum. x is the outer loop, so f sees one F for all of y
+    in a row (star's last-F memo relies on it). Like apply, it reads the
+    memos inline and drops a cancelled term on `is ZERO`; an image
+    coefficient of ONE, as nearly all of star's are, costs no product.
+    """
+    yterms = y.terms.items()
+    for F, c in x.terms.items():
+        if k is not ONE:
+            ck = _MUL.get((c, k))
+            c = c * k if ck is None else ck
+        for G, d in yterms:
+            cd = _MUL.get((c, d))
+            if cd is None:
+                cd = c * d
+            for key, e in f(F, G).terms.items():
+                if e is ONE:
+                    p = cd
+                else:
+                    p = _MUL.get((e, cd))
+                    if p is None:
+                        p = e * cd
+                s = acc.get(key)
+                if s is None:
+                    acc[key] = p
+                    continue
+                t = _ADD.get((s, p))
+                if t is None:
+                    t = s + p
+                if t is ZERO:
+                    del acc[key]
+                else:
+                    acc[key] = t
+    out = LinComb.__new__(LinComb)
+    out.terms = acc
+    return out
 
 
 def act_left(F: Forest, t: LinComb) -> LinComb:

@@ -15,13 +15,17 @@ independent oracle (suite prelie-closed-form pins their equality).
 
 The left pre-Lie identity (a|>b)|>c - a|>(b|>c) = (b|>a)|>c - b|>(a|>c)
 holds, so [F1, F2] = F1|>F2 - F2|>F1 is a Lie bracket.
+
+prelie_lin and bracket_lin, the bilinear extensions the identity suites
+nest, accumulate every term into one sum with freemod._add_products;
+bracket_lin adds both orders into it, the second with coefficient -1.
 """
 
 from __future__ import annotations
 
 from .coalgebra import coproduct_biideal, coproduct_rec
 from .forest import Forest
-from .freemod import LinComb
+from .freemod import ONE, LinComb, _add_products
 
 __all__ = ["prelie", "prelie_sandwich", "prelie_lin", "bracket",
            "bracket_lin"]
@@ -42,8 +46,9 @@ def prelie_sandwich(F1: Forest, F2: Forest) -> LinComb:
 
 
 def prelie_lin(x: LinComb, y: LinComb, product=prelie) -> LinComb:
-    """Bilinear extension, for nesting products in identity checks."""
-    return y.apply(lambda F2: x.apply(lambda F1: product(F1, F2)))
+    """Bilinear extension of product, for nesting products in identity
+    checks, in one accumulation pass (freemod._add_products)."""
+    return _add_products({}, x, y, product)
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:
@@ -51,5 +56,12 @@ def bracket(F1: Forest, F2: Forest) -> LinComb:
     return prelie(F1, F2) - prelie(F2, F1)
 
 
+_NEG_ONE = -ONE
+
+
 def bracket_lin(x: LinComb, y: LinComb) -> LinComb:
-    return prelie_lin(x, y) - prelie_lin(y, x)
+    """Bilinear extension of bracket: x |> y and -(y |> x) go into one
+    sum, with no difference of two products copied."""
+    acc: dict = {}
+    _add_products(acc, x, y, prelie)
+    return _add_products(acc, y, x, prelie, _NEG_ONE)

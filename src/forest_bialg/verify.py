@@ -299,7 +299,7 @@ def _suite_duality(cfg):
     # p = y star_{l,m} z, made once per (y, z) and passed to each x's
     # case; the label's format takes the first three arguments only
     def check(x, y, z, p):
-        lhs = pairing(coproduct(x), LinComb.single((y, z)))
+        lhs = pairing((y, z), coproduct(x))
         return lhs, pairing(x, p)
 
     for y in _forests(cfg, yz):

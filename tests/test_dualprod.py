@@ -8,13 +8,15 @@ from bisect import bisect_left
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import (left_path, pairing, star, star_lin,
                                    star_weighted)
 from forest_bialg.forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
                                  Tree, enumerate_forests, leaf, parse_forest)
-from forest_bialg.freemod import LAM, MU, ONE, ZERO, LinComb
+from forest_bialg.freemod import LAM, MU, ONE, ZERO, Coefficient, LinComb
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 AXY = Alphabet(omega=("a",), xset=("x", "y"))
@@ -37,6 +39,17 @@ def test_pairing_a_forest_with_a_lincomb_reads_its_coefficient():
     assert pairing(F("b"), x) is ZERO
     assert pairing(F("a"), LinComb.zero()) is ZERO
     assert pairing(F("a"), LinComb.single((F("a"), F("1")))) is ZERO
+
+
+def test_pairing_a_tensor_basis_with_a_lincomb_reads_its_coefficient():
+    a, bx, one = F("a"), F("b[x]"), F("1")
+    t = coproduct(F("a[b[x]]"))
+    for y, z in itertools.product((a, bx, one, F("a[b[x]]"), F("x")), repeat=2):
+        assert pairing((y, z), t) is pairing(LinComb.single((y, z)), t)
+        assert pairing((y, z), t) is t.coeff_of((y, z))
+    assert pairing((bx, a), t) is -LAM
+    assert pairing((a, bx), t) is ZERO
+    assert pairing((a, one), LinComb.zero()) is ZERO
 
 
 def test_pairing_is_bilinear_on_tensors():
@@ -213,3 +226,58 @@ def test_star_accepts_lincomb_arguments():
     x = LinComb.single(F("a"), MU)
     assert star_lin(x, F("b")) == star_lin(F("a"), F("b")).scale(MU)
     assert star_lin(leaf(AB.decoration("a")), F("b")) == star(F("a"), F("b"))
+
+
+def _star_lin_reference(x, y):
+    """Bilinear extension of star by nested running sums."""
+    out = LinComb.zero()
+    for f, c in x.terms.items():
+        for g, d in y.terms.items():
+            out = out + star(f, g).scale(c * d)
+    return out
+
+
+def _star_weighted_reference(x, y, ab):
+    out = _star_lin_reference(x, y).scale(-LAM)
+    for deco in ab.decorations():
+        dot = LinComb.single(leaf(deco), MU)
+        out = out + _star_lin_reference(_star_lin_reference(x, dot), y)
+    return out
+
+
+SMALL2 = list(enumerate_forests(2, AB))
+# opposite coefficients on overlapping forests make images cancel
+signed = st.sampled_from([MU, -MU, LAM, -LAM, ONE, -ONE,
+                          Coefficient.monomial(2, a=1, b=1)])
+lincombs = st.lists(st.tuples(st.sampled_from(SMALL2), signed), max_size=4).map(
+    lambda pairs: sum((LinComb.single(f, c) for f, c in pairs), LinComb.zero()))
+
+
+@settings(max_examples=200)
+@given(lincombs, lincombs)
+def test_star_products_match_nested_sums(x, y):
+    got = star_lin(x, y)
+    assert got == _star_lin_reference(x, y)
+    assert all(got.terms.values())
+    got = star_weighted(x, y, AB)
+    assert got == _star_weighted_reference(x, y, AB)
+    assert all(got.terms.values())
+
+
+def test_star_products_drop_terms_that_cancel_across_pairs():
+    # (1 - g) star (g + 1) = g + 1 - g star g - g: the pairs (1, g) and
+    # (g, 1) both give g, with opposite signs
+    g = F("a[x]")
+    one = LinComb.single(EMPTY_FOREST)
+    x = one - LinComb.single(g)
+    y = LinComb.single(g) + one
+    got = star_lin(x, y)
+    assert got == one - star(g, g)
+    assert g not in got.terms
+    assert all(got.terms.values())
+    # the -l part cancels g the same way; every m term has 1, 3 or 5
+    # vertices, so g is gone from the weighted product too
+    got = star_weighted(x, y, AB)
+    assert got == _star_weighted_reference(x, y, AB)
+    assert g not in got.terms
+    assert all(got.terms.values())

@@ -109,3 +109,12 @@ def test_prelie_lin_matches_nested_sums(x, y, product):
     assert got == _prelie_lin_reference(x, y, product)
     assert all(got.terms.values())
     assert prelie_lin(x, x, bracket).terms == {}
+
+
+@settings(max_examples=200)
+@given(lincombs, lincombs)
+def test_bracket_lin_is_the_difference_of_both_orders(x, y):
+    got = bracket_lin(x, y)
+    assert got == prelie_lin(x, y) - prelie_lin(y, x)
+    assert all(got.terms.values())
+    assert bracket_lin(x, x).terms == {}
