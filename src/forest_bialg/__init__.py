@@ -25,9 +25,8 @@ module _kernel, with no backend switch.
 
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
-                        counit, counit_left, counit_lin, counit_right)
-from .dualprod import (LeftPath, left_path, pairing, star, star_lin,
-                       star_weighted)
+                        counit, counit_left, counit_right)
+from .dualprod import left_path, pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_OMEGA, KIND_X, Alphabet, Decoration,
                      DecorationError, Forest, ForestSyntaxError, Tree,
                      VertexId, VertexSet, biideals, breadth, concat, depth,
@@ -55,10 +54,10 @@ __all__ = [
     "act_left", "act_right",
     # coalgebra
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
-    "coproduct_left", "coproduct_right", "counit", "counit_lin",
-    "counit_left", "counit_right",
+    "coproduct_left", "coproduct_right", "counit", "counit_left",
+    "counit_right",
     # dual products
-    "LeftPath", "left_path", "pairing", "star", "star_lin", "star_weighted",
+    "left_path", "pairing", "star", "star_lin", "star_weighted",
     # morphisms
     "phi", "phi_forest", "phi_subsets", "phi_at", "theta", "lc_concat",
     # pre-Lie

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from . import _kernel
 from .forest import EMPTY_FOREST, Forest, graft
-from .freemod import LAM, MU, ZERO, Coefficient, LinComb, act_left, act_right
+from .freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
 
 __all__ = [
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
-    "coproduct_left", "coproduct_right", "counit", "counit_lin",
-    "counit_left", "counit_right",
+    "coproduct_left", "coproduct_right", "counit", "counit_left",
+    "counit_right",
 ]
 
 _REC_CACHE: dict = {}
@@ -113,26 +113,25 @@ def coproduct_biideal(F: Forest) -> LinComb:
 coproduct = coproduct_biideal
 
 
-def coproduct_lin(x: LinComb, cop=None) -> LinComb:
+def coproduct_lin(x: LinComb) -> LinComb:
     """Linear extension of the coproduct to LinComb<Forest>."""
-    cop = cop or coproduct
-    return x.apply(cop)
+    return x.apply(coproduct)
 
 
-def coproduct_left(t: LinComb, cop=None) -> LinComb:
+def coproduct_left(t: LinComb) -> LinComb:
     """(D (x) id) on a pair tensor, producing triple tensors.
 
     Maps leg 0 of every term in one pass, through LinComb.apply_leg.
     """
-    return t.apply_leg(0, cop or coproduct)
+    return t.apply_leg(0, coproduct)
 
 
-def coproduct_right(t: LinComb, cop=None) -> LinComb:
+def coproduct_right(t: LinComb) -> LinComb:
     """(id (x) D) on a pair tensor, producing triple tensors.
 
     Maps leg 1 of every term in one pass, through LinComb.apply_leg.
     """
-    return t.apply_leg(1, cop or coproduct)
+    return t.apply_leg(1, coproduct)
 
 
 def counit(F: Forest) -> Coefficient:
@@ -146,13 +145,6 @@ def counit(F: Forest) -> Coefficient:
     if c is None:
         c = _COUNIT_CACHE[n] = Coefficient.monomial(-1, a=-(n + 1), b=n)
     return c
-
-
-def counit_lin(x: LinComb) -> Coefficient:
-    out = ZERO
-    for F, c in x.terms.items():
-        out = out + c * counit(F)
-    return out
 
 
 def counit_left(t: LinComb) -> LinComb:

@@ -28,23 +28,13 @@ Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .forest import (KIND_X, Alphabet, Forest, Tree, VertexId, leaf)
 from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
                       _add_products)
 
-__all__ = ["LeftPath", "pairing", "left_path", "star", "star_lin",
-           "star_weighted"]
-
-
-class LeftPath(NamedTuple):
-    """Vertices of the leftmost root-to-leaf chain, X-terminal excluded."""
-
-    vertices: tuple[VertexId, ...]
-
-    def __len__(self):
-        return len(self.vertices)
+__all__ = ["pairing", "left_path", "star", "star_lin", "star_weighted"]
 
 
 def pairing(x, y) -> Coefficient:
@@ -91,9 +81,11 @@ def _spine(first: Optional[Tree]) -> list[Tree]:
     return chain
 
 
-def left_path(G: Forest) -> LeftPath:
+def left_path(G: Forest) -> tuple[VertexId, ...]:
+    """Vertices of G's leftmost root-to-leaf chain, root first, with an
+    X-decorated terminal leaf excluded."""
     n = len(_spine(G.trees[0] if G.trees else None))
-    return LeftPath(tuple(VertexId((0,) * (i + 1)) for i in range(n)))
+    return tuple(VertexId((0,) * (i + 1)) for i in range(n))
 
 
 def _regrafted(trees: tuple, first: Optional[Tree]):

@@ -16,6 +16,12 @@ contraction through deleted vertices. Postorder and restriction run on the
 flat preorder encoding through the pure-Python routines of _kernel; there
 is one implementation of each and no backend switch.
 
+A forest stores its trees and its vertex count, nothing else. Its vertex
+views (the preorder encoding, the index paths, the postorder) are built
+per call from one explicit-stack preorder walk, _preorder, and are not
+kept; so a forest held for the whole process, as every enumerated one
+is, costs its tuple of trees and no more.
+
 Trees and forests are canonical: Tree.make and Forest.make intern every
 instance, so two structurally equal forests are the same object. Equality
 and hash are therefore plain object identity (no Python-level __eq__ or
@@ -222,11 +228,12 @@ class Forest:
     count from the caller instead of recounting it; make counts the trees
     of a tuple it has not seen and then takes that path. Only callers
     whose count is exact by construction call _sized (module docstring).
-    Depth is computed on demand.
+
+    The trees and the vertex count are all a forest stores. Depth, text,
+    encoding and paths are computed on demand, each call anew.
     """
 
-    __slots__ = ("trees", "nvertices", "_text", "_enc", "_paths", "_post",
-                 "_pathidx")
+    __slots__ = ("trees", "nvertices")
 
     _intern: dict = {}
 
@@ -254,11 +261,6 @@ class Forest:
         f = object.__new__(cls)
         f.trees = trees
         f.nvertices = n
-        f._text = None
-        f._enc = None
-        f._paths = None
-        f._post = None
-        f._pathidx = None
         return cls._intern.setdefault(trees, f)
 
     @property
@@ -291,9 +293,7 @@ class Forest:
                              self.nvertices + other.nvertices)
 
     def __str__(self):
-        if self._text is None:
-            self._text = " ".join(map(str, self.trees)) if self.trees else "1"
-        return self._text
+        return " ".join(map(str, self.trees)) if self.trees else "1"
 
     def __repr__(self):
         return f"Forest({str(self)!r})"
@@ -303,46 +303,14 @@ class Forest:
 
     @property
     def encoding(self):
-        """(parents, decorations) in preorder; the kernel's flat form.
-        An explicit-stack walk, so no nesting reaches the recursion limit."""
-        if self._enc is None:
-            parents, decos = [], []
-            # children go on reversed, so the leftmost is popped first
-            stack = [(t, -1) for t in reversed(self.trees)]
-            while stack:
-                t, parent = stack.pop()
-                idx = len(parents)
-                parents.append(parent)
-                decos.append(t.deco)
-                stack.extend((c, idx) for c in reversed(t.children))
-            self._enc = (tuple(parents), tuple(decos))
-        return self._enc
+        """(parents, decorations) in preorder; the kernel's flat form."""
+        parents, decos, _ = _preorder(self)
+        return parents, decos
 
     @property
     def paths(self) -> tuple["VertexId", ...]:
         """VertexIds in preorder, aligned with encoding indices."""
-        if self._paths is None:
-            out = []
-            stack = [(t, (i,)) for i, t in enumerate(self.trees)]
-            stack.reverse()
-            while stack:
-                t, path = stack.pop()
-                out.append(VertexId(path))
-                for i in range(len(t.children) - 1, -1, -1):
-                    stack.append((t.children[i], path + (i,)))
-            self._paths = tuple(out)
-        return self._paths
-
-    @property
-    def postorder(self) -> tuple[int, ...]:
-        if self._post is None:
-            self._post = _kernel.postorder_indices(self.encoding[0])
-        return self._post
-
-    def path_index(self) -> dict:
-        if self._pathidx is None:
-            self._pathidx = {p: i for i, p in enumerate(self.paths)}
-        return self._pathidx
+        return _preorder(self)[2]
 
 
 EMPTY_FOREST = Forest.make(())
@@ -428,6 +396,29 @@ class VertexId(NamedTuple):
         return "/".join(map(str, self.path))
 
 
+def _preorder(F: Forest):
+    """(parents, decorations, paths) of F's vertices in preorder.
+
+    parents[i] is the preorder index of vertex i's parent, -1 for a root,
+    and paths[i] its VertexId. One explicit-stack walk, so no nesting
+    reaches the recursion limit.
+    """
+    parents, decos, paths = [], [], []
+    # children go on reversed, so the leftmost is popped first
+    stack = [(t, -1, (i,)) for i, t in enumerate(F.trees)]
+    stack.reverse()
+    while stack:
+        t, parent, path = stack.pop()
+        idx = len(parents)
+        parents.append(parent)
+        decos.append(t.deco)
+        paths.append(VertexId(path))
+        kids = t.children
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], idx, path + (i,)))
+    return tuple(parents), tuple(decos), tuple(paths)
+
+
 class VertexSet:
     """A set of vertices of one host forest."""
 
@@ -436,10 +427,19 @@ class VertexSet:
     def __init__(self, host: Forest, members):
         self.host = host
         self.members = frozenset(members)
-        idx = host.path_index()
+        paths = set(_preorder(host)[2])
         for v in self.members:
-            if v not in idx:
+            if v not in paths:
                 raise ValueError(f"vertex {v} is not in the host forest")
+
+    @classmethod
+    def _trusted(cls, host: Forest, members) -> "VertexSet":
+        """A VertexSet of members taken from host's own vertices; unlike
+        VertexSet(...), not checked against host."""
+        s = object.__new__(cls)
+        s.host = host
+        s.members = frozenset(members)
+        return s
 
     def __len__(self):
         return len(self.members)
@@ -580,18 +580,20 @@ def vertex_order(F: Forest) -> tuple[VertexId, ...]:
     the leftmost tree of a forest is listed first. The root of each tree is
     that tree's minimum.
     """
-    paths = F.paths
-    return tuple(paths[i] for i in F.postorder)
+    parents, _, paths = _preorder(F)
+    return tuple(paths[i] for i in _kernel.postorder_indices(parents))
 
 
 def biideals(F: Forest) -> tuple[VertexSet, ...]:
     """The n_F + 1 forest biideals I_0 ⊂ I_1 ⊂ ... ⊂ I_{n_F}.
 
     I_k holds the k largest vertices, so the sequence is the full chain of
-    upward-closed vertex sets.
+    upward-closed vertex sets. Their members come from F's own vertex
+    order, so they are not checked again.
     """
     order = vertex_order(F)
-    return tuple(VertexSet(F, order[:k]) for k in range(F.nvertices + 1))
+    trusted = VertexSet._trusted
+    return tuple(trusted(F, order[:k]) for k in range(F.nvertices + 1))
 
 
 def restrict(F: Forest, I: VertexSet) -> Forest:
@@ -603,15 +605,11 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
         raise TypeError("restrict needs a VertexSet")
     if I.host is not F:
         raise ValueError("VertexSet belongs to a different forest")
-    idx = F.path_index()
+    parents, decos, paths = _preorder(F)
+    idx = {p: i for i, p in enumerate(paths)}
     keep = tuple(sorted(idx[v] for v in I.members))
-    return _restrict_by_indices(F, keep)
-
-
-def _restrict_by_indices(F: Forest, keep: tuple[int, ...]) -> Forest:
-    parents, decos = F.encoding
-    sub_parents = _kernel.restrict_parents(parents, keep)
-    return forest_from_encoding(sub_parents, tuple(decos[i] for i in keep))
+    return forest_from_encoding(_kernel.restrict_parents(parents, keep),
+                                tuple(decos[i] for i in keep))
 
 
 _ENC_INTERN: dict = {}

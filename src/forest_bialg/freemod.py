@@ -51,6 +51,7 @@ image's legs in place of it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .forest import Forest, _forget_unheld, concat
@@ -497,25 +498,28 @@ class LinComb:
     def coeff_of(self, basis) -> Coefficient:
         return self.terms.get(basis, ZERO)
 
+    def _rendered(self):
+        """(leg texts, coefficient, basis) per term, sorted on the texts;
+        each leg is rendered once."""
+        return sorted(((_basis_key(b), c, b) for b, c in self.terms.items()),
+                      key=itemgetter(0))
+
     def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda bc: _basis_key(bc[0]))
+        return [(b, c) for _, c, b in self._rendered()]
 
     def __str__(self):
         if not self.terms:
             return "0"
-        lines = []
-        for b, c in self.terms_sorted():
-            legs = " (x) ".join(str(leg) for leg in _legs(b))
-            lines.append(f"({c}) {legs}")
-        return "\n".join(lines)
+        return "\n".join(f"({c}) {' (x) '.join(legs)}"
+                         for legs, c, _ in self._rendered())
 
     def __repr__(self):
         n = len(self.terms)
         return f"LinComb<{n} term{'s' if n != 1 else ''}>"
 
     def to_json(self):
-        return [{"coeff": c.to_json(), "legs": [str(leg) for leg in _legs(b)]}
-                for b, c in self.terms_sorted()]
+        return [{"coeff": c.to_json(), "legs": list(legs)}
+                for legs, c, _ in self._rendered()]
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coalgebra import coproduct_biideal, coproduct_rec, counit
 from .dualprod import star, star_weighted
-from .forest import Alphabet, biideals, parse_forest
+from .forest import Alphabet, _preorder, biideals, parse_forest
 from .freemod import LAM, MU, NU, Coefficient, LinComb
 from .morphisms import phi_forest, phi_subsets
 from .prelie import bracket, prelie, prelie_lin, prelie_sandwich
@@ -88,10 +88,10 @@ def _case_biideals():
         F = parse_forest(text, AB_BIID)
 
         def run(F=F, expect=expect):
-            idx = F.path_index()
-            decos = F.encoding[1]
+            _, decos, paths = _preorder(F)
+            deco_of = dict(zip(paths, decos))
             got = tuple(
-                tuple(sorted(decos[idx[v]].symbol for v in I.members))
+                tuple(sorted(deco_of[v].symbol for v in I.members))
                 for I in biideals(F))
             want = tuple(tuple(sorted(e)) for e in expect)
             return got, want

@@ -116,7 +116,7 @@ def test_apply_leg_matches_tensor_then_apply():
                 assert got == _leg_map_reference(t, i, f)
                 assert all(got.terms.values())
         assert coproduct_left(t) == t.apply_leg(0, coproduct)
-        assert coproduct_right(t, phi) == t.apply_leg(1, phi)
+        assert coproduct_right(t) == t.apply_leg(1, coproduct)
 
 
 def test_counit_values():

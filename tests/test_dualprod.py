@@ -15,7 +15,8 @@ from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import (left_path, pairing, star, star_lin,
                                    star_weighted)
 from forest_bialg.forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
-                                 Tree, enumerate_forests, leaf, parse_forest)
+                                 Tree, VertexId, enumerate_forests, leaf,
+                                 parse_forest)
 from forest_bialg.freemod import LAM, MU, ONE, ZERO, Coefficient, LinComb
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
@@ -65,7 +66,7 @@ def test_left_path_lengths():
     assert len(left_path(F("a"))) == 1
     assert len(left_path(F("a[x]"))) == 1
     assert len(left_path(F("a[b[x] a] b"))) == 2
-    assert [str(v) for v in left_path(F("a[b]")).vertices] == ["0", "0/0"]
+    assert left_path(F("a[b]")) == (VertexId((0,)), VertexId((0, 0)))
 
 
 def test_star_units():

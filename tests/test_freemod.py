@@ -218,6 +218,37 @@ def test_lincomb_json_shape():
                             "legs": ["a", "1"]}]
 
 
+def _rendering_reference(u):
+    # text, JSON and term order as rendered when every leg was rendered
+    # again after sorting on _basis_key
+    items = sorted(u.terms.items(), key=lambda bc: freemod._basis_key(bc[0]))
+    lines = []
+    for b, c in items:
+        legs = " (x) ".join(str(leg) for leg in freemod._legs(b))
+        lines.append(f"({c}) {legs}")
+    text = "\n".join(lines) if items else "0"
+    js = [{"coeff": c.to_json(),
+           "legs": [str(leg) for leg in freemod._legs(b)]}
+          for b, c in items]
+    return text, js, items
+
+
+def test_lincomb_rendering_matches_the_per_leg_reference():
+    # forests (phi images) and pair tensors (coproducts) of every forest
+    # up to 4 vertices, plus the triple tensors of (D (x) id) D
+    from forest_bialg.coalgebra import coproduct, coproduct_left
+    from forest_bialg.forest import enumerate_forests
+    from forest_bialg.morphisms import phi
+
+    for f in enumerate_forests(4, AB):
+        cop = coproduct(f)
+        for u in (phi(f), cop, coproduct_left(cop), cop - cop):
+            text, js, items = _rendering_reference(u)
+            assert str(u) == text
+            assert u.to_json() == js
+            assert u.terms_sorted() == items
+
+
 # ------------------------------------------- representation invariance
 
 # Integral rational parts arrive as int, as Fraction(k) or as Fraction(2k, 2);

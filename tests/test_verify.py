@@ -295,3 +295,25 @@ def test_star_census_memory_stays_bounded():
                           capture_output=True, text=True, check=True)
     peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb <= 100, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_biideal_census_memory_stays_bounded():
+    # the enumerated forests live as long as the process, so anything a
+    # forest keeps stays too: when each forest cached its text, encoding,
+    # paths, postorder and path index, this run peaked at ~90 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "from forest_bialg import Alphabet, RunConfig, run_suite\n"
+        "ab = Alphabet(omega=('a', 'b'), xset=('x',))\n"
+        "rep = run_suite('biideal-count', RunConfig(alphabet=ab, max_vertices=6))\n"
+        "assert rep.ok and rep.cases == 42823, rep.cases\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    peak_mb = int(proc.stdout.split()[-1]) / 1024
+    assert peak_mb <= 50, f"peak RSS {peak_mb:.0f} MB"
