@@ -13,15 +13,16 @@ coproduct dualizes to products:
   path, one level at a time, so each regrafted path vertex is made once
   for all the sigma that agree above it; the forests made are those of
   grafting sigma by sigma. Everything but the final forests depends only
-  on F and on G's first tree, and a one-slot memo keeps it for the last
-  F seen (see star).
+  on F and on G's first tree, and a memo keyed by F and then by that
+  tree keeps it until the next intern sweep releases it (see star).
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
 star_lin and star_weighted extend star bilinearly with
 freemod._add_products: every term of every product goes straight into
-one sum, with the terms of the left operand in the outer loop so that
-star's memo sees one F for a whole run of calls.
+one sum. Their left operands are often fresh products, so star sees a
+new F on most calls there; the memo keeps every F's prefixes, so each
+(F, first tree of G) is still regrafted once between sweeps.
 
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .forest import (KIND_X, Alphabet, Forest, Tree, VertexId, leaf)
+from .forest import (_BEFORE_SWEEP, KIND_X, Alphabet, Forest, Tree,
+                     VertexId, leaf)
 from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
                       _add_products)
 
@@ -100,10 +102,13 @@ def _regrafted(trees: tuple, first: Optional[Tree]):
     return [trees[:hi] + sub for hi, sub in level], len(level[0][1])
 
 
-# (F, {first tree of G or None: _regrafted(F.trees, first)}) for the last
-# F passed to star; one tuple, so that threads never pair a dict with
-# another thread's F (see star)
-_last = (None, {})
+# F -> {first tree of G or None: _regrafted(F.trees, first)} for every F
+# passed to star since the memo was last released: by forest.sweep_interned,
+# before it counts what the intern tables alone hold, or once it holds
+# _MEMO_CAP forests (see star)
+_memo: dict = {}
+_MEMO_CAP = 4096
+_BEFORE_SWEEP.append(_memo.clear)
 
 
 def star(F: Forest, G: Forest) -> LinComb:
@@ -122,25 +127,28 @@ def star(F: Forest, G: Forest) -> LinComb:
     The spine, and so every prefix trees[:hi] + sub and the count of G's
     trees that sub replaces, depend only on F and on G's first tree;
     each term is that prefix followed by the rest of G's trees. The
-    prefixes are memoised per first tree for the last F passed in, until
-    a call with another F replaces the memo: F in the outer loop, as in
-    the star suites and star_lin, regrafts each (F, first tree) once.
-    The same forests are made as without the memo; it keeps that one F
-    and its regrafted trees alive until the next F, and nothing else.
-    It lives in a single module slot holding an (F, dict) tuple, read
-    once per call and replaced whole, so concurrent callers with
-    different F never mix their entries; two callers with the same F
-    store equal values.
+    prefixes are memoised per F and then per first tree, so each
+    (F, first tree) is regrafted once per memo lifetime, whichever
+    operand varies: F in the outer loop (star-census, star_lin) and F
+    varying from call to call (star_lin(star(x, y), z), the outer
+    products of star_weighted) alike. The memo lives until the next
+    intern sweep, which releases it before it counts what only the
+    tables hold, so a sweep still frees every forest and tree the memo
+    kept; a caller that never sweeps (the CLI, library code) finds it
+    cleared once it holds _MEMO_CAP forests. The same forests are made
+    as without the memo. Each F has its own dict, so concurrent callers
+    with different F never mix their entries; two callers with the same
+    F store equal values.
 
     Grafting adds and drops no vertex, so every term has
     F.nvertices + G.nvertices vertices; the terms are made with
     Forest._sized and that count instead of recounting each one.
     """
-    global _last
-    owner, memo = _last
-    if owner is not F:
-        memo = {}
-        _last = (F, memo)
+    memo = _memo.get(F)
+    if memo is None:
+        if len(_memo) >= _MEMO_CAP:
+            _memo.clear()
+        memo = _memo.setdefault(F, {})
     gtrees = G.trees
     first = gtrees[0] if gtrees else None
     hit = memo.get(first)
@@ -173,8 +181,9 @@ def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
 
     x star (m sum .d) is made first; -l x star y and (x star m sum .d)
     star y then go into one sum, so no scaled, negated or partial sum is
-    copied. With x a forest, x star y comes right after x star .d and
-    finds star's memo still holding x.
+    copied. star's memo holds each F of x, and each term of x star .d,
+    with its prefixes until the next sweep, so the outer products
+    regraft each (F, first tree of G) once there.
     """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})

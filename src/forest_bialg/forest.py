@@ -47,7 +47,11 @@ The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to; verify.run_suite calls it through sweep_if_due
 between cases, only while its thread is the process's only one, and
 once Forest._intern has grown to max(2**16, twice its size after the last
-sweep). Identity semantics survive because a dropped instance is
+sweep). Before it counts anything, it releases the caches of other
+modules that registered in _BEFORE_SWEEP (dualprod's star memo, which
+holds forests and regrafted trees), so what only they held goes in the
+same sweep. This module imports none of them; each registers itself at
+import. Identity semantics survive because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
 can meet it again, and the next make of that structure builds the one
 instance anything can then hold. An instance that anything holds, a
@@ -331,6 +335,10 @@ def _lone_refs():
 _LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
 _SWEEP_FLOOR = 1 << 16
 _sweep_at = _SWEEP_FLOOR
+# what sweep_interned calls before it counts: caches of other modules
+# that hold forests or trees release them here (dualprod's star memo
+# appends its clear at import), so the sweep frees what they held
+_BEFORE_SWEEP: list = []
 
 
 def _forget_unheld(table):
@@ -356,14 +364,19 @@ def _forget_trees(table):
 
 
 def sweep_interned() -> None:
-    """Drop every Forest._intern entry, then every Tree._intern entry,
-    that nothing but its table refers to.
+    """Release the caches registered in _BEFORE_SWEEP, then drop every
+    Forest._intern entry, then every Tree._intern entry, that nothing
+    but its table refers to.
 
     Call it only where no other thread can take a reference between the
-    count and the drop; run_suite does, through sweep_if_due. Forests go
-    first, since a dropped forest releases its trees.
+    count and the drop; run_suite does, through sweep_if_due. The caches
+    go first, so that what only they held is dropped by this sweep and
+    not the next; forests go before trees, since a dropped forest
+    releases its trees.
     """
     global _sweep_at
+    for release in _BEFORE_SWEEP:
+        release()
     _forget_unheld(Forest._intern)
     _forget_trees(Tree._intern)
     _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
@@ -581,6 +594,11 @@ def vertex_order(F: Forest) -> tuple[VertexId, ...]:
     that tree's minimum.
     """
     parents, _, paths = _preorder(F)
+    return _postorder_paths(parents, paths)
+
+
+def _postorder_paths(parents, paths) -> tuple[VertexId, ...]:
+    """vertex_order from a _preorder walk's parents and paths."""
     return tuple(paths[i] for i in _kernel.postorder_indices(parents))
 
 
@@ -591,9 +609,13 @@ def biideals(F: Forest) -> tuple[VertexSet, ...]:
     upward-closed vertex sets. Their members come from F's own vertex
     order, so they are not checked again.
     """
-    order = vertex_order(F)
+    return _biideal_chain(F, vertex_order(F))
+
+
+def _biideal_chain(F: Forest, order) -> tuple[VertexSet, ...]:
+    """biideals from F's vertex order."""
     trusted = VertexSet._trusted
-    return tuple(trusted(F, order[:k]) for k in range(F.nvertices + 1))
+    return tuple(trusted(F, order[:k]) for k in range(len(order) + 1))
 
 
 def restrict(F: Forest, I: VertexSet) -> Forest:

@@ -531,9 +531,9 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
     term is multiplied once and added straight into acc, with no LinComb
     per pair, and a further call with the same acc adds another product
     to the same sum. x is the outer loop, so f sees one F for all of y
-    in a row (star's last-F memo relies on it). Like apply, it reads the
-    memos inline and drops a cancelled term on `is ZERO`; an image
-    coefficient of ONE, as nearly all of star's are, costs no product.
+    in a row. Like apply, it reads the memos inline and drops a
+    cancelled term on `is ZERO`; an image coefficient of ONE, as nearly
+    all of star's are, costs no product.
     """
     yterms = y.terms.items()
     for F, c in x.terms.items():

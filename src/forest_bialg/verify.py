@@ -6,11 +6,14 @@ coefficient ring. A suite is a deterministic stream of cases; each case
 produces two values that must be equal. Reports are reproducible: two
 runs with the same RunConfig differ at most in wall time. Failures are
 listed in stream order. In a suite over single forests that order runs
-by vertex count, so its first failure is a smallest counterexample.
-Suites over pairs and triples order by the first forest rather than by
-total size, and suites with several sections (counit, star-assoc,
-phi-laws, theta-laws) start each section from the smallest forests
-again, so there the first failure need not be the smallest.
+by vertex count, but suites over pairs and triples order by the first
+forest rather than by total size, and suites with several sections
+(counit, star-assoc, phi-laws, theta-laws) start each section from the
+smallest forests again, so the first failure need not be the smallest.
+Each failure therefore records its size, the total vertex count of the
+case's forest arguments (0 if it has none), and the smallest
+counterexample a report names is the failure of least size, the first
+in stream order among equals (SuiteReport.render_text).
 
 Per-suite default bounds (used when RunConfig.max_vertices is None) are
 chosen so the heaviest suites stay in the minutes range on one core:
@@ -44,9 +47,9 @@ from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
                         counit, counit_left, counit_right)
 from .dualprod import pairing, star, star_lin, star_weighted
-from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest, biideals,
-                     concat, enumerate_forests, graft, sweep_if_due,
-                     vertex_order)
+from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
+                     _biideal_chain, _postorder_paths, _preorder, concat,
+                     enumerate_forests, graft, sweep_if_due)
 from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, act_left,
                       act_right, sweep_coefficients)
 from .golden import golden_cases
@@ -115,7 +118,10 @@ class SuiteReport:
         if len(self.failures) > max_failures:
             lines.append(f"(and {len(self.failures) - max_failures} more failures)")
         if self.failures:
-            lines.append(f"smallest counterexample: {self.failures[0]['case']}")
+            # least size, the first in stream order among equals; a
+            # failure without a size (a hand-built report) counts as 0
+            least = min(self.failures, key=lambda f: f.get("size", 0))
+            lines.append(f"smallest counterexample: {least['case']}")
         lines.append(f"suite: {self.suite}")
         lines.append(f"cases: {self.cases}")
         lines.append(f"failures: {len(self.failures)}")
@@ -276,14 +282,19 @@ def _cmp_desc(u, v) -> int:
 
 def _suite_biideal_count(cfg):
     # listing correctness is re-derived from the definitional comparator
-    # on index paths, independently of the postorder kernel
+    # on index paths, independently of the postorder kernel. One preorder
+    # walk feeds both: the kernel route turns its parents into the vertex
+    # order that biideals and vertex_order compute, the comparator route
+    # sorts its paths
     def check(F):
-        ideals = biideals(F)
+        parents, _, paths = _preorder(F)
+        order = _postorder_paths(parents, paths)
+        ideals = _biideal_chain(F, order)
         chain = all(ideals[k].members < ideals[k + 1].members
                     for k in range(len(ideals) - 1))
-        got = (len(ideals), list(vertex_order(F)), chain)
+        got = (len(ideals), list(order), chain)
         want = (F.nvertices + 1,
-                sorted(F.paths, key=cmp_to_key(_cmp_desc)), True)
+                sorted(paths, key=cmp_to_key(_cmp_desc)), True)
         return got, want
 
     for F in _forests(cfg, _max_for(cfg, "biideal-count")):
@@ -489,10 +500,11 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
 
     The intern tables are swept between cases once they have grown
-    enough (forest.sweep_if_due for forests and trees; each such sweep
-    also runs freemod.sweep_coefficients for coefficients and their sum
-    and product memos), so memory stays bounded by what the suite and
-    the caches hold rather than by everything the run ever built.
+    enough (forest.sweep_if_due for forests and trees, which first
+    releases star's memo of regrafted prefixes; each such sweep also
+    runs freemod.sweep_coefficients for coefficients and their sum and
+    product memos), so memory stays bounded by what the suite and the
+    caches hold rather than by everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation
@@ -532,8 +544,10 @@ def _run(name, gen, config) -> SuiteReport:
         if evaluate:
             got, want = _norm(got, config), _norm(want, config)
         if got != want:
+            size = sum(a.nvertices for a in args if isinstance(a, Forest))
             failures.append({"case": fmt.format(*args),
-                             "lhs": _render(got), "rhs": _render(want)})
+                             "lhs": _render(got), "rhs": _render(want),
+                             "size": size})
         if sweep_if_due():
             sweep_coefficients()
             gc.collect(0)

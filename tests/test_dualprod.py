@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_bialg import dualprod
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import (left_path, pairing, star, star_lin,
                                    star_weighted)
@@ -167,6 +168,17 @@ def test_star_memo_is_safe_across_threads(ab):
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert not wrong, wrong[:3]
+
+
+def test_star_memo_stays_within_its_cap():
+    # outside run_suite nothing sweeps, so only the cap bounds the memo:
+    # 5,548 forests are more F's than it holds
+    g = F("a[x] b")
+    fs = list(enumerate_forests(5, AB))
+    assert len(fs) > dualprod._MEMO_CAP
+    for f in fs:
+        assert star(f, g) == star_by_sigma(f, g), str(f)
+        assert 0 < len(dualprod._memo) <= dualprod._MEMO_CAP
 
 
 @pytest.mark.parametrize("ftext, gtext, nterms", [

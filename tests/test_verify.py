@@ -238,7 +238,96 @@ def test_failure_labels_under_a_phi_at_mutant(monkeypatch):
                                 "compose nu=1/2 nu'=1/2 F=x",
                                 "compose nu=1/2 nu'=1/2 F=a a"])
     assert rep.failures[0] == {"case": "compose nu=1/2 nu'=1/2 F=a",
-                               "lhs": "(1) a", "rhs": "(1) 1 ; (1) a"}
+                               "lhs": "(1) a", "rhs": "(1) 1 ; (1) a",
+                               "size": 1}
+
+
+def _extra_term_on(text):
+    """A coproduct that gains the term H (x) H on the one forest H."""
+    real = verify.coproduct
+
+    def coproduct(F):
+        d = real(F)
+        if str(F) == text:
+            d = d + LinComb.single((F, F))
+        return d
+    return coproduct
+
+
+def _brute_force_smallest(suite, cfg):
+    """Every failing case of suite as (vertices, label) in stream order,
+    its vertices counted by walking each forest argument, and the first
+    failure of least vertices."""
+    fails = []
+    for fmt, fn, args in verify._SUITES[suite](cfg):
+        got, want = fn(*args)
+        if got != want:
+            n = sum(len(a.paths) for a in args if isinstance(a, forest.Forest))
+            fails.append((n, fmt.format(*args)))
+    return fails, min(fails, key=lambda f: f[0])
+
+
+@pytest.mark.parametrize("suite, bound, mutant", [
+    ("derivation", 4, "coproduct"), ("star-assoc", 4, "star")])
+def test_smallest_counterexample_is_the_least_failure(monkeypatch, suite,
+                                                      bound, mutant):
+    if mutant == "star":
+        patched = _drop_last_term(dualprod.star)
+        monkeypatch.setattr(dualprod, "star", patched)
+        monkeypatch.setattr(verify, "star", patched)
+    else:
+        # the pair (a, x a[a]) fails in stream order before the smaller
+        # (x, a[a]), whose concatenation is the forest that gained a term
+        monkeypatch.setattr(verify, "coproduct", _extra_term_on("x a[a]"))
+    cfg = RunConfig(alphabet=SMALL, max_vertices=bound)
+    rep = run_suite(suite, cfg)
+    fails, (size, label) = _brute_force_smallest(suite, cfg)
+    assert [(f["size"], f["case"]) for f in rep.failures] == fails
+    assert f"smallest counterexample: {label}\n" in rep.render_text()
+    if mutant == "coproduct":
+        assert rep.failures[0]["case"] == "F=a G=x a[a]"
+        assert label == "F=x G=a[a]" and size == 3
+
+
+def test_smallest_counterexample_without_sizes_is_the_first():
+    rep = SuiteReport(suite="demo", cases=3, wall_time=0.0, failures=[
+        {"case": "F=a a", "lhs": "0", "rhs": "1"},
+        {"case": "F=x", "lhs": "0", "rhs": "1"}])
+    assert "smallest counterexample: F=a a\n" in rep.render_text()
+
+
+def test_a_sweep_releases_the_star_memo_first(monkeypatch, sweeps):
+    # a forest that only star's memo holds must go in the same sweep:
+    # key is its tree tuple, which holds the trees but not the forest
+    F = forest.parse_forest("a[a[a[x x x]]] a[x] a a x a", SMALL)
+    key = F.trees
+    dualprod.star(F, forest.parse_forest("a[x] a", SMALL))
+    assert F in dualprod._memo
+    del F
+    assert key in forest.Forest._intern
+    monkeypatch.setattr(forest, "_sweep_at", 0)
+    rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+    assert rep.ok and sweeps[:2] == ["forests", "coefficients"]
+    assert not dualprod._memo
+    assert key not in forest.Forest._intern
+
+
+def test_star_assoc_regrafts_each_f_and_first_tree_once(monkeypatch):
+    # with no sweep due, the memo holds every F of the run, whichever
+    # operand of star varies between calls
+    seen = []
+    real = dualprod._regrafted
+
+    def regrafted(trees, first):
+        seen.append((trees, first))
+        return real(trees, first)
+
+    monkeypatch.setattr(dualprod, "_regrafted", regrafted)
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    dualprod._memo.clear()
+    rep = run_suite("star-assoc", RunConfig(alphabet=SMALL, max_vertices=4))
+    assert rep.ok and rep.cases == 1080
+    assert seen and len(seen) <= len(set(seen))
 
 
 def test_suites_leave_no_cyclic_garbage():
