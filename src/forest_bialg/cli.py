@@ -11,6 +11,10 @@ parse errors (a negative --max-vertices, an unknown flag or a forest
 nested deeper than the interpreter's recursion limit included); that
 exit contract is shared by every command.
 
+After each command main calls forest.sweep_if_due, so a process that
+calls main in a loop keeps its intern tables and caches bounded by the
+same trigger as the suites.
+
 Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
 --eval-mu p/q --eval-nu p/q --json. Evaluation points
 substitute rationals for the corresponding variables in every printed
@@ -28,9 +32,8 @@ from fractions import Fraction
 
 from .coalgebra import coproduct, counit
 from .dualprod import star_lin, star_weighted
-from .forest import (Alphabet, DecorationError, Forest, ForestSyntaxError,
-                     concat, enumerate_forests, graft, parse_forest,
-                     render_forest)
+from .forest import (Alphabet, Forest, concat, enumerate_forests, graft,
+                     parse_forest, render_forest, sweep_if_due)
 from .freemod import Coefficient, LinComb
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
@@ -222,22 +225,19 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         return _cmd_eval(args)
-    except ForestSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DecorationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ZeroDivisionError:
         print("error: lambda must be invertible (lambda = 0 hits a pole)",
               file=sys.stderr)
         return 2
     except ValueError as e:
+        # ForestSyntaxError and DecorationError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: forest nested too deep", file=sys.stderr)
         return 2
+    finally:
+        sweep_if_due()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ Laurent coefficient, so no evaluation is required to state the counit laws.
 from __future__ import annotations
 
 from . import _kernel
-from .forest import EMPTY_FOREST, Forest, graft
+from .forest import _BEFORE_SWEEP, EMPTY_FOREST, Forest, graft
 from .freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
 
 __all__ = [
@@ -36,9 +36,20 @@ __all__ = [
     "counit_right",
 ]
 
+# forest -> its coproduct by each route, and vertex count -> counit;
+# each lives until the next intern sweep, which releases all three
 _REC_CACHE: dict = {}
 _BIID_CACHE: dict = {}
 _COUNIT_CACHE: dict = {}
+
+
+def _release() -> None:
+    _REC_CACHE.clear()
+    _BIID_CACHE.clear()
+    _COUNIT_CACHE.clear()
+
+
+_BEFORE_SWEEP.append(_release)
 
 # coefficients are immutable, so every biideal term shares these
 _NEG_LAM = -LAM

@@ -14,7 +14,8 @@ coproduct dualizes to products:
   for all the sigma that agree above it; the forests made are those of
   grafting sigma by sigma. Everything but the final forests depends only
   on F and on G's first tree, and a memo keyed by F and then by that
-  tree keeps it until the next intern sweep releases it (see star).
+  tree keeps it until the next intern sweep releases it, as it releases
+  every cache that holds forests (forest module docstring; see star).
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
@@ -103,11 +104,9 @@ def _regrafted(trees: tuple, first: Optional[Tree]):
 
 
 # F -> {first tree of G or None: _regrafted(F.trees, first)} for every F
-# passed to star since the memo was last released: by forest.sweep_interned,
-# before it counts what the intern tables alone hold, or once it holds
-# _MEMO_CAP forests (see star)
+# passed to star since forest.sweep_interned last released the memo,
+# before it counted what the intern tables alone hold
 _memo: dict = {}
-_MEMO_CAP = 4096
 _BEFORE_SWEEP.append(_memo.clear)
 
 
@@ -134,11 +133,12 @@ def star(F: Forest, G: Forest) -> LinComb:
     products of star_weighted) alike. The memo lives until the next
     intern sweep, which releases it before it counts what only the
     tables hold, so a sweep still frees every forest and tree the memo
-    kept; a caller that never sweeps (the CLI, library code) finds it
-    cleared once it holds _MEMO_CAP forests. The same forests are made
-    as without the memo. Each F has its own dict, so concurrent callers
-    with different F never mix their entries; two callers with the same
-    F store equal values.
+    kept. Suites and cli.main reach that sweep through
+    forest.sweep_if_due; a library loop that never calls it keeps the
+    memo, like every other forest cache, until it does. The same forests
+    are made as without the memo. Each F has its own dict, so concurrent
+    callers with different F never mix their entries; two callers with
+    the same F store equal values.
 
     Grafting adds and drops no vertex, so every term has
     F.nvertices + G.nvertices vertices; the terms are made with
@@ -146,8 +146,6 @@ def star(F: Forest, G: Forest) -> LinComb:
     """
     memo = _memo.get(F)
     if memo is None:
-        if len(_memo) >= _MEMO_CAP:
-            _memo.clear()
         memo = _memo.setdefault(F, {})
     gtrees = G.trees
     first = gtrees[0] if gtrees else None

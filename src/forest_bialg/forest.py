@@ -44,18 +44,32 @@ below pass a count of their own, each exact by construction:
   vertices in postorder and F|J_k to the other n_F - k.
 
 The intern tables forget. sweep_interned drops every entry that nothing
-but its table refers to; verify.run_suite calls it through sweep_if_due
-between cases, only while its thread is the process's only one, and
-once Forest._intern has grown to max(2**16, twice its size after the last
-sweep). Before it counts anything, it releases the caches of other
-modules that registered in _BEFORE_SWEEP (dualprod's star memo, which
-holds forests and regrafted trees), so what only they held goes in the
-same sweep. This module imports none of them; each registers itself at
-import. Identity semantics survive because a dropped instance is
+but its table refers to. It runs through sweep_if_due, only while the
+calling thread is the process's only one, and once Forest._intern has
+grown to max(2**16, twice its size after the last sweep); run_suite
+calls it between cases and cli.main after each command, so library and
+CLI loops are bounded by the same trigger as the suites.
+
+One release policy covers every module-level cache that holds forests,
+trees or coefficients: it lives until the next intern sweep, and
+sweep_interned is the one place that releases it, whichever entry point
+reached the sweep. Each such module appends its release to
+_BEFORE_SWEEP at import (freemod's coefficient sweep; coalgebra's
+coproduct and counit caches; dualprod's star memo; morphisms' phi
+cache), and this module clears its own _ENC_INTERN. The releases run
+newest first, before anything is counted. A module registers after the
+modules it imports, so every cache that holds linear combinations goes
+before freemod counts its coefficient table, and whatever only the
+caches held goes in the same sweep. The enumerated universes
+(_ENUM_FORESTS, _ENUM_TREES) are the one exception: they hold what
+enumerate_forests has listed for the rest of the process, since every
+suite walks them again. This module imports none of the others.
+
+Identity semantics survive a sweep because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
 can meet it again, and the next make of that structure builds the one
-instance anything can then hold. An instance that anything holds, a
-coproduct cache key, a pickled copy's target or a local variable, keeps
+instance anything can then hold. An instance that anything holds, an
+enumerated forest, a pickled copy's target or a local variable, keeps
 its entry. Between sweeps the tables keep everything, so the hit path of
 make costs nothing extra.
 
@@ -209,9 +223,30 @@ class Tree:
         return Tree.make, (self.deco, self.children)
 
     def __str__(self):
+        """Canonical text, by an explicit-stack walk, so no nesting
+        reaches the recursion limit."""
         if not self.children:
             return self.deco.symbol
-        return f"{self.deco.symbol}[{' '.join(map(str, self.children))}]"
+        out = []
+        # a tree, or the text that follows a child list's tree
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is str:
+                out.append(t)
+                continue
+            kids = t.children
+            if not kids:
+                out.append(t.deco.symbol)
+                continue
+            out.append(t.deco.symbol)
+            out.append("[")
+            stack.append("]")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(" ")
+            stack.append(kids[0])
+        return "".join(out)
 
     def __repr__(self):
         return f"Tree({str(self)!r})"
@@ -335,9 +370,9 @@ def _lone_refs():
 _LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
 _SWEEP_FLOOR = 1 << 16
 _sweep_at = _SWEEP_FLOOR
-# what sweep_interned calls before it counts: caches of other modules
-# that hold forests or trees release them here (dualprod's star memo
-# appends its clear at import), so the sweep frees what they held
+# what sweep_interned calls, newest first, before it counts: every
+# module-level cache of another module that holds forests, trees or
+# coefficients appends its release here at import (module docstring)
 _BEFORE_SWEEP: list = []
 
 
@@ -364,19 +399,20 @@ def _forget_trees(table):
 
 
 def sweep_interned() -> None:
-    """Release the caches registered in _BEFORE_SWEEP, then drop every
-    Forest._intern entry, then every Tree._intern entry, that nothing
-    but its table refers to.
+    """Run the releases registered in _BEFORE_SWEEP, newest first, and
+    clear _ENC_INTERN; then drop every Forest._intern entry, then every
+    Tree._intern entry, that nothing but its table refers to.
 
     Call it only where no other thread can take a reference between the
-    count and the drop; run_suite does, through sweep_if_due. The caches
-    go first, so that what only they held is dropped by this sweep and
-    not the next; forests go before trees, since a dropped forest
-    releases its trees.
+    count and the drop; sweep_if_due checks that. The caches go first,
+    so that what only they held is dropped by this sweep and not the
+    next; forests go before trees, since a dropped forest releases its
+    trees.
     """
     global _sweep_at
-    for release in _BEFORE_SWEEP:
+    for release in reversed(_BEFORE_SWEEP):
         release()
+    _ENC_INTERN.clear()
     _forget_unheld(Forest._intern)
     _forget_trees(Tree._intern)
     _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
@@ -634,6 +670,7 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
                                 tuple(decos[i] for i in keep))
 
 
+# (parents, decorations) -> forest, until the next intern sweep
 _ENC_INTERN: dict = {}
 
 
@@ -661,6 +698,8 @@ def forest_from_encoding(parents, decos) -> Forest:
 
 # ---------------------------------------------------------------- streams
 
+# (n, alphabet) -> every forest, and every tree, of n vertices: the one
+# forest-holding cache that no intern sweep releases (module docstring)
 _ENUM_FORESTS: dict = {}
 _ENUM_TREES: dict = {}
 

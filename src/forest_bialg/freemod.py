@@ -30,8 +30,11 @@ _SUBST maps (c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an
 evaluated suite or CLI result substitutes one point into the same few
 coefficients over and over.
 sweep_coefficients clears the three memos and drops every interned value
-that nothing else holds; verify.run_suite calls it whenever
-forest.sweep_if_due sweeps the forest tables between cases.
+that nothing else holds. It is registered in forest._BEFORE_SWEEP, so
+every forest intern sweep runs it, whether run_suite, cli.main or a
+library caller reached the sweep. Releases run newest first and every
+module that caches linear combinations imports this one, so their
+caches are released before the coefficient table is counted.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -54,7 +57,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .forest import Forest, _forget_unheld, concat
+from .forest import _BEFORE_SWEEP, Forest, _forget_unheld, concat
 
 __all__ = [
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
@@ -285,14 +288,17 @@ def sweep_coefficients() -> None:
 
     The memos go first, since their keys and values hold coefficients.
     No coefficient refers to another, so one pass over the intern table
-    reads every final count, as for forests (forest.sweep_interned, whose
-    threading caveat applies here too). run_suite runs it after each
-    forest sweep.
+    reads every final count, as for forests. forest.sweep_interned runs
+    it after the caches of every module that imports this one have been
+    released, and its threading caveat applies here too.
     """
     _ADD.clear()
     _MUL.clear()
     _SUBST.clear()
     _forget_unheld(_INTERN)
+
+
+_BEFORE_SWEEP.append(sweep_coefficients)
 
 
 # --------------------------------------------------------------- free module

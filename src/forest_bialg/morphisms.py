@@ -19,13 +19,15 @@ coproduct up to mu -> mu nu.
 
 from __future__ import annotations
 
-from .forest import Forest, graft
+from .forest import _BEFORE_SWEEP, Forest, graft
 from .freemod import NU, ZERO, Coefficient, LinComb
 
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
            "lc_concat"]
 
+# forest -> phi_forest of it, until the next intern sweep releases it
 _PHI_CACHE: dict = {}
+_BEFORE_SWEEP.append(_PHI_CACHE.clear)
 
 
 def lc_concat(x: LinComb, y: LinComb) -> LinComb:

@@ -51,7 +51,7 @@ from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
                      _biideal_chain, _postorder_paths, _preorder, concat,
                      enumerate_forests, graft, sweep_if_due)
 from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, act_left,
-                      act_right, sweep_coefficients)
+                      act_right)
 from .golden import golden_cases
 from .morphisms import lc_concat, phi, phi_at, phi_subsets, theta
 from .prelie import bracket_lin, prelie, prelie_lin, prelie_sandwich
@@ -500,11 +500,14 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
 
     The intern tables are swept between cases once they have grown
-    enough (forest.sweep_if_due for forests and trees, which first
-    releases star's memo of regrafted prefixes; each such sweep also
-    runs freemod.sweep_coefficients for coefficients and their sum and
-    product memos), so memory stays bounded by what the suite and the
-    caches hold rather than by everything the run ever built.
+    enough, through forest.sweep_if_due. The sweep first runs every
+    registered release, newest first: the phi, coproduct and counit
+    caches and star's memo of regrafted prefixes, and last freemod's
+    sum, product and evaluation memos with the coefficients nothing
+    else holds. It then drops the forests and trees that only the
+    intern tables hold. So memory stays bounded by what the suite holds
+    and by the enumerated universes, which live as long as the process,
+    rather than by everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation
@@ -549,6 +552,5 @@ def _run(name, gen, config) -> SuiteReport:
                              "lhs": _render(got), "rhs": _render(want),
                              "size": size})
         if sweep_if_due():
-            sweep_coefficients()
             gc.collect(0)
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import forest_bialg.cli as cli
+from forest_bialg import forest, freemod
+from forest_bialg.forest import Alphabet, enumerate_forests
 from forest_bialg.verify import SuiteReport
 
 
@@ -292,3 +294,54 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "0\n"
+
+
+# ------------------------------------------------------ memory across calls
+
+def test_a_main_loop_stays_bounded_and_prints_what_fresh_calls_print(
+        capsys, monkeypatch):
+    # main sweeps when the trigger is due, so a loop of calls keeps the
+    # intern tables at what the process holds; a trigger of 0, set again
+    # before every call, makes every call sweep. Each command runs twice,
+    # so the second round recomputes what the sweeps released
+    texts = [str(f) for f in enumerate_forests(
+        4, Alphabet(omega=("a", "b"), xset=("x",)))][7::40]
+    commands = []
+    for i, f in enumerate(texts):
+        g = texts[(5 * i + 3) % len(texts)]
+        commands += [["star-weighted", f, g], ["bracket", f, g],
+                     ["phi", f, "--eval-nu", "2/3"],
+                     ["coproduct", f, "--json"]]
+    script = (
+        "import contextlib, io, json\n"
+        "import forest_bialg.cli as cli\n"
+        "outs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = cli.main(argv)\n"
+        "    outs.append([code, buf.getvalue()])\n"
+        "print(json.dumps(outs))\n")
+    fresh = json.loads(subprocess.run(
+        [sys.executable, "-c", script], env=fresh_env(),
+        capture_output=True, text=True, check=True).stdout)
+
+    sweeps = []
+    real = forest.sweep_interned
+
+    def counted():
+        sweeps.append(1)
+        real()
+
+    monkeypatch.setattr(forest, "sweep_interned", counted)
+    monkeypatch.setattr(forest, "_SWEEP_FLOOR", 0)
+    real()
+    forests, coefficients = len(forest.Forest._intern), len(freemod._INTERN)
+    for _ in range(2):
+        for argv, want in zip(commands, fresh):
+            monkeypatch.setattr(forest, "_sweep_at", 0)
+            code, out, err = run(capsys, *argv)
+            assert [code, out] == want and err == "", argv
+            assert len(forest.Forest._intern) <= forests, argv
+            assert len(freemod._INTERN) <= coefficients, argv
+    assert len(sweeps) == 2 * len(commands)

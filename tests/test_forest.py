@@ -7,20 +7,21 @@ import pickle
 import sys
 import textwrap
 import threading
+from fractions import Fraction
 
 import pytest
 
-from forest_bialg import _kernel, coalgebra, dualprod
+from forest_bialg import _kernel, coalgebra, dualprod, freemod, morphisms
 from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
-from forest_bialg.forest import (EMPTY_FOREST, Alphabet, DecorationError,
-                                 Forest, ForestSyntaxError, Tree, VertexId,
-                                 VertexSet, biideals, breadth, concat, depth,
-                                 enumerate_forests, forest_from_encoding,
-                                 graft, leaf, nvertices, parse_forest,
-                                 render_forest, restrict, sweep_interned,
-                                 vertex_order)
+from forest_bialg.forest import (_ENC_INTERN, EMPTY_FOREST, Alphabet,
+                                 DecorationError, Forest, ForestSyntaxError,
+                                 Tree, VertexId, VertexSet, biideals,
+                                 breadth, concat, depth, enumerate_forests,
+                                 forest_from_encoding, graft, leaf,
+                                 nvertices, parse_forest, render_forest,
+                                 restrict, sweep_interned, vertex_order)
 
 AB = Alphabet(omega=("a", "b"), xset=("x", "y"))
 AB4 = Alphabet(omega=("a", "b", "c", "d"), xset=("x",))
@@ -207,11 +208,10 @@ def test_sweep_forgets_only_what_nothing_else_holds():
     # held only in local lists
     local = [h for f in base[:12] for g in base[:12] for h in star(f, g).terms]
     lone_trees = [graft(a, h) for h in local[::7]]
-    # held only as legs of a cached coproduct
-    cached = [F("swa[swb[swx swa] swx] swb[swa[swx]] swx", ab),
-              F("swb[swa[swa[swb swx]]] swa", ab)]
-    for f in cached:
-        coproduct(f)
+    # held only as legs of coproducts in a local list, since the sweep
+    # releases the coproduct cache itself
+    cached = [coproduct(F("swa[swb[swx swa] swx] swb[swa[swx]] swx", ab)),
+              coproduct(F("swb[swa[swa[swb swx]]] swa", ab))]
     # returned by pickle.loads
     unpickled = pickle.loads(pickle.dumps(
         [graft(b, h).as_forest() for h in local[::5]]))
@@ -229,12 +229,55 @@ def test_sweep_forgets_only_what_nothing_else_holds():
     # a forest only the table held is forgotten; the trees it shares
     # with the held tuple stay
     assert gone not in Forest._intern
-    legs = [leg for f in cached for pair in coproduct(f).terms for leg in pair]
+    legs = [leg for d in cached for pair in d.terms for leg in pair]
     held = base + local + legs + unpickled
     _assert_canonical(held, lone_trees + list(gone)
                       + [t for f in held for t in f.trees])
     _assert_canonical(list(Forest._intern.values()),
                       list(Tree._intern.values()))
+
+
+def test_a_sweep_releases_every_registered_cache():
+    ab = Alphabet(omega=("rla", "rlb"), xset=("rlx",))
+    fs = [F("rla[rlb[rlx rla] rlx] rlb", ab), F("rlb[rla[rla]] rlx rla", ab)]
+    g = F("rla[rlx] rlb", ab)
+
+    def results():
+        return ([coalgebra.coproduct_rec(f) for f in fs]
+                + [coalgebra.coproduct_biideal(f) for f in fs]
+                + [coalgebra.counit(f) for f in fs]
+                + [morphisms.phi_at(f, Fraction(2, 3)) for f in fs]
+                + [dualprod.star(f, g) for f in fs]
+                + [forest_from_encoding(*f.encoding) for f in fs])
+
+    caches = {"coalgebra._REC_CACHE": coalgebra._REC_CACHE,
+              "coalgebra._BIID_CACHE": coalgebra._BIID_CACHE,
+              "coalgebra._COUNIT_CACHE": coalgebra._COUNIT_CACHE,
+              "morphisms._PHI_CACHE": morphisms._PHI_CACHE,
+              "dualprod._memo": dualprod._memo,
+              "forest._ENC_INTERN": _ENC_INTERN,
+              "freemod._ADD": freemod._ADD,
+              "freemod._MUL": freemod._MUL,
+              "freemod._SUBST": freemod._SUBST}
+    before = results()
+    assert all(caches.values())
+    sweep_interned()
+    assert [name for name, c in caches.items() if c] == []
+    assert results() == before
+
+
+def test_a_sweep_releases_caches_before_it_counts_coefficients():
+    # phi of eleven lone vertices gives C(11, 5) nu^6 = 462 nu^6, a value
+    # that only the phi cache and the ring memos hold once the result is
+    # dropped; releasing newest first frees it in the same sweep
+    ab = Alphabet(omega=("rca",))
+    lc = morphisms.phi_forest(F(" ".join(["rca"] * 11), ab))
+    key = frozenset(lc.coeff_of(F(" ".join(["rca"] * 5), ab)).terms.items())
+    assert key == frozenset({((0, 0, 6), 462)})
+    del lc
+    assert key in freemod._INTERN
+    sweep_interned()
+    assert key not in freemod._INTERN
 
 
 # ------------------------------------------------------- sized construction
@@ -341,6 +384,36 @@ def test_depth_of_a_deep_path_needs_no_recursion():
     assert depth(f) == n - 1
     assert depth(f * F("b[a]")) == n - 1
     assert depth(F("b[a]") * f * F("x")) == n - 1
+
+
+def _text_rec(t):
+    # the recursive definition the explicit-stack walk of Tree.__str__
+    # replaces
+    if not t.children:
+        return t.deco.symbol
+    return f"{t.deco.symbol}[{' '.join(map(_text_rec, t.children))}]"
+
+
+def test_text_matches_the_recursive_definition():
+    for f in enumerate_forests(5, Alphabet(omega=("a", "b"), xset=("x",))):
+        assert str(f) == (" ".join(map(_text_rec, f.trees)) or "1")
+
+
+def test_text_of_a_deep_tree_needs_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    a, b, x, y = (AB.decoration(s) for s in "abxy")
+    # every level has a sibling on alternating sides, so separators and
+    # closing brackets of every nesting depth are written
+    t = Tree.make(x)
+    for i in range(n):
+        t = Tree.make(a, (t, Tree.make(y)) if i % 2 else (Tree.make(b), t))
+    prefix = suffix = ""
+    for i in range(n - 1, -1, -1):
+        prefix += "a[" if i % 2 else "a[b "
+        suffix = (" y]" if i % 2 else "]") + suffix
+    assert str(t) == prefix + "x" + suffix
+    assert render_forest(F("b") * t.as_forest()) == "b " + prefix + "x" + suffix
 
 
 def test_graft():

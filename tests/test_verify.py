@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from forest_bialg import dualprod, forest, verify
+from forest_bialg import dualprod, forest, freemod, verify
 from forest_bialg.forest import Alphabet
 from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
@@ -25,20 +25,23 @@ SMALL = Alphabet(omega=("a",), xset=("x",))
 def sweeps(monkeypatch):
     """Lists the intern-table sweeps run while the test runs: "forests"
     for the forest and tree tables, "coefficients" for the coefficient
-    table and its memos."""
+    table and its memos, which the forest sweep runs as a registered
+    release."""
     calls = []
 
-    def counted(module, name, kind):
-        real = getattr(module, name)
-
+    def counted(real, kind):
         def sweep():
             calls.append(kind)
             real()
+        return sweep
 
-        monkeypatch.setattr(module, name, sweep)
-
-    counted(forest, "sweep_interned", "forests")
-    counted(verify, "sweep_coefficients", "coefficients")
+    monkeypatch.setattr(forest, "sweep_interned",
+                        counted(forest.sweep_interned, "forests"))
+    real = freemod.sweep_coefficients
+    assert real in forest._BEFORE_SWEEP
+    monkeypatch.setattr(forest, "_BEFORE_SWEEP", [
+        counted(real, "coefficients") if release is real else release
+        for release in forest._BEFORE_SWEEP])
     return calls
 
 
@@ -143,7 +146,6 @@ def test_run_suite_restores_the_collector_thresholds(monkeypatch):
             collections.append(info["generation"])
 
     monkeypatch.setattr(verify, "sweep_if_due", due)
-    monkeypatch.setattr(verify, "sweep_coefficients", lambda: None)
     old, was_enabled = gc.get_threshold(), gc.isenabled()
     gc.callbacks.append(on_gc)
     try:
