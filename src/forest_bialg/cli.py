@@ -2,14 +2,20 @@
 
 forest-bialg <command> [args] [flags]
 
-Evaluation commands (coproduct, counit, star, star-weighted, prelie,
-bracket, phi, theta, concat, graft) parse their forest arguments in the
-configured alphabet, compute exactly, and print the result in canonical
-order. enumerate lists a small universe. verify runs one exhaustive
-law suite and exits 0 on pass, 1 on an algebraic failure, 2 on usage or
-parse errors (a negative --max-vertices, an unknown flag or a forest
-nested deeper than the interpreter's recursion limit included); that
-exit contract is shared by every command.
+One table, _COMMANDS, names each evaluation command once, with its
+positional arguments and the function of the alphabet and their values
+that computes its result; it drives both _build_parser and _cmd_eval.
+An evaluation command parses its forest arguments in the configured
+alphabet, computes exactly, and prints the result, a forest, a
+coefficient or a linear combination, in canonical order through one
+printer, _print. enumerate lists a small universe. verify runs one
+exhaustive law suite and exits 0 on pass, 1 on an algebraic failure
+(an exception raised inside a case included), 2 on usage or parse
+errors (a negative --max-vertices and an unknown flag included); that
+exit contract is shared by every command. The parser reads any nesting
+depth; phi alone recurses along the nesting, and exits 2 with "forest
+nested too deep" on a forest nested deeper than the interpreter's
+recursion limit allows.
 
 After each command main calls forest.sweep_if_due, so a process that
 calls main in a loop keeps its intern tables and caches bounded by the
@@ -19,7 +25,7 @@ Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
 --eval-mu p/q --eval-nu p/q --json. Evaluation points
 substitute rationals for the corresponding variables in every printed
 coefficient; lambda = 0 is rejected wherever a negative power of lambda
-would need it.
+would need it. Without a point, nothing is substituted.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .coalgebra import coproduct, counit
 from .dualprod import star_lin, star_weighted
 from .forest import (Alphabet, Forest, concat, enumerate_forests, graft,
                      parse_forest, render_forest, sweep_if_due)
-from .freemod import Coefficient, LinComb
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
 from .verify import SUITE_NAMES, RunConfig, run_suite
@@ -82,39 +87,54 @@ def _common_flags() -> argparse.ArgumentParser:
     return p
 
 
+# an evaluation command's positional arguments, as (name, help) pairs
+_ONE = (("forest", "forest text, e.g. 'a[x b] y' or '1'"),)
+_TWO = (("forest", "left forest"), ("forest2", "right forest"))
+_GRAFT = (("symbol", "Omega symbol for the new root"),
+          ("forest", "forest placed under the new root"))
+
+# evaluation command -> (positional arguments, function of the alphabet
+# and their values): each forest argument arrives parsed, in order, and
+# graft's symbol as its text
+_COMMANDS = {
+    "coproduct": (_ONE, lambda ab, F: coproduct(F)),
+    "counit": (_ONE, lambda ab, F: counit(F)),
+    "phi": (_ONE, lambda ab, F: phi(F)),
+    "theta": (_ONE, lambda ab, F: theta(F)),
+    "star": (_TWO, lambda ab, F, G: star_lin(F, G)),
+    "star-weighted": (_TWO, lambda ab, F, G: star_weighted(F, G, ab)),
+    "prelie": (_TWO, lambda ab, F, G: prelie(F, G)),
+    "bracket": (_TWO, lambda ab, F, G: bracket(F, G)),
+    "concat": (_TWO, lambda ab, F, G: concat(F, G)),
+    "graft": (_GRAFT,
+              lambda ab, w, F: graft(ab.decoration(w), F).as_forest()),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first main call.
 
-    Building it (thirteen subparsers, each copying the shared flags)
+    Building it (twelve subparsers, each copying the shared flags)
     costs several times a small query, so main reuses it. parse_args
-    keeps nothing between calls: each returns a new namespace.
+    keeps nothing between calls: each returns a new namespace, whose
+    run is the function that carries out its command.
     """
     common = _common_flags()
     ap = argparse.ArgumentParser(
         prog="forest-bialg",
         description="exact algebra of decorated planar rooted forests")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
-
-    unary = ["coproduct", "counit", "phi", "theta"]
-    for name in unary:
+    for name, (positionals, _) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("forest", help="forest text, e.g. 'a[x b] y' or '1'")
-
-    binary = ["star", "star-weighted", "prelie", "bracket", "concat"]
-    for name in binary:
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument("forest", help="left forest")
-        p.add_argument("forest2", help="right forest")
-
-    p = sub.add_parser("graft", parents=[common])
-    p.add_argument("symbol", help="Omega symbol for the new root")
-    p.add_argument("forest", help="forest placed under the new root")
-
-    sub.add_parser("enumerate", parents=[common])
-
+        for arg, text in positionals:
+            p.add_argument(arg, help=text)
+        p.set_defaults(run=_cmd_eval)
+    sub.add_parser("enumerate", parents=[common]).set_defaults(
+        run=_cmd_enumerate)
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
+    p.set_defaults(run=_cmd_verify)
     return ap
 
 
@@ -122,62 +142,27 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(omega=args.omega, xset=args.xset)
 
 
-def _subst(value, args):
-    """Apply any requested evaluation points to a result."""
-    if args.eval_lambda is None and args.eval_mu is None and args.eval_nu is None:
-        return value
-    sub = lambda c: c.subst_partial(
-        lam=args.eval_lambda, mu=args.eval_mu, nu=args.eval_nu)
-    if isinstance(value, Coefficient):
-        return sub(value)
-    return value.map_coeff(sub)
-
-
-def _print_lincomb(lc: LinComb, args) -> None:
-    if args.json:
-        print(json.dumps(lc.to_json()))
+def _print(value, args) -> None:
+    """Print a result, a forest or a coefficient or a linear combination,
+    as its canonical text or, with --json, as JSON."""
+    if not args.json:
+        print(value)
+    elif isinstance(value, Forest):
+        print(json.dumps({"forest": render_forest(value)}))
     else:
-        print(str(lc))
-
-
-def _print_coeff(c: Coefficient, args) -> None:
-    if args.json:
-        print(json.dumps(c.to_json()))
-    else:
-        print(str(c))
-
-
-def _print_forest(F: Forest, args) -> None:
-    if args.json:
-        print(json.dumps({"forest": render_forest(F)}))
-    else:
-        print(render_forest(F))
+        print(json.dumps(value.to_json()))
 
 
 def _cmd_eval(args) -> int:
     ab = _alphabet(args)
-    F = parse_forest(args.forest, ab)
-    cmd = args.command
-    if cmd == "counit":
-        _print_coeff(_subst(counit(F), args), args)
-        return 0
-    if cmd in ("coproduct", "phi", "theta"):
-        fn = {"coproduct": coproduct, "phi": phi, "theta": theta}[cmd]
-        _print_lincomb(_subst(fn(F), args), args)
-        return 0
-    if cmd == "graft":
-        dec = ab.decoration(args.symbol)
-        _print_forest(graft(dec, F).as_forest(), args)
-        return 0
-    G = parse_forest(args.forest2, ab)
-    if cmd == "concat":
-        _print_forest(concat(F, G), args)
-        return 0
-    fn = {"star": lambda: star_lin(F, G),
-          "star-weighted": lambda: star_weighted(F, G, ab),
-          "prelie": lambda: prelie(F, G),
-          "bracket": lambda: bracket(F, G)}[cmd]
-    _print_lincomb(_subst(fn(), args), args)
+    positionals, fn = _COMMANDS[args.command]
+    value = fn(ab, *(getattr(args, name) if name == "symbol"
+                     else parse_forest(getattr(args, name), ab)
+                     for name, _ in positionals))
+    point = args.eval_lambda, args.eval_mu, args.eval_nu
+    if point != (None, None, None) and not isinstance(value, Forest):
+        value = value.subst_partial(*point)
+    _print(value, args)
     return 0
 
 
@@ -220,11 +205,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        return _cmd_eval(args)
+        return args.run(args)
     except ZeroDivisionError:
         print("error: lambda must be invertible (lambda = 0 hits a pole)",
               file=sys.stderr)

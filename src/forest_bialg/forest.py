@@ -54,10 +54,10 @@ One release policy covers every module-level cache that holds forests,
 trees or coefficients: it lives until the next intern sweep, and
 sweep_interned is the one place that releases it, whichever entry point
 reached the sweep. Each such module appends its release to
-_BEFORE_SWEEP at import (freemod's coefficient sweep; coalgebra's
-coproduct and counit caches; dualprod's star memo; morphisms' phi
-cache), and this module clears its own _ENC_INTERN. The releases run
-newest first, before anything is counted. A module registers after the
+_BEFORE_SWEEP at import (this module's _ENC_INTERN; freemod's
+coefficient sweep; coalgebra's coproduct and counit caches; dualprod's
+star memo; morphisms' phi cache). The releases run newest first, before
+anything is counted. A module registers after the
 modules it imports, so every cache that holds linear combinations goes
 before freemod counts its coefficient table, and whatever only the
 caches held goes in the same sweep. The enumerated universes
@@ -371,8 +371,9 @@ _LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
 _SWEEP_FLOOR = 1 << 16
 _sweep_at = _SWEEP_FLOOR
 # what sweep_interned calls, newest first, before it counts: every
-# module-level cache of another module that holds forests, trees or
-# coefficients appends its release here at import (module docstring)
+# module-level cache that holds forests, trees or coefficients appends
+# its release here at import, this module's own included (module
+# docstring)
 _BEFORE_SWEEP: list = []
 
 
@@ -399,9 +400,9 @@ def _forget_trees(table):
 
 
 def sweep_interned() -> None:
-    """Run the releases registered in _BEFORE_SWEEP, newest first, and
-    clear _ENC_INTERN; then drop every Forest._intern entry, then every
-    Tree._intern entry, that nothing but its table refers to.
+    """Run the releases registered in _BEFORE_SWEEP, newest first; then
+    drop every Forest._intern entry, then every Tree._intern entry, that
+    nothing but its table refers to.
 
     Call it only where no other thread can take a reference between the
     count and the drop; sweep_if_due checks that. The caches go first,
@@ -412,7 +413,6 @@ def sweep_interned() -> None:
     global _sweep_at
     for release in reversed(_BEFORE_SWEEP):
         release()
-    _ENC_INTERN.clear()
     _forget_unheld(Forest._intern)
     _forget_trees(Tree._intern)
     _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
@@ -513,79 +513,74 @@ class VertexSet:
 
 # ---------------------------------------------------------------- text form
 
+# a token: "[", "]" or "1" (group 1), an identifier (group 2), or any
+# other character but a space (group 3), which is an error
+_TOKEN = re.compile(r"([\[\]1])|([A-Za-z_][A-Za-z0-9_]*)|([^ ])")
+
+
 def parse_forest(text: str, alphabet: Alphabet) -> Forest:
     """Parse the grammar  forest := "1" | tree (WS tree)* ;
     tree := IDENT | IDENT "[" forest "]".
 
     Every identifier must occur in the alphabet; X-kind symbols may not
     carry a child list. parse_forest(render_forest(F)) = F.
+
+    One regex pass lists the tokens, so an illegal character is reported
+    before any error of structure. One explicit-stack loop then reads
+    them left to right, so no nesting reaches the recursion limit. A
+    ForestSyntaxError gives the offset of the offending token: of the
+    "[" of a child list left open, of the symbol of an X-kind vertex
+    given children, and len(text) where the input ends too soon.
     """
-    toks = _tokenize(text)
-    forest, i = _parse_forest_at(toks, 0, alphabet, text)
-    if i != len(toks):
-        raise ForestSyntaxError("trailing input", toks[i][2])
-    return forest
-
-
-def _tokenize(text):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == " ":
-            i += 1
-            continue
-        if ch == "[":
-            toks.append(("[", "[", i))
-            i += 1
-        elif ch == "]":
-            toks.append(("]", "]", i))
-            i += 1
-        elif ch == "1":
-            toks.append(("one", "1", i))
-            i += 1
-        else:
-            m = _IDENT.match(text, i)
-            if not m:
-                raise ForestSyntaxError(f"unexpected character {ch!r}", i)
-            toks.append(("ident", m.group(), i))
-            i = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastindex == 3:
+            raise ForestSyntaxError(f"unexpected character {m[0]!r}", m.start())
+        toks.append((m.lastindex, m[0], m.start()))
     if not toks:
         raise ForestSyntaxError("empty input", 0)
-    return toks
-
-
-def _parse_forest_at(toks, i, alphabet, text):
-    if i < len(toks) and toks[i][0] == "one":
-        return EMPTY_FOREST, i + 1
-    trees = []
-    while i < len(toks) and toks[i][0] == "ident":
-        t, i = _parse_tree_at(toks, i, alphabet, text)
-        trees.append(t)
-    if not trees:
-        pos = toks[i][2] if i < len(toks) else len(text)
-        raise ForestSyntaxError("expected a tree or '1'", pos)
-    return Forest.make(trees), i
-
-
-def _parse_tree_at(toks, i, alphabet, text):
-    kind, sym, pos = toks[i]
-    assert kind == "ident"
-    deco = alphabet.get(sym)
-    if deco is None:
-        raise ForestSyntaxError(f"unknown symbol {sym!r}", pos)
-    i += 1
-    children = EMPTY_FOREST
-    if i < len(toks) and toks[i][0] == "[":
-        open_pos = toks[i][2]
-        children, i = _parse_forest_at(toks, i + 1, alphabet, text)
-        if i >= len(toks) or toks[i][0] != "]":
+    toks.append((0, "", len(text)))
+    # per open "[": the trees read before its tree, the tree's decoration
+    # and the offsets of the two
+    stack = []
+    trees = []          # of the forest being read
+    start = True        # that forest has neither a tree nor "1" yet
+    i = 0
+    while True:
+        kind, tok, pos = toks[i]
+        if kind == 2:
+            deco = alphabet.get(tok)
+            if deco is None:
+                raise ForestSyntaxError(f"unknown symbol {tok!r}", pos)
+            i += 1
+            if toks[i][1] == "[":
+                stack.append((trees, deco, pos, toks[i][2]))
+                trees, start = [], True
+                i += 1
+            else:
+                trees.append(Tree.make(deco))
+                start = False
+            continue
+        if start:
+            if tok != "1":
+                raise ForestSyntaxError("expected a tree or '1'", pos)
+            i += 1
+            _, tok, pos = toks[i]
+        # the forest being read ends before tok
+        if not stack:
+            if tok:
+                raise ForestSyntaxError("trailing input", pos)
+            return Forest.make(trees)
+        kids, (trees, deco, deco_pos, open_pos) = trees, stack.pop()
+        if tok != "]":
             raise ForestSyntaxError("unbalanced '['", open_pos)
-        i += 1
-        if children.trees and deco.kind == KIND_X:
+        if kids and deco.kind == KIND_X:
             raise ForestSyntaxError(
-                f"X-kind symbol {sym!r} cannot decorate an internal vertex", pos)
-    return Tree.make(deco, children.trees), i
+                f"X-kind symbol {deco.symbol!r} cannot decorate an internal "
+                "vertex", deco_pos)
+        trees.append(Tree.make(deco, tuple(kids)))
+        start = False
+        i += 1
 
 
 def render_forest(F: Forest) -> str:
@@ -672,6 +667,7 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
 
 # (parents, decorations) -> forest, until the next intern sweep
 _ENC_INTERN: dict = {}
+_BEFORE_SWEEP.append(_ENC_INTERN.clear)
 
 
 def forest_from_encoding(parents, decos) -> Forest:

@@ -501,6 +501,11 @@ class LinComb:
         out.terms = acc
         return out
 
+    def subst_partial(self, lam=None, mu=None, nu=None) -> "LinComb":
+        """Coefficient.subst_partial on every coefficient, dropping the
+        terms that vanish at the point."""
+        return self.map_coeff(lambda c: c.subst_partial(lam, mu, nu))
+
     def coeff_of(self, basis) -> Coefficient:
         return self.terms.get(basis, ZERO)
 

@@ -107,7 +107,7 @@ def phi_subsets(F: Forest) -> LinComb:
 
 def phi_at(x, nu):
     """phi with the indeterminate nu evaluated at a rational."""
-    return phi(x).map_coeff(lambda c: c.subst_partial(nu=nu))
+    return phi(x).subst_partial(nu=nu)
 
 
 def theta(x) -> LinComb:

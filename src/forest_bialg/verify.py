@@ -15,14 +15,14 @@ case's forest arguments (0 if it has none), and the smallest
 counterexample a report names is the failure of least size, the first
 in stream order among equals (SuiteReport.render_text).
 
-Per-suite default bounds (used when RunConfig.max_vertices is None) are
-chosen so the heaviest suites stay in the minutes range on one core:
-
-    coassoc 5        derivation 5 (pair total)    cocycle 4
-    counit 5         rec-vs-biideal 6             biideal-count 6
-    duality 4        star-assoc 5 (triple total)  star-census 4 (each)
-    prelie 5         jacobi 5 (triple total)      prelie-closed-form 5
-    phi-laws 5       theta-laws 4                 examples-golden (fixed)
+One table, _SUITES, names every suite once and gives its generator and
+its default vertex bound, which run_suite passes to the generator when
+RunConfig.max_vertices is None. A case whose check raises is a failure
+of that case: its lhs is the exception's type and message, its rhs is
+empty, and the run goes on, so a program defect gives a report that
+names the case instead of ending the run. An error in a suite's own
+setup (the counit at lambda = 0) or a pole at the evaluation point still
+propagates.
 
 Suites that mix ranges derive the secondary bound from the primary one:
 counit checks multiplicativity at lambda = -1 on pairs totalling at most
@@ -59,15 +59,6 @@ from .prelie import bracket_lin, prelie, prelie_lin, prelie_sandwich
 __all__ = ["RunConfig", "SuiteReport", "SUITE_NAMES", "run_suite"]
 
 DEFAULT_ALPHABET = Alphabet(omega=("a", "b"), xset=("x",))
-
-_DEFAULT_MAX = {
-    "coassoc": 5, "derivation": 5, "cocycle": 4, "counit": 5,
-    "rec-vs-biideal": 6, "biideal-count": 6, "duality": 4,
-    "star-assoc": 5, "star-census": 4, "prelie": 5, "jacobi": 5,
-    "prelie-closed-form": 5, "phi-laws": 5, "theta-laws": 4,
-    "examples-golden": 0,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -132,12 +123,6 @@ class SuiteReport:
 
 # ------------------------------------------------------------------ plumbing
 
-def _max_for(cfg: RunConfig, suite: str) -> int:
-    if cfg.max_vertices is not None:
-        return cfg.max_vertices
-    return _DEFAULT_MAX[suite]
-
-
 def _forests(cfg: RunConfig, nmax: int) -> Iterator[Forest]:
     return enumerate_forests(nmax, cfg.alphabet)
 
@@ -158,13 +143,10 @@ def _triples(cfg: RunConfig, total: int):
 
 def _norm(v, cfg: RunConfig):
     """v at cfg's evaluation point; called only when cfg.has_eval."""
-    if isinstance(v, Coefficient):
-        return v.subst_partial(lam=cfg.eval_lam, mu=cfg.eval_mu, nu=cfg.eval_nu)
-    if isinstance(v, LinComb):
-        return v.map_coeff(lambda c: c.subst_partial(
-            lam=cfg.eval_lam, mu=cfg.eval_mu, nu=cfg.eval_nu))
     if isinstance(v, tuple):
         return tuple(_norm(x, cfg) for x in v)
+    if isinstance(v, (Coefficient, LinComb)):
+        return v.subst_partial(cfg.eval_lam, cfg.eval_mu, cfg.eval_nu)
     return v
 
 
@@ -176,31 +158,32 @@ def _render(v) -> str:
 
 # ------------------------------------------------------------------- suites
 #
-# A suite is a generator of cases (fmt, fn, args): fn(*args) -> (got, want),
-# and fmt.format(*args) is the case's label, built only for a failure.
-# Each suite defines its check functions once, outside its loops.
+# A suite is a generator of cases (fmt, fn, args) over a config and a
+# vertex bound m: fn(*args) -> (got, want), and fmt.format(*args) is the
+# case's label, built only for a failure. Each suite defines its check
+# functions once, outside its loops.
 
-def _suite_coassoc(cfg):
+def _suite_coassoc(cfg, m):
     def check(F):
         d = coproduct(F)
         return coproduct_left(d), coproduct_right(d)
 
-    for F in _forests(cfg, _max_for(cfg, "coassoc")):
+    for F in _forests(cfg, m):
         yield "F={}", check, (F,)
 
 
-def _suite_derivation(cfg):
+def _suite_derivation(cfg, m):
     def check(F, G):
         lhs = coproduct(concat(F, G))
         rhs = (act_left(F, coproduct(G)) + act_right(coproduct(F), G)
                + LinComb.single((F, G), LAM))
         return lhs, rhs
 
-    for FG in _pairs(cfg, _max_for(cfg, "derivation")):
+    for FG in _pairs(cfg, m):
         yield "F={} G={}", check, FG
 
 
-def _suite_cocycle(cfg):
+def _suite_cocycle(cfg, m):
     ab = cfg.alphabet
 
     def check(w, F):
@@ -213,17 +196,16 @@ def _suite_cocycle(cfg):
                    lambda legs: (legs[0], graft(dec, legs[1]).as_forest())))
         return coproduct(T), rhs
 
-    for F in _forests(cfg, _max_for(cfg, "cocycle")):
+    for F in _forests(cfg, m):
         for w in ab.omega:
             yield "w={} F={}", check, (w, F)
 
 
-def _suite_counit(cfg):
+def _suite_counit(cfg, m):
     # eps(F) = -mu^n / lambda^(n+1): evaluating this suite needs lambda
     # invertible even where the two sides of an identity cancel the poles
     if cfg.eval_lam == 0:
         raise ZeroDivisionError("the counit has a pole at lambda = 0")
-    m = _max_for(cfg, "counit")
 
     def left(F):
         return counit_left(coproduct(F)), LinComb.single(F)
@@ -256,11 +238,11 @@ def _suite_counit(cfg):
     yield "non-multiplicativity witness at lambda=1", witness, ()
 
 
-def _suite_rec_vs_biideal(cfg):
+def _suite_rec_vs_biideal(cfg, m):
     def check(F):
         return coproduct_rec(F), coproduct_biideal(F)
 
-    for F in _forests(cfg, _max_for(cfg, "rec-vs-biideal")):
+    for F in _forests(cfg, m):
         yield "F={}", check, (F,)
 
 
@@ -280,7 +262,7 @@ def _cmp_desc(u, v) -> int:
     return -1 if _path_leq(v.path, u.path) else 1
 
 
-def _suite_biideal_count(cfg):
+def _suite_biideal_count(cfg, m):
     # listing correctness is re-derived from the definitional comparator
     # on index paths, independently of the postorder kernel. One preorder
     # walk feeds both: the kernel route turns its parents into the vertex
@@ -297,13 +279,12 @@ def _suite_biideal_count(cfg):
                 sorted(paths, key=cmp_to_key(_cmp_desc)), True)
         return got, want
 
-    for F in _forests(cfg, _max_for(cfg, "biideal-count")):
+    for F in _forests(cfg, m):
         yield "F={}", check, (F,)
 
 
-def _suite_duality(cfg):
+def _suite_duality(cfg, m):
     ab = cfg.alphabet
-    m = _max_for(cfg, "duality")
     yz = max(m - 1, 0)
     xs = list(_forests(cfg, m))
 
@@ -320,9 +301,8 @@ def _suite_duality(cfg):
                 yield "x={} y={} z={}", check, (x, y, z, p)
 
 
-def _suite_star_assoc(cfg):
+def _suite_star_assoc(cfg, m):
     ab = cfg.alphabet
-    m = _max_for(cfg, "star-assoc")
 
     def plain(x, y, z):
         return star_lin(star(x, y), z), star_lin(x, star(y, z))
@@ -354,8 +334,7 @@ def _left_path_len(G: Forest) -> int:
     return n
 
 
-def _suite_star_census(cfg):
-    m = _max_for(cfg, "star-census")
+def _suite_star_census(cfg, m):
     # n = the length of G's left path, counted once per G
     gs = [(G, _left_path_len(G)) for G in _forests(cfg, m)]
 
@@ -370,7 +349,7 @@ def _suite_star_census(cfg):
             yield "F={} G={}", check, (F, G, n)
 
 
-def _suite_prelie(cfg):
+def _suite_prelie(cfg, m):
     def check(x, y, z):
         ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
         lhs = (prelie_lin(prelie_lin(ux, uy), uz)
@@ -379,11 +358,11 @@ def _suite_prelie(cfg):
                - prelie_lin(uy, prelie_lin(ux, uz)))
         return lhs, rhs
 
-    for xyz in _triples(cfg, _max_for(cfg, "prelie")):
+    for xyz in _triples(cfg, m):
         yield "x={} y={} z={}", check, xyz
 
 
-def _suite_jacobi(cfg):
+def _suite_jacobi(cfg, m):
     def check(x, y, z):
         ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
         got = (bracket_lin(bracket_lin(ux, uy), uz)
@@ -391,15 +370,15 @@ def _suite_jacobi(cfg):
                + bracket_lin(bracket_lin(uz, ux), uy))
         return got, LinComb.zero()
 
-    for xyz in _triples(cfg, _max_for(cfg, "jacobi")):
+    for xyz in _triples(cfg, m):
         yield "x={} y={} z={}", check, xyz
 
 
-def _suite_prelie_closed_form(cfg):
+def _suite_prelie_closed_form(cfg, m):
     def check(F, G):
         return prelie(F, G), prelie_sandwich(F, G)
 
-    for FG in _pairs(cfg, _max_for(cfg, "prelie-closed-form")):
+    for FG in _pairs(cfg, m):
         yield "F={} G={}", check, FG
 
 
@@ -410,8 +389,7 @@ _COMPOSE_POINTS = (
 )
 
 
-def _suite_phi_laws(cfg):
-    m = _max_for(cfg, "phi-laws")
+def _suite_phi_laws(cfg, m):
     sub = max(m - 1, 0)
 
     def equiv(F):
@@ -445,8 +423,7 @@ def _suite_phi_laws(cfg):
         yield "coproduct intertwining F={}", intertwine, (F,)
 
 
-def _suite_theta_laws(cfg):
-    m = _max_for(cfg, "theta-laws")
+def _suite_theta_laws(cfg, m):
     scaled = MU * NU
 
     def intertwine(F):
@@ -470,28 +447,32 @@ def _suite_theta_laws(cfg):
             yield "multiplicative F={} G={}", mult, (F, G)
 
 
-def _suite_examples_golden(cfg):
+def _suite_examples_golden(cfg, m):
     # a golden label is final text: escape it as a format string
     for label, thunk in golden_cases():
         yield label.replace("{", "{{").replace("}", "}}"), thunk, ()
 
 
+# suite -> (generator, default bound). run_suite passes the bound when
+# RunConfig.max_vertices is None; the defaults keep the heaviest suites
+# in the minutes range on one core. A bound caps each forest's vertices,
+# or a pair's or triple's total where noted; examples-golden ignores it
 _SUITES = {
-    "coassoc": _suite_coassoc,
-    "derivation": _suite_derivation,
-    "cocycle": _suite_cocycle,
-    "counit": _suite_counit,
-    "rec-vs-biideal": _suite_rec_vs_biideal,
-    "biideal-count": _suite_biideal_count,
-    "duality": _suite_duality,
-    "star-assoc": _suite_star_assoc,
-    "star-census": _suite_star_census,
-    "prelie": _suite_prelie,
-    "jacobi": _suite_jacobi,
-    "prelie-closed-form": _suite_prelie_closed_form,
-    "phi-laws": _suite_phi_laws,
-    "theta-laws": _suite_theta_laws,
-    "examples-golden": _suite_examples_golden,
+    "coassoc": (_suite_coassoc, 5),
+    "derivation": (_suite_derivation, 5),                  # pair total
+    "cocycle": (_suite_cocycle, 4),
+    "counit": (_suite_counit, 5),
+    "rec-vs-biideal": (_suite_rec_vs_biideal, 6),
+    "biideal-count": (_suite_biideal_count, 6),
+    "duality": (_suite_duality, 4),
+    "star-assoc": (_suite_star_assoc, 5),                  # triple total
+    "star-census": (_suite_star_census, 4),
+    "prelie": (_suite_prelie, 5),                          # triple total
+    "jacobi": (_suite_jacobi, 5),                          # triple total
+    "prelie-closed-form": (_suite_prelie_closed_form, 5),  # pair total
+    "phi-laws": (_suite_phi_laws, 5),
+    "theta-laws": (_suite_theta_laws, 4),
+    "examples-golden": (_suite_examples_golden, 0),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -522,35 +503,45 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     other threads leave the collector alone, and neither sweep nor
     collect, so that concurrent calls cannot restore each other's setting.
     """
-    gen = _SUITES.get(name)
-    if gen is None:
+    entry = _SUITES.get(name)
+    if entry is None:
         raise ValueError(
             f"unknown suite {name!r}; expected one of: {', '.join(SUITE_NAMES)}")
+    gen, bound = entry
+    if config.max_vertices is not None:
+        bound = config.max_vertices
     if threading.active_count() != 1:
-        return _run(name, gen, config)
+        return _run(name, gen(config, bound), config)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(name, gen, config)
+        return _run(name, gen(config, bound), config)
     finally:
         if enabled:
             gc.enable()
 
 
-def _run(name, gen, config) -> SuiteReport:
+def _run(name, cases_of, config) -> SuiteReport:
     t0 = time.perf_counter()
     evaluate = config.has_eval
     cases, failures = 0, []
-    for fmt, fn, args in gen(config):
+    for fmt, fn, args in cases_of:
         cases += 1
-        got, want = fn(*args)
-        if evaluate:
-            got, want = _norm(got, config), _norm(want, config)
-        if got != want:
+        try:
+            got, want = fn(*args)
+        except Exception as e:
+            # a defect that raises inside a case fails that case and the
+            # run goes on; an error of the suite's setup or a pole in
+            # _norm still ends the run
+            failed = f"{type(e).__name__}: {e}", ""
+        else:
+            if evaluate:
+                got, want = _norm(got, config), _norm(want, config)
+            failed = (_render(got), _render(want)) if got != want else None
+        if failed:
             size = sum(a.nvertices for a in args if isinstance(a, Forest))
-            failures.append({"case": fmt.format(*args),
-                             "lhs": _render(got), "rhs": _render(want),
-                             "size": size})
+            failures.append({"case": fmt.format(*args), "lhs": failed[0],
+                             "rhs": failed[1], "size": size})
         if sweep_if_due():
             gc.collect(0)
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)

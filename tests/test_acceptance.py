@@ -2,7 +2,8 @@
 
 Each criterion runs the corresponding verification suite(s) at the stated
 bounds and must finish inside its time budget. Bounds live in the suite
-defaults (verify._DEFAULT_MAX); alphabets are set per criterion.
+defaults (the bound column of verify._SUITES); alphabets are set per
+criterion.
 """
 
 import time

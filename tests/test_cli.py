@@ -124,9 +124,19 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_deep_nesting_exits_2(capsys):
-    deep = "a[" * 1200 + "x" + "]" * 1200
-    code, out, err = run(capsys, "counit", deep)
+DEEP = "a[" * 1200 + "x" + "]" * 1200
+
+
+def test_deep_nesting_is_parsed(capsys):
+    # deeper than the recursion limit: the parser has no nesting limit
+    assert sys.getrecursionlimit() < 1200
+    code, out, err = run(capsys, "counit", DEEP)
+    assert (code, out, err) == (0, "-m^1201*l^-1202\n", "")
+
+
+def test_deep_nesting_exits_2_in_phi(capsys):
+    # phi recurses along the nesting, so it keeps the limit
+    code, out, err = run(capsys, "phi", DEEP)
     assert code == 2 and out == ""
     assert err == "error: forest nested too deep\n"
 

@@ -1,9 +1,12 @@
 """Forests: parsing, rendering, structure, order, biideals, restriction."""
 
+import collections
 import copy
 import gc
 import inspect
 import pickle
+import random
+import re
 import sys
 import textwrap
 import threading
@@ -102,6 +105,111 @@ def test_x_symbols_must_be_leaves():
         parse_forest("x[a]", AB)
     with pytest.raises(DecorationError):
         Tree.make(AB.decoration("x"), (Tree.make(AB.decoration("a")),))
+
+
+# the recursive-descent parser that parse_forest's token pass and stack
+# loop replace, kept as the reference for its forests and its errors
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _ref_tokenize(text):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == " ":
+            i += 1
+            continue
+        if ch in "[]":
+            toks.append((ch, ch, i))
+            i += 1
+        elif ch == "1":
+            toks.append(("one", "1", i))
+            i += 1
+        else:
+            m = _REF_IDENT.match(text, i)
+            if not m:
+                raise ForestSyntaxError(f"unexpected character {ch!r}", i)
+            toks.append(("ident", m.group(), i))
+            i = m.end()
+    if not toks:
+        raise ForestSyntaxError("empty input", 0)
+    return toks
+
+
+def _ref_forest_at(toks, i, alphabet, text):
+    if i < len(toks) and toks[i][0] == "one":
+        return EMPTY_FOREST, i + 1
+    trees = []
+    while i < len(toks) and toks[i][0] == "ident":
+        t, i = _ref_tree_at(toks, i, alphabet, text)
+        trees.append(t)
+    if not trees:
+        pos = toks[i][2] if i < len(toks) else len(text)
+        raise ForestSyntaxError("expected a tree or '1'", pos)
+    return Forest.make(trees), i
+
+
+def _ref_tree_at(toks, i, alphabet, text):
+    _, sym, pos = toks[i]
+    deco = alphabet.get(sym)
+    if deco is None:
+        raise ForestSyntaxError(f"unknown symbol {sym!r}", pos)
+    i += 1
+    children = EMPTY_FOREST
+    if i < len(toks) and toks[i][0] == "[":
+        open_pos = toks[i][2]
+        children, i = _ref_forest_at(toks, i + 1, alphabet, text)
+        if i >= len(toks) or toks[i][0] != "]":
+            raise ForestSyntaxError("unbalanced '['", open_pos)
+        i += 1
+        if children.trees and deco.kind == "x":
+            raise ForestSyntaxError(
+                f"X-kind symbol {sym!r} cannot decorate an internal vertex",
+                pos)
+    return Tree.make(deco, children.trees), i
+
+
+def _ref_parse(text, alphabet):
+    toks = _ref_tokenize(text)
+    forest, i = _ref_forest_at(toks, 0, alphabet, text)
+    if i != len(toks):
+        raise ForestSyntaxError("trailing input", toks[i][2])
+    return forest
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, AB)
+    except ForestSyntaxError as e:
+        return str(e), e.pos
+
+
+def test_parse_agrees_with_the_recursive_parser_on_random_text():
+    # one mix of the grammar's own characters, and one with unknown
+    # symbols (z, a_, b9) and illegal characters (a tab, 2, é) besides
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for mix in ("ab xy[[]] 1 ", "abz[] 1\t2é_9"):
+        for _ in range(150_000):
+            text = "".join(rng.choices(mix, k=rng.randrange(14)))
+            got = _outcome(parse_forest, text)
+            assert got == _outcome(_ref_parse, text), text
+            kind = ("forest" if isinstance(got, Forest)
+                    else " ".join(got[0].split()[:2]))
+            seen[kind] += 1
+    # a forest and each of the seven errors, hundreds of times each
+    assert len(seen) == 8 and min(seen.values()) > 500, seen
+
+
+def test_parse_of_a_deep_forest_needs_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    text = "a[" * n + "b[x] y" + "]" * n + " x"
+    f = parse_forest(text, AB)
+    assert f.nvertices == n + 4 and depth(f) == n + 1
+    assert render_forest(f) == text
+    assert parse_forest(render_forest(f), AB) is f
 
 
 # ------------------------------------------------------------- structure

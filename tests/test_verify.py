@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from forest_bialg import dualprod, forest, freemod, verify
+from forest_bialg import cli, dualprod, forest, freemod, verify
 from forest_bialg.forest import Alphabet
 from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
@@ -261,7 +261,8 @@ def _brute_force_smallest(suite, cfg):
     its vertices counted by walking each forest argument, and the first
     failure of least vertices."""
     fails = []
-    for fmt, fn, args in verify._SUITES[suite](cfg):
+    gen, _ = verify._SUITES[suite]
+    for fmt, fn, args in gen(cfg, cfg.max_vertices):
         got, want = fn(*args)
         if got != want:
             n = sum(len(a.paths) for a in args if isinstance(a, forest.Forest))
@@ -289,6 +290,54 @@ def test_smallest_counterexample_is_the_least_failure(monkeypatch, suite,
     if mutant == "coproduct":
         assert rep.failures[0]["case"] == "F=a G=x a[a]"
         assert label == "F=x G=a[a]" and size == 3
+
+
+def test_an_exception_in_a_case_is_that_cases_failure(monkeypatch, capsys):
+    # star raises on a first forest of two trees: each such case fails
+    # with the exception as its lhs, and the run goes on to the end
+    real = verify.star
+
+    def star(F, G):
+        if F.breadth == 2:
+            raise forest.DecorationError("internal vertex 'x' must be "
+                                         "Omega-decorated")
+        return real(F, G)
+
+    monkeypatch.setattr(verify, "star", star)
+    cfg = RunConfig(alphabet=SMALL, max_vertices=2)
+    rep = run_suite("star-census", cfg)
+    assert rep.cases == 81
+    universe = list(forest.enumerate_forests(2, SMALL))
+    assert [(f["case"], f["size"]) for f in rep.failures] == [
+        (f"F={F} G={G}", F.nvertices + G.nvertices)
+        for F in universe if F.breadth == 2 for G in universe]
+    assert rep.failures[0] == {
+        "case": "F=a a G=1", "size": 2, "rhs": "",
+        "lhs": "DecorationError: internal vertex 'x' must be Omega-decorated"}
+    code = cli.main(["verify", "star-census", "--omega", "a", "--xset", "x",
+                     "--max-vertices", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "smallest counterexample: F=a a G=1\n" in out
+
+
+def test_a_pole_at_the_evaluation_point_ends_the_run(capsys):
+    # the golden counit values have negative lambda powers: evaluating
+    # them at lambda = 0 raises in the comparison, not in a case
+    cfg = RunConfig(eval_lam=Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        run_suite("examples-golden", cfg)
+    code = cli.main(["verify", "examples-golden", "--eval-lambda", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "lambda must be invertible" in captured.err
+
+
+def test_an_error_in_a_suites_setup_ends_the_run():
+    # the counit suite refuses lambda = 0 before its first case
+    cfg = RunConfig(alphabet=SMALL, max_vertices=2, eval_lam=Fraction(0))
+    with pytest.raises(ZeroDivisionError, match="pole at lambda = 0"):
+        run_suite("counit", cfg)
 
 
 def test_smallest_counterexample_without_sizes_is_the_first():
