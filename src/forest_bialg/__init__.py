@@ -29,10 +29,9 @@ from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
 from .dualprod import left_path, pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_OMEGA, KIND_X, Alphabet, Decoration,
                      DecorationError, Forest, ForestSyntaxError, Tree,
-                     VertexId, VertexSet, biideals, breadth, concat, depth,
+                     VertexId, VertexSet, biideals, concat,
                      enumerate_forests, forest_from_encoding, graft, leaf,
-                     nvertices, parse_forest, render_forest, restrict,
-                     vertex_order)
+                     parse_forest, restrict, vertex_order)
 from .freemod import (LAM, MU, NU, ONE, ZERO, Coefficient, LinComb,
                       act_left, act_right)
 from .morphisms import lc_concat, phi, phi_at, phi_forest, phi_subsets, theta
@@ -46,9 +45,9 @@ __all__ = [
     # forests
     "KIND_OMEGA", "KIND_X", "Decoration", "Alphabet", "Tree", "Forest",
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",
-    "DecorationError", "parse_forest", "render_forest", "concat", "graft",
-    "leaf", "depth", "breadth", "nvertices", "vertex_order", "biideals",
-    "restrict", "enumerate_forests", "forest_from_encoding",
+    "DecorationError", "parse_forest", "concat", "graft", "leaf",
+    "vertex_order", "biideals", "restrict", "enumerate_forests",
+    "forest_from_encoding",
     # coefficients and free modules
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
     "act_left", "act_right",

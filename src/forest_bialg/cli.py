@@ -39,7 +39,7 @@ from fractions import Fraction
 from .coalgebra import coproduct, counit
 from .dualprod import star_lin, star_weighted
 from .forest import (Alphabet, Forest, concat, enumerate_forests, graft,
-                     parse_forest, render_forest, sweep_if_due)
+                     parse_forest, sweep_if_due)
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
 from .verify import SUITE_NAMES, RunConfig, run_suite
@@ -148,7 +148,7 @@ def _print(value, args) -> None:
     if not args.json:
         print(value)
     elif isinstance(value, Forest):
-        print(json.dumps({"forest": render_forest(value)}))
+        print(json.dumps({"forest": str(value)}))
     else:
         print(json.dumps(value.to_json()))
 
@@ -173,7 +173,7 @@ def _cmd_enumerate(args) -> int:
     listing = []
     for F in enumerate_forests(nmax, ab):
         counts[F.nvertices] = counts.get(F.nvertices, 0) + 1
-        listing.append(render_forest(F))
+        listing.append(str(F))
     if args.json:
         print(json.dumps({"forests": listing,
                           "counts": {str(n): counts[n] for n in sorted(counts)},

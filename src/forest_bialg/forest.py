@@ -35,8 +35,8 @@ which trusts the count its caller passes. Forest.make counts the trees
 of a tuple it has not seen and then takes that path. Only the callers
 below pass a count of their own, each exact by construction:
 
-* concat and Forest.__mul__ (and so freemod's act_left and act_right):
-  the trees of FG are those of F followed by those of G, so
+* Forest.__mul__, which concat names too (and so freemod's act_left
+  and act_right): the trees of FG are those of F followed by those of G, so
   n_FG = n_F + n_G.
 * dualprod.star: grafting moves F's trees onto G and adds or drops no
   vertex, so every term of F star G has n_F + n_G vertices.
@@ -89,10 +89,9 @@ from . import _kernel
 __all__ = [
     "KIND_OMEGA", "KIND_X", "Decoration", "Alphabet", "Tree", "Forest",
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",
-    "DecorationError", "parse_forest", "render_forest", "concat", "graft",
-    "depth", "breadth", "nvertices", "vertex_order", "biideals", "restrict",
-    "enumerate_forests", "forest_from_encoding", "leaf", "sweep_interned",
-    "sweep_if_due",
+    "DecorationError", "parse_forest", "concat", "graft", "vertex_order",
+    "biideals", "restrict", "enumerate_forests", "forest_from_encoding",
+    "leaf", "sweep_interned", "sweep_if_due",
 ]
 
 KIND_OMEGA = "omega"
@@ -268,8 +267,8 @@ class Forest:
     of a tuple it has not seen and then takes that path. Only callers
     whose count is exact by construction call _sized (module docstring).
 
-    The trees and the vertex count are all a forest stores. Depth, text,
-    encoding and paths are computed on demand, each call anew.
+    The trees and the vertex count are all a forest stores. Depth, text
+    and encoding are computed on demand, each call anew.
     """
 
     __slots__ = ("trees", "nvertices")
@@ -326,8 +325,11 @@ class Forest:
         return Forest.make, (self.trees,)
 
     def __mul__(self, other):
-        if not isinstance(other, Forest):
-            return NotImplemented
+        """Noncommutative concatenation FG, also spelled concat(F, G); 1 is
+        the two-sided unit."""
+        if other.__class__ is not Forest:
+            raise TypeError(
+                f"cannot concatenate a Forest and a {type(other).__name__}")
         return Forest._sized(self.trees + other.trees,
                              self.nvertices + other.nvertices)
 
@@ -345,11 +347,6 @@ class Forest:
         """(parents, decorations) in preorder; the kernel's flat form."""
         parents, decos, _ = _preorder(self)
         return parents, decos
-
-    @property
-    def paths(self) -> tuple["VertexId", ...]:
-        """VertexIds in preorder, aligned with encoding indices."""
-        return _preorder(self)[2]
 
 
 EMPTY_FOREST = Forest.make(())
@@ -523,7 +520,7 @@ def parse_forest(text: str, alphabet: Alphabet) -> Forest:
     tree := IDENT | IDENT "[" forest "]".
 
     Every identifier must occur in the alphabet; X-kind symbols may not
-    carry a child list. parse_forest(render_forest(F)) = F.
+    carry a child list. parse_forest(str(F)) = F.
 
     One regex pass lists the tokens, so an illegal character is reported
     before any error of structure. One explicit-stack loop then reads
@@ -583,16 +580,10 @@ def parse_forest(text: str, alphabet: Alphabet) -> Forest:
         i += 1
 
 
-def render_forest(F: Forest) -> str:
-    """Canonical text; round-trips through parse_forest. 1 renders as "1"."""
-    return str(F)
-
-
 # ------------------------------------------------------------- basic algebra
 
-def concat(F: Forest, G: Forest) -> Forest:
-    """Noncommutative concatenation FG; 1 is the two-sided unit."""
-    return Forest._sized(F.trees + G.trees, F.nvertices + G.nvertices)
+# concat(F, G) is F * G
+concat = Forest.__mul__
 
 
 def graft(omega: Decoration, F: Forest) -> Tree:
@@ -600,18 +591,6 @@ def graft(omega: Decoration, F: Forest) -> Tree:
     if omega.kind != KIND_OMEGA:
         raise DecorationError(f"cannot graft under X-kind symbol {omega.symbol!r}")
     return Tree.make(omega, F.trees)
-
-
-def depth(F: Forest) -> int:
-    return F.depth
-
-
-def breadth(F: Forest) -> int:
-    return F.breadth
-
-
-def nvertices(F: Forest) -> int:
-    return F.nvertices
 
 
 # ------------------------------------------- order, biideals, restriction

@@ -22,13 +22,20 @@ over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
 the memos: the operators look a pair up first, and LinComb.apply,
 apply_leg and _add_products, which carry the suites' ring work, read
-them inline. _add_products is the bilinear extension of a basis
-product in one pass; star_lin, star_weighted, prelie_lin and
-bracket_lin are each one to three calls to it. Every accumulation loop
-tests cancellation with `is ZERO`. Evaluation is memoised the same way:
-_SUBST maps (c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an
-evaluated suite or CLI result substitutes one point into the same few
+them inline. Evaluation is memoised the same way: _SUBST maps
+(c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an evaluated
+suite or CLI result substitutes one point into the same few
 coefficients over and over.
+
+Each sum is written once per shape. On a memo miss, Coefficient's sum,
+product and evaluation all add monomials through _summed. Over a basis,
+_add_products is the bilinear extension of a basis product in one pass:
+LinComb.tensor, morphisms.lc_concat, star_lin, star_weighted,
+prelie_lin and bracket_lin are each one to three calls to it. The other
+hot sums, LinComb.__add__, apply, apply_leg and map_basis, keep loops of
+their own for speed (see the comment above LinComb.apply). Every
+accumulation loop over a basis tests cancellation with `is ZERO`.
+
 sweep_coefficients clears the three memos and drops every interned value
 that nothing else holds. It is registered in forest._BEFORE_SWEEP, so
 every forest intern sweep runs it, whether run_suite, cli.main or a
@@ -48,7 +55,8 @@ alike, a lookup with Fraction-stored terms finds the same instance.
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples, and
 apply_leg maps one leg of every tuple in a single pass, splicing the
-image's legs in place of it.
+image's legs in place of it. LinComb() is zero; LinComb(terms) takes
+Coefficient, int or Fraction values and raises TypeError on any other.
 """
 
 from __future__ import annotations
@@ -98,6 +106,22 @@ def _make(acc: dict) -> "Coefficient":
     return _INTERN.setdefault(key, c)
 
 
+def _summed(acc: dict, pairs) -> "Coefficient":
+    """The canonical Coefficient of acc plus every (monomial, rational) of
+    pairs, a monomial whose sum is zero dropped.
+
+    The one monomial sum of the ring: __add__, __mul__ and subst_partial
+    call it, on memo misses only. acc is consumed as in _make.
+    """
+    for mono, q in pairs:
+        s = acc.get(mono, 0) + q
+        if s:
+            acc[mono] = s
+        else:
+            acc.pop(mono, None)
+    return _make(acc)
+
+
 class Coefficient:
     """Element of Q[mu,nu][lambda, 1/lambda] in canonical form.
 
@@ -131,13 +155,6 @@ class Coefficient:
     def monomial(q, a=0, b=0, c=0) -> "Coefficient":
         return Coefficient({(a, b, c): q})
 
-    @staticmethod
-    def from_rational(q) -> "Coefficient":
-        return Coefficient({(0, 0, 0): q})
-
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -146,14 +163,8 @@ class Coefficient:
             return NotImplemented
         out = _ADD.get((self, other))
         if out is None:
-            acc = dict(self.terms)
-            for mono, q in other.terms.items():
-                s = acc.get(mono, 0) + q
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-            out = _ADD[self, other] = _make(acc)
+            out = _ADD[self, other] = _summed(dict(self.terms),
+                                              other.terms.items())
         return out
 
     def __neg__(self):
@@ -167,16 +178,11 @@ class Coefficient:
             return NotImplemented
         out = _MUL.get((self, other))
         if out is None:
-            acc = {}
-            for (a1, b1, c1), q1 in self.terms.items():
-                for (a2, b2, c2), q2 in other.terms.items():
-                    mono = (a1 + a2, b1 + b2, c1 + c2)
-                    s = acc.get(mono, 0) + q1 * q2
-                    if s:
-                        acc[mono] = s
-                    else:
-                        acc.pop(mono, None)
-            out = _MUL[self, other] = _make(acc)
+            other_terms = other.terms.items()
+            out = _MUL[self, other] = _summed({}, (
+                ((a1 + a2, b1 + b2, c1 + c2), q1 * q2)
+                for (a1, b1, c1), q1 in self.terms.items()
+                for (a2, b2, c2), q2 in other_terms))
         return out
 
     def __pow__(self, k: int):
@@ -213,7 +219,7 @@ class Coefficient:
         out = _SUBST.get(key)
         if out is not None:
             return out
-        acc = {}
+        pairs = []
         for (a, b, c), q in self.terms.items():
             if lam is not None:
                 if lam == 0 and a < 0:
@@ -223,14 +229,8 @@ class Coefficient:
                 q, b = q * Fraction(mu) ** b, 0
             if nu is not None:
                 q, c = q * Fraction(nu) ** c, 0
-            if q:
-                mono = (a, b, c)
-                s = acc.get(mono, 0) + q
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        out = _SUBST[key] = _make(acc)
+            pairs.append(((a, b, c), q))
+        out = _SUBST[key] = _summed({}, pairs)
         return out
 
     def eval_at(self, lam, mu, nu) -> Fraction:
@@ -311,11 +311,31 @@ def _basis_key(basis):
     return tuple(str(leg) for leg in _legs(basis))
 
 
+def _coefficient(c) -> "Coefficient":
+    """The constant Coefficient of an int or a Fraction c, for a value
+    that is not a Coefficient; any other type raises TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return Coefficient.monomial(c)
+    raise TypeError(f"a coefficient must be a Coefficient, an int or a "
+                    f"Fraction, not {type(c).__name__}")
+
+
+def _tensor_basis(b1, b2) -> "LinComb":
+    """The basis tensor b1 (x) b2: the legs of b1, then those of b2. Made
+    without LinComb.single, which costs a call more per pair."""
+    out = LinComb.__new__(LinComb)
+    out.terms = {(b1 if type(b1) is tuple else (b1,))
+                 + (b2 if type(b2) is tuple else (b2,)): ONE}
+    return out
+
+
 class LinComb:
     """Finitely-supported map basis -> Coefficient, in canonical form.
 
     Bases are forests (rank 1) or tuples of forests (tensor legs). All
-    operations are exact and return new values.
+    operations are exact and return new values. LinComb() is zero, and
+    LinComb(terms) takes Coefficient, int or Fraction values, converted
+    as scale converts its argument.
     """
 
     __slots__ = ("terms",)
@@ -324,21 +344,16 @@ class LinComb:
         self.terms = {}
         if terms:
             for b, c in dict(terms).items():
+                if c.__class__ is not Coefficient:
+                    c = _coefficient(c)
                 if c:
                     self.terms[b] = c
-
-    @staticmethod
-    def zero() -> "LinComb":
-        return LinComb()
 
     @staticmethod
     def single(basis, coeff=ONE) -> "LinComb":
         out = LinComb.__new__(LinComb)
         out.terms = {basis: coeff} if coeff else {}
         return out
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -375,39 +390,32 @@ class LinComb:
         return self + (-other)
 
     def scale(self, coeff) -> "LinComb":
-        if not isinstance(coeff, Coefficient):
-            coeff = Coefficient.from_rational(coeff)
+        if coeff.__class__ is not Coefficient:
+            coeff = _coefficient(coeff)
         if not coeff:
-            return LinComb.zero()
+            return LinComb()
         out = LinComb.__new__(LinComb)
         out.terms = {b: c * coeff for b, c in self.terms.items()}
         return out
 
     def tensor(self, other: "LinComb") -> "LinComb":
-        acc = {}
-        for b1, c1 in self.terms.items():
-            l1 = b1 if type(b1) is tuple else (b1,)
-            for b2, c2 in other.terms.items():
-                key = l1 + (b2 if type(b2) is tuple else (b2,))
-                p = c1 * c2
-                s = acc.get(key)
-                if s is None:
-                    acc[key] = p
-                    continue
-                s = s + p
-                if s is ZERO:
-                    del acc[key]
-                else:
-                    acc[key] = s
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        """self (x) other: the legs of each basis of self, then those of
+        each basis of other."""
+        return _add_products({}, self, other, _tensor_basis)
 
     # apply and apply_leg carry the law suites' ring work, so they read
     # the memos directly instead of calling the operators (with the
     # operators, a laws-symbolic pass took ~9% longer); apply_leg and
-    # tensor wrap a forest key as a leg inline, since a _legs call per
-    # image term was 0.30 s of a profiled laws-symbolic pass
+    # _tensor_basis wrap a forest key as a leg inline, since a _legs call
+    # per image term was 0.30 s of a profiled laws-symbolic pass.
+    #
+    # The five hot sums (__add__, apply, apply_leg, map_basis and
+    # _add_products) stay separate loops. A prototype that routed all
+    # but apply_leg through one _add_scaled(acc, pairs, c) raised
+    # laws-symbolic wall_s from 2.018 to 2.228 s and its query_p50_ms
+    # from 285 to 316 ms (perfbench, medians of 5 alternating pairs,
+    # 2-vCPU x86 host, Python 3.11). Routing apply_leg through per-term
+    # lists made it slower in 8 of 8 pairs (raw wall time).
 
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a basis map f: basis -> LinComb.
@@ -514,9 +522,6 @@ class LinComb:
         each leg is rendered once."""
         return sorted(((_basis_key(b), c, b) for b, c in self.terms.items()),
                       key=itemgetter(0))
-
-    def terms_sorted(self):
-        return [(b, c) for _, c, b in self._rendered()]
 
     def __str__(self):
         if not self.terms:

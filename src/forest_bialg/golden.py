@@ -38,7 +38,7 @@ ML = MU * LAM
 
 def _lc1(ab, terms) -> LinComb:
     """LinComb<Forest> from (coeff, text) pairs."""
-    out = LinComb.zero()
+    out = LinComb()
     for c, t in terms:
         out = out + LinComb.single(parse_forest(t, ab), c)
     return out
@@ -46,7 +46,7 @@ def _lc1(ab, terms) -> LinComb:
 
 def _lc2(ab, terms) -> LinComb:
     """LinComb over pair tensors from (coeff, text, text) triples."""
-    out = LinComb.zero()
+    out = LinComb()
     for c, t1, t2 in terms:
         out = out + LinComb.single(
             (parse_forest(t1, ab), parse_forest(t2, ab)), c)

@@ -20,7 +20,7 @@ coproduct up to mu -> mu nu.
 from __future__ import annotations
 
 from .forest import _BEFORE_SWEEP, Forest, graft
-from .freemod import NU, ZERO, Coefficient, LinComb
+from .freemod import NU, ONE, Coefficient, LinComb, _add_products
 
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
            "lc_concat"]
@@ -30,25 +30,17 @@ _PHI_CACHE: dict = {}
 _BEFORE_SWEEP.append(_PHI_CACHE.clear)
 
 
+def _concat_basis(F: Forest, G: Forest) -> LinComb:
+    # made as freemod._tensor_basis makes its term, without a call to
+    # LinComb.single
+    out = LinComb.__new__(LinComb)
+    out.terms = {F * G: ONE}
+    return out
+
+
 def lc_concat(x: LinComb, y: LinComb) -> LinComb:
     """Concatenation product extended bilinearly to LinComb<Forest>."""
-    acc: dict = {}
-    for F, c in x.terms.items():
-        for G, d in y.terms.items():
-            key = F * G
-            p = c * d
-            s = acc.get(key)
-            if s is None:
-                acc[key] = p
-                continue
-            s = s + p
-            if s is ZERO:
-                del acc[key]
-            else:
-                acc[key] = s
-    out = LinComb.__new__(LinComb)
-    out.terms = acc
-    return out
+    return _add_products({}, x, y, _concat_basis)
 
 
 def phi_forest(F: Forest) -> LinComb:
@@ -93,16 +85,13 @@ def phi_subsets(F: Forest) -> LinComb:
     nu_pow = [Coefficient.monomial(1)]
     for _ in range(n):
         nu_pow.append(nu_pow[-1] * NU)
-    acc: dict = {}
-    for mask in range(1 << n):
-        keep = tuple(i for i in range(n) if mask >> i & 1)
-        sub = forest_from_encoding(
-            _kernel.restrict_parents(parents, keep),
-            tuple(decos[i] for i in keep))
-        c = nu_pow[n - len(keep)]
-        s = acc.get(sub)
-        acc[sub] = c if s is None else s + c
-    return LinComb(acc)
+    # the formal sum of the subsets I (kept preorder indices), each weighted
+    # nu^{|V(F)\I|}, mapped along I -> F|I
+    keeps = [tuple(i for i in range(n) if mask >> i & 1)
+             for mask in range(1 << n)]
+    subsets = LinComb({keep: nu_pow[n - len(keep)] for keep in keeps})
+    return subsets.map_basis(lambda keep: forest_from_encoding(
+        _kernel.restrict_parents(parents, keep), tuple(decos[i] for i in keep)))
 
 
 def phi_at(x, nu):

@@ -288,17 +288,20 @@ def _suite_duality(cfg, m):
     yz = max(m - 1, 0)
     xs = list(_forests(cfg, m))
 
-    # p = y star_{l,m} z, made once per (y, z) and passed to each x's
-    # case; the label's format takes the first three arguments only
-    def check(x, y, z, p):
-        lhs = pairing((y, z), coproduct(x))
-        return lhs, pairing(x, p)
+    # y, z and y star_{l,m} z for the last (y, z) whose product was made:
+    # the cases of one (y, z) run in a row, so each product is made once,
+    # inside a case, where an exception fails that case
+    slot = [None, None, None]
+
+    def check(x, y, z):
+        if slot[0] is not y or slot[1] is not z:
+            slot[:] = y, z, star_weighted(y, z, ab)
+        return pairing((y, z), coproduct(x)), pairing(x, slot[2])
 
     for y in _forests(cfg, yz):
         for z in _forests(cfg, yz):
-            p = star_weighted(y, z, ab)
             for x in xs:
-                yield "x={} y={} z={}", check, (x, y, z, p)
+                yield "x={} y={} z={}", check, (x, y, z)
 
 
 def _suite_star_assoc(cfg, m):
@@ -368,7 +371,7 @@ def _suite_jacobi(cfg, m):
         got = (bracket_lin(bracket_lin(ux, uy), uz)
                + bracket_lin(bracket_lin(uy, uz), ux)
                + bracket_lin(bracket_lin(uz, ux), uy))
-        return got, LinComb.zero()
+        return got, LinComb()
 
     for xyz in _triples(cfg, m):
         yield "x={} y={} z={}", check, xyz
@@ -482,13 +485,14 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
 
     The intern tables are swept between cases once they have grown
     enough, through forest.sweep_if_due. The sweep first runs every
-    registered release, newest first: the phi, coproduct and counit
-    caches and star's memo of regrafted prefixes, and last freemod's
-    sum, product and evaluation memos with the coefficients nothing
-    else holds. It then drops the forests and trees that only the
-    intern tables hold. So memory stays bounded by what the suite holds
-    and by the enumerated universes, which live as long as the process,
-    rather than by everything the run ever built.
+    registered release, newest first: the phi cache, star's memo of
+    regrafted prefixes, the coproduct and counit caches, freemod's sum,
+    product and evaluation memos with the coefficients nothing else
+    holds, and last the encoding cache forest._ENC_INTERN. It then drops
+    the forests and trees that only the intern tables hold. So memory
+    stays bounded by what the suite holds and by the enumerated
+    universes, which live as long as the process, rather than by
+    everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation

@@ -7,8 +7,8 @@ from forest_bialg.coalgebra import (coproduct, coproduct_biideal,
                                     coproduct_left, coproduct_lin,
                                     coproduct_rec, coproduct_right, counit,
                                     counit_left, counit_right)
-from forest_bialg.forest import (EMPTY_FOREST, Alphabet, VertexSet, biideals,
-                                 concat, enumerate_forests, graft,
+from forest_bialg.forest import (EMPTY_FOREST, Alphabet, VertexSet, _preorder,
+                                 biideals, concat, enumerate_forests, graft,
                                  parse_forest, restrict)
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
 from forest_bialg.morphisms import phi
@@ -74,7 +74,7 @@ def test_biideal_splits_match_restriction():
     for h in itertools.chain(enumerate_forests(5, AB), SPLIT_EDGE_CASES):
         splits = biideal_splits(h)
         ideals = biideals(h)
-        everything = frozenset(h.paths)
+        everything = frozenset(_preorder(h)[2])
         assert len(splits) == len(ideals) == h.nvertices + 1
         for (first, second), ideal in zip(splits, ideals):
             rest = VertexSet(h, everything - ideal.members)

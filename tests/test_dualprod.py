@@ -38,7 +38,7 @@ def test_pairing_a_forest_with_a_lincomb_reads_its_coefficient():
     for text in ("a", "b[x]", "b", "1"):
         assert pairing(F(text), x) is x.coeff_of(F(text))
     assert pairing(F("b"), x) is ZERO
-    assert pairing(F("a"), LinComb.zero()) is ZERO
+    assert pairing(F("a"), LinComb()) is ZERO
     assert pairing(F("a"), LinComb.single((F("a"), F("1")))) is ZERO
 
 
@@ -50,7 +50,7 @@ def test_pairing_a_tensor_basis_with_a_lincomb_reads_its_coefficient():
         assert pairing((y, z), t) is t.coeff_of((y, z))
     assert pairing((bx, a), t) is -LAM
     assert pairing((a, bx), t) is ZERO
-    assert pairing((a, one), LinComb.zero()) is ZERO
+    assert pairing((a, one), LinComb()) is ZERO
 
 
 def test_pairing_is_bilinear_on_tensors():
@@ -231,7 +231,7 @@ def test_star_accepts_lincomb_arguments():
 
 def _star_lin_reference(x, y):
     """Bilinear extension of star by nested running sums."""
-    out = LinComb.zero()
+    out = LinComb()
     for f, c in x.terms.items():
         for g, d in y.terms.items():
             out = out + star(f, g).scale(c * d)
@@ -251,7 +251,7 @@ SMALL2 = list(enumerate_forests(2, AB))
 signed = st.sampled_from([MU, -MU, LAM, -LAM, ONE, -ONE,
                           Coefficient.monomial(2, a=1, b=1)])
 lincombs = st.lists(st.tuples(st.sampled_from(SMALL2), signed), max_size=4).map(
-    lambda pairs: sum((LinComb.single(f, c) for f, c in pairs), LinComb.zero()))
+    lambda pairs: sum((LinComb.single(f, c) for f, c in pairs), LinComb()))
 
 
 @settings(max_examples=200)

@@ -20,11 +20,11 @@ from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
 from forest_bialg.forest import (_ENC_INTERN, EMPTY_FOREST, Alphabet,
                                  DecorationError, Forest, ForestSyntaxError,
-                                 Tree, VertexId, VertexSet, biideals,
-                                 breadth, concat, depth, enumerate_forests,
+                                 Tree, VertexId, VertexSet, _preorder,
+                                 biideals, concat, enumerate_forests,
                                  forest_from_encoding, graft, leaf,
-                                 nvertices, parse_forest, render_forest,
-                                 restrict, sweep_interned, vertex_order)
+                                 parse_forest, restrict, sweep_interned,
+                                 vertex_order)
 
 AB = Alphabet(omega=("a", "b"), xset=("x", "y"))
 AB4 = Alphabet(omega=("a", "b", "c", "d"), xset=("x",))
@@ -64,8 +64,8 @@ def test_alphabet_decoration_lookup():
 ])
 def test_round_trip(text):
     f = F(text)
-    assert render_forest(f) == text
-    assert parse_forest(render_forest(f), AB) is f
+    assert str(f) == text
+    assert parse_forest(str(f), AB) is f
 
 
 def test_parse_normalizes_whitespace_and_empty_brackets():
@@ -207,25 +207,25 @@ def test_parse_of_a_deep_forest_needs_no_recursion():
     assert n > sys.getrecursionlimit()
     text = "a[" * n + "b[x] y" + "]" * n + " x"
     f = parse_forest(text, AB)
-    assert f.nvertices == n + 4 and depth(f) == n + 1
-    assert render_forest(f) == text
-    assert parse_forest(render_forest(f), AB) is f
+    assert f.nvertices == n + 4 and f.depth == n + 1
+    assert str(f) == text
+    assert parse_forest(str(f), AB) is f
 
 
 # ------------------------------------------------------------- structure
 
 def test_vertex_counts_depth_breadth():
     f = F("a[x b] y")
-    assert nvertices(f) == 4
-    assert breadth(f) == 2
-    assert depth(f) == 2
+    assert f.nvertices == 4
+    assert f.breadth == 2
+    assert f.depth == 2
     # X-leaves sit at depth 0, Omega-vertices add one level each
-    assert depth(F("x")) == 0
-    assert depth(F("a")) == 1
-    assert depth(F("a[x]")) == 1
-    assert depth(F("a[b]")) == 2
-    assert depth(EMPTY_FOREST) == 0
-    assert nvertices(EMPTY_FOREST) == 0
+    assert F("x").depth == 0
+    assert F("a").depth == 1
+    assert F("a[x]").depth == 1
+    assert F("a[b]").depth == 2
+    assert EMPTY_FOREST.depth == 0
+    assert EMPTY_FOREST.nvertices == 0
 
 
 def test_interning_makes_equal_forests_identical():
@@ -477,7 +477,7 @@ def _depth_rec(t):
 def test_depth_matches_the_recursive_definition():
     ab = Alphabet(omega=("a", "b"), xset=("x",))
     for f in enumerate_forests(5, ab):
-        assert depth(f) == max(map(_depth_rec, f.trees), default=0), str(f)
+        assert f.depth == max(map(_depth_rec, f.trees), default=0), str(f)
 
 
 def test_depth_of_a_deep_path_needs_no_recursion():
@@ -489,9 +489,9 @@ def test_depth_of_a_deep_path_needs_no_recursion():
         t = Tree.make(a, (t,))
     f = t.as_forest()
     assert f.nvertices == n
-    assert depth(f) == n - 1
-    assert depth(f * F("b[a]")) == n - 1
-    assert depth(F("b[a]") * f * F("x")) == n - 1
+    assert f.depth == n - 1
+    assert (f * F("b[a]")).depth == n - 1
+    assert (F("b[a]") * f * F("x")).depth == n - 1
 
 
 def _text_rec(t):
@@ -521,12 +521,12 @@ def test_text_of_a_deep_tree_needs_no_recursion():
         prefix += "a[" if i % 2 else "a[b "
         suffix = (" y]" if i % 2 else "]") + suffix
     assert str(t) == prefix + "x" + suffix
-    assert render_forest(F("b") * t.as_forest()) == "b " + prefix + "x" + suffix
+    assert str(F("b") * t.as_forest()) == "b " + prefix + "x" + suffix
 
 
 def test_graft():
     t = graft(AB.decoration("a"), F("x b"))
-    assert render_forest(t.as_forest()) == "a[x b]"
+    assert str(t.as_forest()) == "a[x b]"
     assert graft(AB.decoration("b"), EMPTY_FOREST).as_forest() is F("b")
     with pytest.raises(DecorationError):
         graft(AB.decoration("x"), F("a"))
@@ -558,7 +558,9 @@ def _preorder_reference(f):
 
 def test_encoding_and_paths_follow_the_recursive_preorder():
     for f in enumerate_forests(5, Alphabet(omega=("a", "b"), xset=("x",))):
-        assert (f.encoding, f.paths) == _preorder_reference(f)
+        parents, decos, paths = _preorder(f)
+        assert ((parents, decos), paths) == _preorder_reference(f)
+        assert f.encoding == (parents, decos)
         assert forest_from_encoding(*f.encoding) is f
 
 
@@ -573,7 +575,7 @@ def test_encoding_and_paths_of_a_deep_path_need_no_recursion():
     parents, decos = f.encoding
     assert parents == (-1, -1) + tuple(range(1, n))
     assert decos == (AB.decoration("b"),) + (a,) * (n - 1) + (x,)
-    paths = f.paths
+    paths = _preorder(f)[2]
     assert len(paths) == n + 1
     assert paths[0].path == (0,) and paths[-1].path == (1,) + (0,) * (n - 1)
     assert [len(p.path) for p in paths[1:]] == list(range(1, n + 1))
@@ -646,13 +648,13 @@ def test_restriction_16_subset_table():
     }
     for picks, expected in table.items():
         I = VertexSet(f, [order[k - 1] for k in picks])
-        assert render_forest(restrict(f, I)) == expected, picks
+        assert str(restrict(f, I)) == expected, picks
 
 
 def _restrict_reference(f, keep_paths):
     """Edge-induced restriction recomputed from index paths only."""
     kept = set(keep_paths)
-    idx = {v.path: i for i, v in enumerate(f.paths)}
+    idx = {v.path: i for i, v in enumerate(_preorder(f)[2])}
     decos = f.encoding[1]
 
     def parent_of(p):
@@ -676,7 +678,7 @@ def _restrict_reference(f, keep_paths):
 def test_restriction_matches_edge_induced_reference():
     ab = Alphabet(omega=("a", "b"), xset=("x",))
     for f in enumerate_forests(4, ab):
-        paths = [v.path for v in f.paths]
+        paths = [v.path for v in _preorder(f)[2]]
         for mask in range(1 << f.nvertices):
             chosen = [paths[i] for i in range(f.nvertices) if mask >> i & 1]
             got = restrict(f, VertexSet(f, [VertexId(p) for p in chosen]))
@@ -686,7 +688,7 @@ def test_restriction_matches_edge_induced_reference():
 def test_restriction_boundary_cases():
     f = F("a[y b[x]]")
     assert restrict(f, VertexSet(f, [])) is EMPTY_FOREST
-    assert restrict(f, VertexSet(f, f.paths)) is f
+    assert restrict(f, VertexSet(f, _preorder(f)[2])) is f
     assert restrict(EMPTY_FOREST, VertexSet(EMPTY_FOREST, [])) is EMPTY_FOREST
 
 

@@ -265,7 +265,8 @@ def _brute_force_smallest(suite, cfg):
     for fmt, fn, args in gen(cfg, cfg.max_vertices):
         got, want = fn(*args)
         if got != want:
-            n = sum(len(a.paths) for a in args if isinstance(a, forest.Forest))
+            n = sum(len(forest._preorder(a)[2]) for a in args
+                    if isinstance(a, forest.Forest))
             fails.append((n, fmt.format(*args)))
     return fails, min(fails, key=lambda f: f[0])
 
@@ -319,6 +320,39 @@ def test_an_exception_in_a_case_is_that_cases_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "smallest counterexample: F=a a G=1\n" in out
+
+
+def test_an_exception_in_dualitys_product_fails_its_cases(monkeypatch,
+                                                          capsys):
+    # duality makes y star_{l,m} z inside the cases of (y, z): when it
+    # raises, every case of that (y, z) fails with the exception as its
+    # lhs, and the other cases still run and pass
+    real = verify.star_weighted
+
+    def star_weighted(y, z, ab):
+        if y.breadth == 2:
+            raise forest.DecorationError("internal vertex 'x' must be "
+                                         "Omega-decorated")
+        return real(y, z, ab)
+
+    monkeypatch.setattr(verify, "star_weighted", star_weighted)
+    assert run_suite("duality", RunConfig(alphabet=SMALL,
+                                          max_vertices=2)).cases == 81
+    rep = run_suite("duality", RunConfig(alphabet=SMALL, max_vertices=3))
+    xs = list(forest.enumerate_forests(3, SMALL))
+    yz = list(forest.enumerate_forests(2, SMALL))
+    assert rep.cases == len(yz) ** 2 * len(xs) == 81 * 31
+    assert [(f["case"], f["size"]) for f in rep.failures] == [
+        (f"x={x} y={y} z={z}", x.nvertices + y.nvertices + z.nvertices)
+        for y in yz if y.breadth == 2 for z in yz for x in xs]
+    assert rep.failures[0] == {
+        "case": "x=1 y=a a z=1", "size": 2, "rhs": "",
+        "lhs": "DecorationError: internal vertex 'x' must be Omega-decorated"}
+    code = cli.main(["verify", "duality", "--omega", "a", "--xset", "x",
+                     "--max-vertices", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "smallest counterexample: x=1 y=a a z=1\n" in out
 
 
 def test_a_pole_at_the_evaluation_point_ends_the_run(capsys):
