@@ -20,7 +20,10 @@ arithmetic.
 
 The package is pure Python: the structural routines (postorder,
 restriction, biideal splitting) have one implementation, in the private
-module _kernel, with no backend switch.
+module _kernel, with no backend switch. Each representation has one
+home: only freemod builds a LinComb without checking it, and only
+forest reads the flat vertex encoding that postorder and restriction
+run on.
 """
 
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,

@@ -21,11 +21,13 @@ After each command main calls forest.sweep_if_due, so a process that
 calls main in a loop keeps its intern tables and caches bounded by the
 same trigger as the suites.
 
-Shared flags: --omega a,b --xset x --max-vertices N --eval-lambda p/q
---eval-mu p/q --eval-nu p/q --json. Evaluation points
-substitute rationals for the corresponding variables in every printed
-coefficient; lambda = 0 is rejected wherever a negative power of lambda
-would need it. Without a point, nothing is substituted.
+Shared flags, each taken only by the commands that read it (any other
+use exits 2): --omega a,b --xset x --json on every command;
+--max-vertices N on enumerate and verify; --eval-lambda p/q --eval-mu
+p/q --eval-nu p/q on verify and the evaluation commands. Evaluation
+points substitute rationals for the corresponding variables in every
+printed coefficient; lambda = 0 is rejected wherever a negative power of
+lambda would need it. Without a point, nothing is substituted.
 """
 
 from __future__ import annotations
@@ -72,19 +74,26 @@ def _symbols(text: str) -> tuple:
     return tuple(s for s in text.split(",") if s)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--omega", type=_symbols, default=("a", "b"),
-                   metavar="a,b", help="Omega decorations (default a,b)")
-    p.add_argument("--xset", type=_symbols, default=("x",),
-                   metavar="x", help="X decorations (default x; may be empty)")
-    p.add_argument("--max-vertices", type=_bound, default=None, metavar="N",
-                   help="vertex bound (suites have per-suite defaults)")
-    p.add_argument("--eval-lambda", type=_fraction, default=None, metavar="p/q")
-    p.add_argument("--eval-mu", type=_fraction, default=None, metavar="p/q")
-    p.add_argument("--eval-nu", type=_fraction, default=None, metavar="p/q")
-    p.add_argument("--json", action="store_true", help="JSON output")
-    return p
+def _flag_groups() -> tuple:
+    """The shared flags as three parent parsers, each given only to the
+    commands that read it: the alphabet and --json go to every command,
+    the vertex bound to enumerate and verify, and the evaluation point
+    to verify and the evaluation commands."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--omega", type=_symbols, default=("a", "b"),
+                        metavar="a,b", help="Omega decorations (default a,b)")
+    common.add_argument("--xset", type=_symbols, default=("x",), metavar="x",
+                        help="X decorations (default x; may be empty)")
+    common.add_argument("--json", action="store_true", help="JSON output")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--max-vertices", type=_bound, default=None,
+                       metavar="N",
+                       help="vertex bound (suites have per-suite defaults)")
+    point = argparse.ArgumentParser(add_help=False)
+    for var in ("lambda", "mu", "nu"):
+        point.add_argument(f"--eval-{var}", type=_fraction, default=None,
+                           metavar="p/q")
+    return common, bound, point
 
 
 # an evaluation command's positional arguments, as (name, help) pairs
@@ -115,24 +124,24 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first main call.
 
-    Building it (twelve subparsers, each copying the shared flags)
-    costs several times a small query, so main reuses it. parse_args
-    keeps nothing between calls: each returns a new namespace, whose
-    run is the function that carries out its command.
+    Building it (twelve subparsers, each copying the shared flags it
+    reads) costs several times a small query, so main reuses it.
+    parse_args keeps nothing between calls: each returns a new
+    namespace, whose run is the function that carries out its command.
     """
-    common = _common_flags()
+    common, bound, point = _flag_groups()
     ap = argparse.ArgumentParser(
         prog="forest-bialg",
         description="exact algebra of decorated planar rooted forests")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
     for name, (positionals, _) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[common, point])
         for arg, text in positionals:
             p.add_argument(arg, help=text)
         p.set_defaults(run=_cmd_eval)
-    sub.add_parser("enumerate", parents=[common]).set_defaults(
+    sub.add_parser("enumerate", parents=[common, bound]).set_defaults(
         run=_cmd_enumerate)
-    p = sub.add_parser("verify", parents=[common])
+    p = sub.add_parser("verify", parents=[common, bound, point])
     p.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     p.set_defaults(run=_cmd_verify)
     return ap

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from . import _kernel
 from .forest import _BEFORE_SWEEP, EMPTY_FOREST, Forest, graft
-from .freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
+from .freemod import (LAM, MU, Coefficient, LinComb, _trusted_lincomb,
+                      act_left, act_right)
 
 __all__ = [
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
@@ -114,9 +115,7 @@ def coproduct_biideal(F: Forest) -> LinComb:
         if prev is not None:
             acc[prev, second] = MU
         prev = first
-    out = LinComb.__new__(LinComb)
-    out.terms = acc
-    _BIID_CACHE[F] = out
+    out = _BIID_CACHE[F] = _trusted_lincomb(acc)
     return out
 
 

@@ -23,7 +23,9 @@ star_lin and star_weighted extend star bilinearly with
 freemod._add_products: every term of every product goes straight into
 one sum. Their left operands are often fresh products, so star sees a
 new F on most calls there; the memo keeps every F's prefixes, so each
-(F, first tree of G) is still regrafted once between sweeps.
+(F, first tree of G) is still regrafted once between sweeps. pairing,
+star_lin and star_weighted take each operand as a Forest or a LinComb,
+through freemod._as_lincomb; a Tree is neither.
 
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
@@ -35,7 +37,7 @@ from typing import Optional
 from .forest import (_BEFORE_SWEEP, KIND_X, Alphabet, Forest, Tree,
                      VertexId, leaf)
 from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
-                      _add_products)
+                      _add_products, _as_lincomb, _trusted_lincomb)
 
 __all__ = ["pairing", "left_path", "star", "star_lin", "star_weighted"]
 
@@ -59,16 +61,6 @@ def pairing(x, y) -> Coefficient:
         if d is not None:
             out = out + c * d
     return out
-
-
-def _as_lincomb(x) -> LinComb:
-    if isinstance(x, LinComb):
-        return x
-    if isinstance(x, Forest):
-        return LinComb.single(x)
-    if isinstance(x, Tree):
-        return LinComb.single(x.as_forest())
-    raise TypeError(f"expected Forest or LinComb, got {type(x).__name__}")
 
 
 def _spine(first: Optional[Tree]) -> list[Tree]:
@@ -160,9 +152,7 @@ def star(F: Forest, G: Forest) -> LinComb:
         H = sized(prefix + rest, n)
         c = acc.get(H)
         acc[H] = ONE if c is None else c + ONE
-    out = LinComb.__new__(LinComb)
-    out.terms = acc
-    return out
+    return _trusted_lincomb(acc)
 
 
 def star_lin(x, y) -> LinComb:

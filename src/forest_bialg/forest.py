@@ -14,10 +14,13 @@ upward-closed vertex sets (forest biideals, a chain under inclusion), and
 restricting a forest to a vertex subset keeps the induced ancestry with
 contraction through deleted vertices. Postorder and restriction run on the
 flat preorder encoding through the pure-Python routines of _kernel; there
-is one implementation of each and no backend switch.
+is one implementation of each and no backend switch. No other module of
+the package reads a forest's encoding: _order_and_paths turns it into
+the vertex order, and _restrictor into restrictions, which restrict and
+morphisms.phi_subsets both take from it.
 
 A forest stores its trees and its vertex count, nothing else. Its vertex
-views (the preorder encoding, the index paths, the postorder) are built
+views (the index paths, the postorder, the restrictions) are built
 per call from one explicit-stack preorder walk, _preorder, and are not
 kept; so a forest held for the whole process, as every enumerated one
 is, costs its tuple of trees and no more.
@@ -267,8 +270,8 @@ class Forest:
     of a tuple it has not seen and then takes that path. Only callers
     whose count is exact by construction call _sized (module docstring).
 
-    The trees and the vertex count are all a forest stores. Depth, text
-    and encoding are computed on demand, each call anew.
+    The trees and the vertex count are all a forest stores. Depth and
+    text are computed on demand, each call anew.
     """
 
     __slots__ = ("trees", "nvertices")
@@ -341,12 +344,6 @@ class Forest:
 
     def __bool__(self):
         return bool(self.trees)
-
-    @property
-    def encoding(self):
-        """(parents, decorations) in preorder; the kernel's flat form."""
-        parents, decos, _ = _preorder(self)
-        return parents, decos
 
 
 EMPTY_FOREST = Forest.make(())
@@ -603,13 +600,13 @@ def vertex_order(F: Forest) -> tuple[VertexId, ...]:
     the leftmost tree of a forest is listed first. The root of each tree is
     that tree's minimum.
     """
+    return _order_and_paths(F)[0]
+
+
+def _order_and_paths(F: Forest):
+    """(vertex_order(F), the VertexIds of F in preorder), from one walk."""
     parents, _, paths = _preorder(F)
-    return _postorder_paths(parents, paths)
-
-
-def _postorder_paths(parents, paths) -> tuple[VertexId, ...]:
-    """vertex_order from a _preorder walk's parents and paths."""
-    return tuple(paths[i] for i in _kernel.postorder_indices(parents))
+    return tuple(paths[i] for i in _kernel.postorder_indices(parents)), paths
 
 
 def biideals(F: Forest) -> tuple[VertexSet, ...]:
@@ -637,11 +634,25 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
         raise TypeError("restrict needs a VertexSet")
     if I.host is not F:
         raise ValueError("VertexSet belongs to a different forest")
-    parents, decos, paths = _preorder(F)
-    idx = {p: i for i, p in enumerate(paths)}
-    keep = tuple(sorted(idx[v] for v in I.members))
-    return forest_from_encoding(_kernel.restrict_parents(parents, keep),
-                                tuple(decos[i] for i in keep))
+    idx = {p: i for i, p in enumerate(_preorder(F)[2])}
+    return _restrictor(F)(tuple(sorted(idx[v] for v in I.members)))
+
+
+def _restrictor(F: Forest):
+    """The map from a tuple keep of ascending preorder indices of F's
+    vertices to F|keep.
+
+    One preorder walk of F serves every keep. restrict and
+    morphisms.phi_subsets both restrict through it, so the flat
+    (parents, decorations) encoding is read in this module alone.
+    """
+    parents, decos, _ = _preorder(F)
+
+    def restricted(keep: tuple) -> Forest:
+        return forest_from_encoding(_kernel.restrict_parents(parents, keep),
+                                    tuple(decos[i] for i in keep))
+
+    return restricted
 
 
 # (parents, decorations) -> forest, until the next intern sweep

@@ -52,11 +52,25 @@ ints, which are far cheaper than Fractions; Fractions enter only through
 evaluation at rational points. Since Fraction(2) == 2 and the two hash
 alike, a lookup with Fraction-stored terms finds the same instance.
 
+A rational part, wherever one is given (Coefficient(terms),
+Coefficient.monomial, LinComb(terms), scale), must be an int or a
+Fraction; any other type, a float or a string included, raises
+TypeError, so no value is rounded or parsed on the way in.
+
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples, and
 apply_leg maps one leg of every tuple in a single pass, splicing the
-image's legs in place of it. LinComb() is zero; LinComb(terms) takes
-Coefficient, int or Fraction values and raises TypeError on any other.
+image's legs in place of it. LinComb() is zero; LinComb(terms) converts
+int and Fraction values through Coefficient.monomial and drops zeros.
+
+This module is the one home of the LinComb representation. Every
+LinComb that LinComb(...) does not check is made by _trusted_lincomb,
+which states the invariant (nonzero Coefficient values) once; the
+operations here, coalgebra's biideal coproduct, dualprod's star and
+morphisms' theta and concatenation basis all return through it, and no
+other module assigns terms. _as_lincomb is the one coercion of an
+operand: a LinComb as it is, a Forest as its single term, anything else
+a TypeError; pairing, star_lin, star_weighted and theta use it.
 """
 
 from __future__ import annotations
@@ -139,8 +153,12 @@ class Coefficient:
         acc = {}
         if terms:
             for mono, q in dict(terms).items():
-                if type(q) is not int:
-                    q = Fraction(q)
+                if type(q) is not int and not isinstance(q, Fraction):
+                    if not isinstance(q, int):
+                        raise TypeError(
+                            "a rational part must be an int or a Fraction, "
+                            f"not {type(q).__name__}")
+                    q = int(q)
                 if q:
                     a, b, c = mono
                     if b < 0 or c < 0:
@@ -234,8 +252,12 @@ class Coefficient:
         return out
 
     def eval_at(self, lam, mu, nu) -> Fraction:
+        """The rational value at a point; a variable left as None that
+        occurs in self raises ValueError."""
         c = self.subst_partial(lam=lam, mu=mu, nu=nu)
-        assert all(m == (0, 0, 0) for m in c.terms)
+        if any(m != (0, 0, 0) for m in c.terms):
+            raise ValueError(f"{c} still has a variable: eval_at needs "
+                             "a value for each one that occurs")
         return Fraction(c.terms.get((0, 0, 0), 0))
 
     # text and JSON forms ---------------------------------------------------
@@ -311,22 +333,26 @@ def _basis_key(basis):
     return tuple(str(leg) for leg in _legs(basis))
 
 
-def _coefficient(c) -> "Coefficient":
-    """The constant Coefficient of an int or a Fraction c, for a value
-    that is not a Coefficient; any other type raises TypeError."""
-    if isinstance(c, (int, Fraction)):
-        return Coefficient.monomial(c)
-    raise TypeError(f"a coefficient must be a Coefficient, an int or a "
-                    f"Fraction, not {type(c).__name__}")
+def _trusted_lincomb(terms: dict) -> "LinComb":
+    """The LinComb whose terms are the dict terms, taken as it is.
+
+    The one place a LinComb is made without LinComb(...)'s conversion,
+    and so the one statement of its invariant: every key of terms is a
+    basis (a forest or a tuple of forests) and every value a nonzero
+    Coefficient. Every operation of this module, and every module that
+    builds a sum of its own, returns its result through here. terms
+    becomes the new value's, so the caller must not touch it afterwards.
+    """
+    out = LinComb.__new__(LinComb)
+    out.terms = terms
+    return out
 
 
 def _tensor_basis(b1, b2) -> "LinComb":
     """The basis tensor b1 (x) b2: the legs of b1, then those of b2. Made
     without LinComb.single, which costs a call more per pair."""
-    out = LinComb.__new__(LinComb)
-    out.terms = {(b1 if type(b1) is tuple else (b1,))
-                 + (b2 if type(b2) is tuple else (b2,)): ONE}
-    return out
+    return _trusted_lincomb({(b1 if type(b1) is tuple else (b1,))
+                             + (b2 if type(b2) is tuple else (b2,)): ONE})
 
 
 class LinComb:
@@ -345,15 +371,13 @@ class LinComb:
         if terms:
             for b, c in dict(terms).items():
                 if c.__class__ is not Coefficient:
-                    c = _coefficient(c)
+                    c = Coefficient.monomial(c)
                 if c:
                     self.terms[b] = c
 
     @staticmethod
     def single(basis, coeff=ONE) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out.terms = {basis: coeff} if coeff else {}
-        return out
+        return _trusted_lincomb({basis: coeff} if coeff else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -377,26 +401,20 @@ class LinComb:
                 del acc[b]
             else:
                 acc[b] = s
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        return _trusted_lincomb(acc)
 
     def __neg__(self):
-        out = LinComb.__new__(LinComb)
-        out.terms = {b: -c for b, c in self.terms.items()}
-        return out
+        return _trusted_lincomb({b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff) -> "LinComb":
         if coeff.__class__ is not Coefficient:
-            coeff = _coefficient(coeff)
+            coeff = Coefficient.monomial(coeff)
         if not coeff:
             return LinComb()
-        out = LinComb.__new__(LinComb)
-        out.terms = {b: c * coeff for b, c in self.terms.items()}
-        return out
+        return _trusted_lincomb({b: c * coeff for b, c in self.terms.items()})
 
     def tensor(self, other: "LinComb") -> "LinComb":
         """self (x) other: the legs of each basis of self, then those of
@@ -440,9 +458,7 @@ class LinComb:
                     del acc[key]
                 else:
                     acc[key] = t
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        return _trusted_lincomb(acc)
 
     def apply_leg(self, i: int, f: Callable) -> "LinComb":
         """Linear extension of a basis map f on tensor leg i.
@@ -472,9 +488,7 @@ class LinComb:
                     del acc[key]
                 else:
                     acc[key] = t
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        return _trusted_lincomb(acc)
 
     def map_basis(self, g: Callable) -> "LinComb":
         acc = {}
@@ -489,9 +503,7 @@ class LinComb:
                 del acc[key]
             else:
                 acc[key] = s
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        return _trusted_lincomb(acc)
 
     def map_coeff(self, h: Callable) -> "LinComb":
         """Apply h to every coefficient, dropping the terms it sends to
@@ -505,9 +517,7 @@ class LinComb:
                 v = images[c] = h(c)
             if v:
                 acc[b] = v
-        out = LinComb.__new__(LinComb)
-        out.terms = acc
-        return out
+        return _trusted_lincomb(acc)
 
     def subst_partial(self, lam=None, mu=None, nu=None) -> "LinComb":
         """Coefficient.subst_partial on every coefficient, dropping the
@@ -578,9 +588,17 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
                     del acc[key]
                 else:
                     acc[key] = t
-    out = LinComb.__new__(LinComb)
-    out.terms = acc
-    return out
+    return _trusted_lincomb(acc)
+
+
+def _as_lincomb(x) -> LinComb:
+    """x as a LinComb: a LinComb as it is, a Forest as its single term
+    with coefficient 1. Anything else raises TypeError."""
+    if isinstance(x, LinComb):
+        return x
+    if isinstance(x, Forest):
+        return LinComb.single(x)
+    raise TypeError(f"expected Forest or LinComb, got {type(x).__name__}")
 
 
 def act_left(F: Forest, t: LinComb) -> LinComb:

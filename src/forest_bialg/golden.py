@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coalgebra import coproduct_biideal, coproduct_rec, counit
 from .dualprod import star, star_weighted
-from .forest import Alphabet, _preorder, biideals, parse_forest
+from .forest import Alphabet, biideals, parse_forest
 from .freemod import LAM, MU, NU, Coefficient, LinComb
 from .morphisms import phi_forest, phi_subsets
 from .prelie import bracket, prelie, prelie_lin, prelie_sandwich
@@ -77,6 +77,14 @@ def _case_coproducts():
                lambda F=F, want=want: (coproduct_biideal(F), want))
 
 
+def _symbol_at(F, v):
+    """The decoration symbol of F's vertex v, found along its index path."""
+    t = F.trees[v.path[0]]
+    for i in v.path[1:]:
+        t = t.children[i]
+    return t.deco.symbol
+
+
 def _case_biideals():
     # (forest, expected decoration-symbol sequences of I_0..I_n)
     displays = [
@@ -88,11 +96,8 @@ def _case_biideals():
         F = parse_forest(text, AB_BIID)
 
         def run(F=F, expect=expect):
-            _, decos, paths = _preorder(F)
-            deco_of = dict(zip(paths, decos))
-            got = tuple(
-                tuple(sorted(deco_of[v].symbol for v in I.members))
-                for I in biideals(F))
+            got = tuple(tuple(sorted(_symbol_at(F, v) for v in I.members))
+                        for I in biideals(F))
             want = tuple(tuple(sorted(e)) for e in expect)
             return got, want
 

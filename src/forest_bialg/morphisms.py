@@ -9,18 +9,21 @@ phi_subsets is the independent closed form
 
     phi(F) = sum over all I subseteq V(F) of nu^{|V(F)\\I|} F|I,
 
-and the two must agree everywhere (suite phi-laws). Composition obeys
+and the two must agree everywhere (suite phi-laws). phi_subsets takes
+every F|I from forest._restrictor, so the flat vertex encoding that
+restriction runs on stays inside the forest module. Composition obeys
 phi_nu . phi_nu' = phi_{nu+nu'}, and phi intertwines the coproduct up to
 the substitution mu -> mu - lambda nu.
 
 theta rescales by the grading, theta(F) = nu^{n_F} F; it intertwines the
-coproduct up to mu -> mu nu.
+coproduct up to mu -> mu nu. phi and theta take a Forest or a LinComb.
 """
 
 from __future__ import annotations
 
-from .forest import _BEFORE_SWEEP, Forest, graft
-from .freemod import NU, ONE, Coefficient, LinComb, _add_products
+from .forest import _BEFORE_SWEEP, Forest, _restrictor, graft
+from .freemod import (NU, ONE, Coefficient, LinComb, _add_products,
+                      _as_lincomb, _trusted_lincomb)
 
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
            "lc_concat"]
@@ -33,9 +36,7 @@ _BEFORE_SWEEP.append(_PHI_CACHE.clear)
 def _concat_basis(F: Forest, G: Forest) -> LinComb:
     # made as freemod._tensor_basis makes its term, without a call to
     # LinComb.single
-    out = LinComb.__new__(LinComb)
-    out.terms = {F * G: ONE}
-    return out
+    return _trusted_lincomb({F * G: ONE})
 
 
 def lc_concat(x: LinComb, y: LinComb) -> LinComb:
@@ -77,10 +78,6 @@ def phi(x) -> LinComb:
 
 def phi_subsets(F: Forest) -> LinComb:
     """phi by the all-subsets closed form (independent of the recursion)."""
-    from . import _kernel
-    from .forest import forest_from_encoding
-
-    parents, decos = F.encoding
     n = F.nvertices
     nu_pow = [Coefficient.monomial(1)]
     for _ in range(n):
@@ -90,8 +87,7 @@ def phi_subsets(F: Forest) -> LinComb:
     keeps = [tuple(i for i in range(n) if mask >> i & 1)
              for mask in range(1 << n)]
     subsets = LinComb({keep: nu_pow[n - len(keep)] for keep in keeps})
-    return subsets.map_basis(lambda keep: forest_from_encoding(
-        _kernel.restrict_parents(parents, keep), tuple(decos[i] for i in keep)))
+    return subsets.map_basis(_restrictor(F))
 
 
 def phi_at(x, nu):
@@ -100,12 +96,9 @@ def phi_at(x, nu):
 
 
 def theta(x) -> LinComb:
-    """theta(F) = nu^{n_F} F, extended linearly."""
-    if isinstance(x, Forest):
-        x = LinComb.single(x)
-    acc: dict = {}
-    for F, c in x.terms.items():
-        s = c * Coefficient.monomial(1, c=F.nvertices)
-        if s:
-            acc[F] = s
-    return LinComb(acc)
+    """theta(F) = nu^{n_F} F, extended linearly; accepts a Forest or a
+    LinComb. A product of nonzero coefficients is nonzero, so every
+    term survives."""
+    return _trusted_lincomb({
+        F: c * Coefficient.monomial(1, c=F.nvertices)
+        for F, c in _as_lincomb(x).terms.items()})

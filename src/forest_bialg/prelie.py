@@ -45,10 +45,10 @@ def prelie_sandwich(F1: Forest, F2: Forest) -> LinComb:
     return _sandwich(F1, coproduct_rec(F2))
 
 
-def prelie_lin(x: LinComb, y: LinComb, product=prelie) -> LinComb:
-    """Bilinear extension of product, for nesting products in identity
+def prelie_lin(x: LinComb, y: LinComb) -> LinComb:
+    """Bilinear extension of prelie, for nesting products in identity
     checks, in one accumulation pass (freemod._add_products)."""
-    return _add_products({}, x, y, product)
+    return _add_products({}, x, y, prelie)
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:

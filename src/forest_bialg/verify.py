@@ -48,7 +48,7 @@ from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         counit, counit_left, counit_right)
 from .dualprod import pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
-                     _biideal_chain, _postorder_paths, _preorder, concat,
+                     _biideal_chain, _order_and_paths, concat,
                      enumerate_forests, graft, sweep_if_due)
 from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, act_left,
                       act_right)
@@ -84,6 +84,10 @@ class RunConfig:
                 or self.eval_nu is not None)
 
 
+# how many failures SuiteReport.render_text writes out in full
+_SHOWN_FAILURES = 10
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -100,14 +104,17 @@ class SuiteReport:
                 "failures": self.failures, "ok": self.ok,
                 "wall_time": round(self.wall_time, 3)}
 
-    def render_text(self, max_failures: int = 10) -> str:
+    def render_text(self) -> str:
+        """The report as text, with the first _SHOWN_FAILURES failures in
+        full."""
         lines = []
-        for f in self.failures[:max_failures]:
+        for f in self.failures[:_SHOWN_FAILURES]:
             lines.append(f"FAIL {f['case']}")
             lines.append(f"  lhs: {f['lhs']}")
             lines.append(f"  rhs: {f['rhs']}")
-        if len(self.failures) > max_failures:
-            lines.append(f"(and {len(self.failures) - max_failures} more failures)")
+        if len(self.failures) > _SHOWN_FAILURES:
+            lines.append(
+                f"(and {len(self.failures) - _SHOWN_FAILURES} more failures)")
         if self.failures:
             # least size, the first in stream order among equals; a
             # failure without a size (a hand-built report) counts as 0
@@ -265,12 +272,11 @@ def _cmp_desc(u, v) -> int:
 def _suite_biideal_count(cfg, m):
     # listing correctness is re-derived from the definitional comparator
     # on index paths, independently of the postorder kernel. One preorder
-    # walk feeds both: the kernel route turns its parents into the vertex
-    # order that biideals and vertex_order compute, the comparator route
-    # sorts its paths
+    # walk (forest._order_and_paths) feeds both: the kernel route gets the
+    # vertex order that biideals and vertex_order compute, the comparator
+    # route sorts the paths
     def check(F):
-        parents, _, paths = _preorder(F)
-        order = _postorder_paths(parents, paths)
+        order, paths = _order_and_paths(F)
         ideals = _biideal_chain(F, order)
         chain = all(ideals[k].members < ideals[k + 1].members
                     for k in range(len(ideals) - 1))

@@ -1,6 +1,7 @@
 """Command line contract: output text, JSON shapes, exit codes, one
 parser per process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -163,6 +164,49 @@ def test_removed_workers_flag_exits_2(capsys, argv):
     assert "unrecognized arguments: --workers 2" in captured.err
 
 
+EVAL_COMMANDS = sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coproduct", "x", "--max-vertices", "3"],
+    ["concat", "a", "b", "--max-vertices", "3"],
+    ["enumerate", "--eval-lambda", "0"],
+    ["enumerate", "--eval-nu", "1/2"],
+], ids=["coproduct-bound", "concat-bound", "enumerate-lambda",
+        "enumerate-nu"])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    point = {"--eval-lambda", "--eval-mu", "--eval-nu"}
+    common = {"--omega", "--xset", "--json"}
+    want = {name: common | point for name in EVAL_COMMANDS}
+    want["enumerate"] = common | {"--max-vertices"}
+    want["verify"] = common | point | {"--max-vertices"}
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for a in p._actions for opt in a.option_strings
+                  if opt not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 71
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["concat", "a", "b", "--eval-nu", "1/2"], "a b\n"),
+    (["graft", "a", "x", "--eval-lambda", "2", "--json"],
+     '{"forest": "a[x]"}\n'),
+], ids=["concat", "graft"])
+def test_forest_commands_take_and_ignore_a_point(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_verify_pass_exits_0(capsys):
     code, out, _ = run(capsys, "verify", "examples-golden")
     assert code == 0
@@ -239,14 +283,14 @@ def test_output_is_the_same_in_fresh_interpreters():
 
 def test_parser_is_built_once(capsys, monkeypatch):
     builds = []
-    common_flags = cli._common_flags
+    flag_groups = cli._flag_groups
 
     def counted():
         builds.append(1)
-        return common_flags()
+        return flag_groups()
 
     cli._build_parser.cache_clear()
-    monkeypatch.setattr(cli, "_common_flags", counted)
+    monkeypatch.setattr(cli, "_flag_groups", counted)
     for i in range(40):
         run(capsys, "counit", "a[x]" if i % 2 else "x")
         run(capsys, "star", "a", "b", "--json", "--eval-mu", str(i))

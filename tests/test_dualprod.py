@@ -53,6 +53,16 @@ def test_pairing_a_tensor_basis_with_a_lincomb_reads_its_coefficient():
     assert pairing((a, one), LinComb()) is ZERO
 
 
+def test_operands_are_forests_or_lincombs():
+    # a Tree is neither: its forest is spelled t.as_forest()
+    t = F("a[x]").trees[0]
+    for call in (lambda: pairing(t, F("a")), lambda: star_lin(F("a"), t),
+                 lambda: star_weighted(t, F("a"), AB)):
+        with pytest.raises(TypeError):
+            call()
+    assert star_lin(t.as_forest(), F("a")) == star(F("a[x]"), F("a"))
+
+
 def test_pairing_is_bilinear_on_tensors():
     x = LinComb.single((F("a"), F("x")), MU) + LinComb.single((F("b"), F("1")), -LAM)
     y = LinComb.single((F("a"), F("x")), LAM)

@@ -255,7 +255,7 @@ def test_every_construction_route_returns_the_interned_instance():
     g = F("a[x] b")
     for f in enumerate_forests(4, AB):
         assert parse_forest(str(f), AB) is f
-        assert forest_from_encoding(*f.encoding) is f
+        assert forest_from_encoding(*_preorder(f)[:2]) is f
         assert restrict(f, biideals(f)[-1]) is f
         assert concat(f, EMPTY_FOREST) is f
         for h in star(f, g).terms:
@@ -356,7 +356,7 @@ def test_a_sweep_releases_every_registered_cache():
                 + [coalgebra.counit(f) for f in fs]
                 + [morphisms.phi_at(f, Fraction(2, 3)) for f in fs]
                 + [dualprod.star(f, g) for f in fs]
-                + [forest_from_encoding(*f.encoding) for f in fs])
+                + [forest_from_encoding(*_preorder(f)[:2]) for f in fs])
 
     caches = {"coalgebra._REC_CACHE": coalgebra._REC_CACHE,
               "coalgebra._BIID_CACHE": coalgebra._BIID_CACHE,
@@ -535,7 +535,7 @@ def test_graft():
 def test_encoding_round_trip():
     for text in ["1", "x", "a[x b[y]] a", "b a[x]"]:
         f = F(text)
-        parents, decos = f.encoding
+        parents, decos = _preorder(f)[:2]
         assert forest_from_encoding(parents, decos) is f
 
 
@@ -560,8 +560,8 @@ def test_encoding_and_paths_follow_the_recursive_preorder():
     for f in enumerate_forests(5, Alphabet(omega=("a", "b"), xset=("x",))):
         parents, decos, paths = _preorder(f)
         assert ((parents, decos), paths) == _preorder_reference(f)
-        assert f.encoding == (parents, decos)
-        assert forest_from_encoding(*f.encoding) is f
+        assert _preorder(f)[:2] == (parents, decos)
+        assert forest_from_encoding(*_preorder(f)[:2]) is f
 
 
 def test_encoding_and_paths_of_a_deep_path_need_no_recursion():
@@ -572,7 +572,7 @@ def test_encoding_and_paths_of_a_deep_path_need_no_recursion():
     for _ in range(n - 1):
         t = Tree.make(a, (t,))
     f = F("b") * t.as_forest()
-    parents, decos = f.encoding
+    parents, decos = _preorder(f)[:2]
     assert parents == (-1, -1) + tuple(range(1, n))
     assert decos == (AB.decoration("b"),) + (a,) * (n - 1) + (x,)
     paths = _preorder(f)[2]
@@ -596,7 +596,7 @@ def test_vertex_order_is_postorder():
 def test_postorder_shape():
     # one explicit trace: a[x b] x has preorder (root, x, b, x-root)
     f = F("a[x b] x")
-    parents, _ = f.encoding
+    parents, _ = _preorder(f)[:2]
     assert parents == (-1, 0, 0, -1)
     assert postorder_indices(parents) == (1, 2, 0, 3)
 
@@ -655,7 +655,7 @@ def _restrict_reference(f, keep_paths):
     """Edge-induced restriction recomputed from index paths only."""
     kept = set(keep_paths)
     idx = {v.path: i for i, v in enumerate(_preorder(f)[2])}
-    decos = f.encoding[1]
+    decos = _preorder(f)[1]
 
     def parent_of(p):
         q = p[:-1]

@@ -2,10 +2,13 @@
 canonical (interned, memoised) coefficients."""
 
 import copy
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +70,23 @@ def test_canonical_form_prunes_zeros():
     c = Coefficient({(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(0)})
     assert c == ONE
     assert (MU - MU) == ZERO and not (MU - MU)
+
+
+def test_rational_parts_are_ints_or_fractions():
+    # one input rule for the constructor, monomial, LinComb(terms) and
+    # scale: any other rational part raises TypeError
+    with pytest.raises(TypeError):
+        Coefficient.monomial(0.1)
+    with pytest.raises(TypeError):
+        Coefficient({(0, 0, 0): "1/3"})
+    with pytest.raises(TypeError):
+        LinComb({F("a"): 0.5})
+    with pytest.raises(TypeError):
+        LinComb.single(F("a")).scale(0.5)
+    assert Coefficient({(0, 0, 0): Fraction(1, 3)}) is Coefficient.monomial(
+        Fraction(1, 3))
+    assert LinComb({F("a"): 3}) == LinComb.single(F("a"),
+                                                  Coefficient.monomial(3))
 
 
 def test_exponent_domain_is_enforced():
@@ -352,6 +372,29 @@ def test_evaluation_returns_fraction():
             assert type(r) is Fraction
     assert ZERO.eval_at(1, 1, 1) == 0
     assert half.eval_at(4, 0, 0) == 2
+
+
+def test_evaluation_rejects_a_variable_left_symbolic():
+    with pytest.raises(ValueError):
+        (LAM + MU).eval_at(None, 2, 1)
+    with pytest.raises(ValueError):
+        NU.eval_at(1, 1, None)
+    assert MU.eval_at(None, 2, 1) == 2     # lambda does not occur
+
+
+def test_evaluation_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must not be one
+    code = ("from forest_bialg.freemod import LAM, MU\n"
+            "try:\n"
+            "    print((LAM + MU).eval_at(None, 2, 1))\n"
+            "except ValueError:\n"
+            "    print('rejected')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "rejected\n"
 
 
 def _lc(*terms):

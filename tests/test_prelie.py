@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_bialg import freemod
 from forest_bialg.forest import EMPTY_FOREST, Alphabet, enumerate_forests, parse_forest
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb
 from forest_bialg.prelie import (bracket, bracket_lin, prelie, prelie_lin,
@@ -105,10 +106,14 @@ lincombs = st.lists(st.tuples(st.sampled_from(SMALL1), signed), max_size=4).map(
 @settings(max_examples=200)
 @given(lincombs, lincombs, st.sampled_from([prelie, prelie_sandwich, bracket]))
 def test_prelie_lin_matches_nested_sums(x, y, product):
-    got = prelie_lin(x, y, product)
+    # prelie_lin is the one-pass sum of prelie; the sandwich oracle and
+    # the bracket go through the same freemod._add_products
+    got = freemod._add_products({}, x, y, product)
     assert got == _prelie_lin_reference(x, y, product)
     assert all(got.terms.values())
-    assert prelie_lin(x, x, bracket).terms == {}
+    if product is prelie:
+        assert prelie_lin(x, y) == got
+    assert freemod._add_products({}, x, x, bracket).terms == {}
 
 
 @settings(max_examples=200)
