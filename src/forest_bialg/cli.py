@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .coalgebra import coproduct, counit
 from .dualprod import star_lin, star_weighted
-from .forest import (Alphabet, Forest, concat, enumerate_forests, graft,
-                     parse_forest, sweep_if_due)
+from .forest import (Alphabet, Forest, _forest_text, concat,
+                     enumerate_forests, graft, parse_forest, sweep_if_due)
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
 from .verify import SUITE_NAMES, RunConfig, run_suite
@@ -180,9 +180,11 @@ def _cmd_enumerate(args) -> int:
     nmax = args.max_vertices if args.max_vertices is not None else 4
     counts: dict = {}
     listing = []
+    # one text memo for the listing, whose forests share most of their trees
+    memo: dict = {}
     for F in enumerate_forests(nmax, ab):
         counts[F.nvertices] = counts.get(F.nvertices, 0) + 1
-        listing.append(str(F))
+        listing.append(_forest_text(F, memo))
     if args.json:
         print(json.dumps({"forests": listing,
                           "counts": {str(n): counts[n] for n in sorted(counts)},

@@ -77,7 +77,12 @@ its entry. Between sweeps the tables keep everything, so the hit path of
 make costs nothing extra.
 
 Text form: "1" for the empty forest, "a[x b[y]] c" style otherwise; leaves
-render bare, children go in brackets separated by spaces.
+render bare, children go in brackets separated by spaces. Text is not
+stored: one explicit-stack walk, _tree_text, makes it through a memo
+that is local to the call, so within one render each distinct subtree
+is walked once and a repeat costs a copy of its text. str(tree) and
+str(forest) each start a fresh memo; a caller that renders many forests
+sharing trees passes one memo to _forest_text for all of them.
 """
 
 from __future__ import annotations
@@ -225,30 +230,7 @@ class Tree:
         return Tree.make, (self.deco, self.children)
 
     def __str__(self):
-        """Canonical text, by an explicit-stack walk, so no nesting
-        reaches the recursion limit."""
-        if not self.children:
-            return self.deco.symbol
-        out = []
-        # a tree, or the text that follows a child list's tree
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            if t.__class__ is str:
-                out.append(t)
-                continue
-            kids = t.children
-            if not kids:
-                out.append(t.deco.symbol)
-                continue
-            out.append(t.deco.symbol)
-            out.append("[")
-            stack.append("]")
-            for i in range(len(kids) - 1, 0, -1):
-                stack.append(kids[i])
-                stack.append(" ")
-            stack.append(kids[0])
-        return "".join(out)
+        return _tree_text(self, {})
 
     def __repr__(self):
         return f"Tree({str(self)!r})"
@@ -270,8 +252,12 @@ class Forest:
     of a tuple it has not seen and then takes that path. Only callers
     whose count is exact by construction call _sized (module docstring).
 
-    The trees and the vertex count are all a forest stores. Depth and
-    text are computed on demand, each call anew.
+    The trees and the vertex count are all a forest stores. Depth is
+    computed on demand, each call anew. Text is made by one walk,
+    _tree_text, through a memo local to the call: str makes a fresh one,
+    and a caller rendering many forests at once (freemod's LinComb
+    output, the sort of an enumeration, cli's enumerate listing) passes
+    one memo to all of them.
     """
 
     __slots__ = ("trees", "nvertices")
@@ -337,7 +323,7 @@ class Forest:
                              self.nvertices + other.nvertices)
 
     def __str__(self):
-        return " ".join(map(str, self.trees)) if self.trees else "1"
+        return _forest_text(self, {})
 
     def __repr__(self):
         return f"Forest({str(self)!r})"
@@ -506,6 +492,64 @@ class VertexSet:
 
 
 # ---------------------------------------------------------------- text form
+
+def _tree_text(t: Tree, memo: dict) -> str:
+    """The canonical text of t, through memo.
+
+    memo belongs to one render and maps a tree it has met to the tree's
+    text, or, while the tree has been met only inside a larger one, to
+    (pieces, start, end): the span of that tree's piece list that spells
+    it, joined into a text the next time the tree is met. Each distinct
+    subtree is therefore walked once per memo, and the work stays linear
+    in the length of the text however deep the nesting. One
+    explicit-stack walk, so no nesting reaches the recursion limit.
+    """
+    out = []
+    # a tree; the text " " between two children; or (tree, start), which
+    # closes the tree whose pieces begin at out[start]
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Tree:
+            kids = u.children
+            if not kids:
+                out.append(u.deco.symbol)
+                continue
+            text = memo.get(u)
+            if text is not None:
+                if text.__class__ is not str:
+                    pieces, start, end = text
+                    text = memo[u] = "".join(pieces[start:end])
+                out.append(text)
+                continue
+            stack.append((u, len(out)))
+            out.append(u.deco.symbol + "[")
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append(kids[i])
+                stack.append(" ")
+            stack.append(kids[0])
+        elif u.__class__ is str:
+            out.append(u)
+        else:
+            out.append("]")
+            memo[u[0]] = (out, u[1], len(out))
+    text = memo[t] = "".join(out)
+    return text
+
+
+def _forest_text(F: Forest, memo: dict) -> str:
+    """The canonical text of F, its trees rendered through memo (see
+    _tree_text), which is read inline for the trees it already spells."""
+    if not F.trees:
+        return "1"
+    texts = []
+    for t in F.trees:
+        text = memo.get(t)
+        if text.__class__ is not str:
+            text = _tree_text(t, memo)
+        texts.append(text)
+    return " ".join(texts)
+
 
 # a token: "[", "]" or "1" (group 1), an identifier (group 2), or any
 # other character but a space (group 3), which is an error
@@ -703,7 +747,9 @@ def _forests_exact(n: int, alphabet: Alphabet) -> tuple[Forest, ...]:
             for t in _trees_exact(k, alphabet):
                 for rest in _forests_exact(n - k, alphabet):
                     acc.append(Forest.make((t,) + rest.trees))
-        acc.sort(key=str)
+        # one text memo for the whole sort, since the forests share trees
+        memo: dict = {}
+        acc.sort(key=lambda f: _forest_text(f, memo))
         out = tuple(acc)
     _ENUM_FORESTS[key] = out
     return out

@@ -55,7 +55,9 @@ alike, a lookup with Fraction-stored terms finds the same instance.
 A rational part, wherever one is given (Coefficient(terms),
 Coefficient.monomial, LinComb(terms), scale), must be an int or a
 Fraction; any other type, a float or a string included, raises
-TypeError, so no value is rounded or parsed on the way in.
+TypeError, so no value is rounded or parsed on the way in. The exponent
+triple of Coefficient(terms) and Coefficient.monomial follows the same
+rule: ints only, anything else a TypeError.
 
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples, and
@@ -71,6 +73,13 @@ morphisms' theta and concatenation basis all return through it, and no
 other module assigns terms. _as_lincomb is the one coercion of an
 operand: a LinComb as it is, a Forest as its single term, anything else
 a TypeError; pairing, star_lin, star_weighted and theta use it.
+
+A LinComb's text and JSON are built with three memos that live for one
+__str__ or to_json call: tree -> text (forest._tree_text), leg forest ->
+text, and coefficient -> text or JSON. So each distinct subtree, leg and
+coefficient of one output is rendered once, and nothing is kept between
+calls; the JSON of a coefficient is copied for every term that has it,
+so no two terms of one to_json result share a mutable object.
 """
 
 from __future__ import annotations
@@ -79,7 +88,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .forest import _BEFORE_SWEEP, Forest, _forget_unheld, concat
+from .forest import (_BEFORE_SWEEP, Forest, _forest_text, _forget_unheld,
+                     concat)
 
 __all__ = [
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
@@ -159,8 +169,11 @@ class Coefficient:
                             "a rational part must be an int or a Fraction, "
                             f"not {type(q).__name__}")
                     q = int(q)
+                a, b, c = mono
+                if not (isinstance(a, int) and isinstance(b, int)
+                        and isinstance(c, int)):
+                    raise TypeError(f"exponents must be ints, not {mono!r}")
                 if q:
-                    a, b, c = mono
                     if b < 0 or c < 0:
                         raise ValueError(f"negative mu/nu exponent in {mono}")
                     acc[(int(a), int(b), int(c))] = q
@@ -325,14 +338,6 @@ _BEFORE_SWEEP.append(sweep_coefficients)
 
 # --------------------------------------------------------------- free module
 
-def _legs(basis) -> tuple:
-    return basis if isinstance(basis, tuple) else (basis,)
-
-
-def _basis_key(basis):
-    return tuple(str(leg) for leg in _legs(basis))
-
-
 def _trusted_lincomb(terms: dict) -> "LinComb":
     """The LinComb whose terms are the dict terms, taken as it is.
 
@@ -377,6 +382,9 @@ class LinComb:
 
     @staticmethod
     def single(basis, coeff=ONE) -> "LinComb":
+        """coeff basis; coeff converted as LinComb(terms) converts it."""
+        if coeff.__class__ is not Coefficient:
+            coeff = Coefficient.monomial(coeff)
         return _trusted_lincomb({basis: coeff} if coeff else {})
 
     def __bool__(self):
@@ -424,8 +432,8 @@ class LinComb:
     # apply and apply_leg carry the law suites' ring work, so they read
     # the memos directly instead of calling the operators (with the
     # operators, a laws-symbolic pass took ~9% longer); apply_leg and
-    # _tensor_basis wrap a forest key as a leg inline, since a _legs call
-    # per image term was 0.30 s of a profiled laws-symbolic pass.
+    # _tensor_basis wrap a forest key as a leg inline, since a helper call
+    # per image term to do it was 0.30 s of a profiled laws-symbolic pass.
     #
     # The five hot sums (__add__, apply, apply_leg, map_basis and
     # _add_products) stay separate loops. A prototype that routed all
@@ -528,24 +536,56 @@ class LinComb:
         return self.terms.get(basis, ZERO)
 
     def _rendered(self):
-        """(leg texts, coefficient, basis) per term, sorted on the texts;
-        each leg is rendered once."""
-        return sorted(((_basis_key(b), c, b) for b, c in self.terms.items()),
-                      key=itemgetter(0))
+        """(leg texts, coefficient, basis) per term, sorted on the texts.
+
+        The memos live for this call only: legs maps each distinct leg
+        forest to its text, and trees each distinct tree to its text
+        (forest._tree_text), so a tree that many legs share is walked
+        once."""
+        trees: dict = {}
+        legs: dict = {}
+        rows = []
+        for b, c in self.terms.items():
+            texts = []
+            for leg in (b if b.__class__ is tuple else (b,)):
+                text = legs.get(leg)
+                if text is None:
+                    text = legs[leg] = _forest_text(leg, trees)
+                texts.append(text)
+            rows.append((texts, c, b))
+        rows.sort(key=itemgetter(0))
+        return rows
 
     def __str__(self):
         if not self.terms:
             return "0"
-        return "\n".join(f"({c}) {' (x) '.join(legs)}"
-                         for legs, c, _ in self._rendered())
+        # coefficient -> its text, for this call; a phi image has n + 1
+        # distinct coefficients over up to 2**n terms
+        coeffs: dict = {}
+        lines = []
+        for texts, c, _ in self._rendered():
+            text = coeffs.get(c)
+            if text is None:
+                text = coeffs[c] = str(c)
+            lines.append(f"({text}) {' (x) '.join(texts)}")
+        return "\n".join(lines)
 
     def __repr__(self):
         n = len(self.terms)
         return f"LinComb<{n} term{'s' if n != 1 else ''}>"
 
     def to_json(self):
-        return [{"coeff": c.to_json(), "legs": list(legs)}
-                for legs, c, _ in self._rendered()]
+        """The terms as JSON-ready dicts, in the order of __str__. Each
+        distinct coefficient's JSON is made once per call, and every term
+        gets copies of its dicts, so no two terms share a mutable object."""
+        coeffs: dict = {}
+        out = []
+        for texts, c, _ in self._rendered():
+            js = coeffs.get(c)
+            if js is None:
+                js = coeffs[c] = c.to_json()
+            out.append({"coeff": [m.copy() for m in js], "legs": texts})
+        return out
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,

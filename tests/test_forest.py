@@ -20,11 +20,11 @@ from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
 from forest_bialg.forest import (_ENC_INTERN, EMPTY_FOREST, Alphabet,
                                  DecorationError, Forest, ForestSyntaxError,
-                                 Tree, VertexId, VertexSet, _preorder,
-                                 biideals, concat, enumerate_forests,
-                                 forest_from_encoding, graft, leaf,
-                                 parse_forest, restrict, sweep_interned,
-                                 vertex_order)
+                                 Tree, VertexId, VertexSet, _forest_text,
+                                 _preorder, biideals, concat,
+                                 enumerate_forests, forest_from_encoding,
+                                 graft, leaf, parse_forest, restrict,
+                                 sweep_interned, vertex_order)
 
 AB = Alphabet(omega=("a", "b"), xset=("x", "y"))
 AB4 = Alphabet(omega=("a", "b", "c", "d"), xset=("x",))
@@ -505,6 +505,18 @@ def _text_rec(t):
 def test_text_matches_the_recursive_definition():
     for f in enumerate_forests(5, Alphabet(omega=("a", "b"), xset=("x",))):
         assert str(f) == (" ".join(map(_text_rec, f.trees)) or "1")
+
+
+def test_text_through_one_shared_memo_matches_the_recursive_definition():
+    # as a LinComb's output and an enumeration's sort render: one memo for
+    # many forests, so a subtree first met inside a larger tree is met
+    # again on its own and inside other trees
+    memo = {}
+    forests = list(enumerate_forests(5, Alphabet(omega=("a", "b"),
+                                                 xset=("x",))))
+    for f in forests + forests[::-1]:
+        assert _forest_text(f, memo) == (" ".join(map(_text_rec, f.trees))
+                                         or "1")
 
 
 def test_text_of_a_deep_tree_needs_no_recursion():

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_forest import _text_rec
 
 from forest_bialg import freemod
-from forest_bialg.forest import Alphabet, parse_forest
+from forest_bialg.forest import Alphabet, Tree, parse_forest
 from forest_bialg.freemod import (LAM, MU, NU, ONE, ZERO, Coefficient,
                                   LinComb, act_left, act_right,
                                   sweep_coefficients)
@@ -87,6 +88,15 @@ def test_rational_parts_are_ints_or_fractions():
         Fraction(1, 3))
     assert LinComb({F("a"): 3}) == LinComb.single(F("a"),
                                                   Coefficient.monomial(3))
+
+
+@pytest.mark.parametrize("mono", [(0.5, 0, 0), (1.7, 0, 0), ("2", 0, 0)])
+def test_exponents_are_ints(mono):
+    # truncated or parsed, these would read as 1, l and l^2
+    with pytest.raises(TypeError):
+        Coefficient({mono: 1})
+    with pytest.raises(TypeError):
+        Coefficient.monomial(1, *mono)
 
 
 def test_exponent_domain_is_enforced():
@@ -207,6 +217,21 @@ def test_lincomb_converts_rational_values():
             LinComb.single(a).scale(bad)
 
 
+def test_single_converts_its_coefficient():
+    a = F("a")
+    two = Coefficient.monomial(2)
+    assert LinComb.single(a, 2).terms[a] is two
+    assert LinComb.single(a, Fraction(1, 2)).terms[a] is Coefficient.monomial(
+        Fraction(1, 2))
+    assert LinComb.single(a, 2) + LinComb.single(a) == LinComb.single(
+        a, two + ONE)
+    assert LinComb.single(a, 2) == LinComb({a: 2})
+    assert LinComb.single(a, 0).terms == {}
+    for bad in (0.5, "2"):
+        with pytest.raises(TypeError):
+            LinComb.single(a, bad)
+
+
 def test_single_keeps_the_zero_rule():
     assert LinComb.single(F("a"), ZERO) == LinComb()
     assert LinComb.single(F("a"), ZERO).terms == {}
@@ -258,35 +283,115 @@ def test_lincomb_json_shape():
                             "legs": ["a", "1"]}]
 
 
+def _leg_texts(basis):
+    # each leg spelled by the recursive definition of the text form
+    legs = basis if isinstance(basis, tuple) else (basis,)
+    return [" ".join(map(_text_rec, leg.trees)) or "1" for leg in legs]
+
+
 def _rendering_reference(u):
-    # text, JSON and term order as rendered when every leg was rendered
-    # again after sorting on _basis_key
-    items = sorted(u.terms.items(), key=lambda bc: freemod._basis_key(bc[0]))
-    lines = []
-    for b, c in items:
-        legs = " (x) ".join(str(leg) for leg in freemod._legs(b))
-        lines.append(f"({c}) {legs}")
+    # text, JSON and term order as rendered term by term, every leg spelled
+    # anew and every coefficient rendered on its own, with no memo
+    items = sorted(u.terms.items(), key=lambda bc: _leg_texts(bc[0]))
+    lines = [f"({c}) {' (x) '.join(_leg_texts(b))}" for b, c in items]
     text = "\n".join(lines) if items else "0"
-    js = [{"coeff": c.to_json(),
-           "legs": [str(leg) for leg in freemod._legs(b)]}
-          for b, c in items]
+    js = [{"coeff": c.to_json(), "legs": _leg_texts(b)} for b, c in items]
     return text, js, items
 
 
+def _assert_renders_as_reference(u):
+    text, js, items = _rendering_reference(u)
+    assert str(u) == text
+    assert u.to_json() == js
+    assert [(b, c) for _, c, b in u._rendered()] == items
+
+
 def test_lincomb_rendering_matches_the_per_leg_reference():
-    # forests (phi images) and pair tensors (coproducts) of every forest
-    # up to 4 vertices, plus the triple tensors of (D (x) id) D
+    # forests (phi images, also at nu = 1/2, whose coefficients are
+    # Fractions) and pair tensors (coproducts) of every forest up to 4
+    # vertices, plus the triple tensors of (D (x) id) D
     from forest_bialg.coalgebra import coproduct, coproduct_left
     from forest_bialg.forest import enumerate_forests
     from forest_bialg.morphisms import phi
 
+    half = Fraction(1, 2)
     for f in enumerate_forests(4, AB):
         cop = coproduct(f)
-        for u in (phi(f), cop, coproduct_left(cop), cop - cop):
-            text, js, items = _rendering_reference(u)
-            assert str(u) == text
-            assert u.to_json() == js
-            assert [(b, c) for _, c, b in u._rendered()] == items
+        p = phi(f)
+        for u in (p, p.subst_partial(nu=half), cop, coproduct_left(cop),
+                  cop - cop):
+            _assert_renders_as_reference(u)
+
+
+def test_star_weighted_rendering_matches_the_per_leg_reference():
+    from forest_bialg.dualprod import star_weighted
+    from forest_bialg.forest import enumerate_forests
+
+    small = list(enumerate_forests(2, AB))
+    for f in enumerate_forests(3, AB):
+        for g in small:
+            _assert_renders_as_reference(star_weighted(f, g, AB))
+
+
+def test_rendering_a_deep_tree_needs_no_recursion():
+    n = 5000
+    assert n > sys.getrecursionlimit()
+    a, b, x = (AB.decoration(s) for s in "abx")
+    # a path of a's over x with a b beside every level; the legs of the
+    # pair tensor are a subtree from the middle and the whole tree, so the
+    # middle subtree is met both inside the tree and as a leg of its own
+    t, mid = Tree.make(x), None
+    for i in range(n):
+        t = Tree.make(a, (Tree.make(b), t))
+        if i == n // 2:
+            mid = t
+    def spelled(depth):
+        return "a[b " * depth + "x" + "]" * depth
+
+    big, half = t.as_forest(), mid.as_forest()
+    u = (LinComb.single(big, MU) + LinComb.single(half, LAM)
+         + LinComb.single((half, big), 2))
+    # "a" sorts before "x", so the deeper text comes first
+    whole, middle = spelled(n), spelled(n // 2 + 1)
+    expected = [[whole], [middle], [middle, whole]]
+    lines = [f"(m) {whole}", f"(l) {middle}", f"(2) {middle} (x) {whole}"]
+    assert str(u) == "\n".join(lines)
+    assert [term["legs"] for term in u.to_json()] == expected
+
+
+def _mutables(obj):
+    # every list and dict reachable from obj
+    out, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, dict):
+            out.append(o)
+            stack.extend(o.values())
+        elif isinstance(o, list):
+            out.append(o)
+            stack.extend(o)
+    return out
+
+
+def test_to_json_terms_share_no_mutable_object():
+    # the coefficient JSON is made once per distinct coefficient, so every
+    # term must get its own copies: a phi image repeats n + 1 coefficients
+    # over 2**n terms
+    from forest_bialg.morphisms import phi
+
+    u = phi(F("a[x b[x]] x"))
+    js = u.to_json()
+    assert len({id(t["coeff"]) for t in js}) == len(js)
+    seen = set()
+    for term in js:
+        ids = {id(o) for o in _mutables(term)}
+        assert not ids & seen
+        seen |= ids
+    for i in range(len(js)):
+        js[i]["coeff"][0]["q"] = "mutated"
+        js[i]["coeff"].append({})
+        js[i]["legs"].append("mutated")
+        assert js[i + 1:] == u.to_json()[i + 1:]
 
 
 # ------------------------------------------- representation invariance
