@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 
 from .coalgebra import coproduct, counit
-from .dualprod import star_lin, star_weighted
+from .dualprod import star, star_weighted
 from .forest import (Alphabet, Forest, _forest_text, concat,
                      enumerate_forests, graft, parse_forest, sweep_if_due)
 from .morphisms import phi, theta
@@ -110,7 +110,7 @@ _COMMANDS = {
     "counit": (_ONE, lambda ab, F: counit(F)),
     "phi": (_ONE, lambda ab, F: phi(F)),
     "theta": (_ONE, lambda ab, F: theta(F)),
-    "star": (_TWO, lambda ab, F, G: star_lin(F, G)),
+    "star": (_TWO, lambda ab, F, G: star(F, G)),
     "star-weighted": (_TWO, lambda ab, F, G: star_weighted(F, G, ab)),
     "prelie": (_TWO, lambda ab, F, G: prelie(F, G)),
     "bracket": (_TWO, lambda ab, F, G: bracket(F, G)),

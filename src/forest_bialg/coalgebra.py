@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from . import _kernel
 from .forest import _BEFORE_SWEEP, EMPTY_FOREST, Forest, graft
-from .freemod import (LAM, MU, Coefficient, LinComb, _trusted_lincomb,
-                      act_left, act_right)
+from .freemod import (LAM, MU, Coefficient, LinComb, _as_lincomb,
+                      _trusted_lincomb, act_left, act_right)
 
 __all__ = [
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
@@ -123,9 +123,10 @@ def coproduct_biideal(F: Forest) -> LinComb:
 coproduct = coproduct_biideal
 
 
-def coproduct_lin(x: LinComb) -> LinComb:
-    """Linear extension of the coproduct to LinComb<Forest>."""
-    return x.apply(coproduct)
+def coproduct_lin(x) -> LinComb:
+    """Linear extension of the coproduct to LinComb<Forest>; a Forest
+    operand is its single term (freemod._as_lincomb)."""
+    return _as_lincomb(x).apply(coproduct)
 
 
 def coproduct_left(t: LinComb) -> LinComb:

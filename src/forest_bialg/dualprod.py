@@ -27,6 +27,17 @@ new F on most calls there; the memo keeps every F's prefixes, so each
 star_lin and star_weighted take each operand as a Forest or a LinComb,
 through freemod._as_lincomb; a Tree is neither.
 
+The images star_lin and star_weighted compute are held in _HELD, keyed
+on (star, F) and then G, until the next intern sweep: the identity
+suites nest these products (star-assoc makes y star z again for every
+x), so a pair made before costs one lookup. star is read from this
+module at call time, so a replaced star (a test's mutant, a tracer's
+wrapper) is called and keyed as itself. A direct call of star holds
+nothing beyond the prefix memo: star-census makes each of its pairs
+once, and a held image per pair only took memory there. The CLI's
+star command calls star for that reason; its star-weighted command
+holds the images of its one call until cli.main's next due sweep.
+
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
 
@@ -100,6 +111,10 @@ def _regrafted(trees: tuple, first: Optional[Tree]):
 # before it counted what the intern tables alone hold
 _memo: dict = {}
 _BEFORE_SWEEP.append(_memo.clear)
+# (star, F) -> {G: star(F, G)} for the pairs star_lin and star_weighted
+# made since the last sweep (freemod._add_products)
+_HELD: dict = {}
+_BEFORE_SWEEP.append(_HELD.clear)
 
 
 def star(F: Forest, G: Forest) -> LinComb:
@@ -157,8 +172,10 @@ def star(F: Forest, G: Forest) -> LinComb:
 
 def star_lin(x, y) -> LinComb:
     """Bilinear extension of star, in one accumulation pass with the
-    terms of x in the outer loop (freemod._add_products)."""
-    return _add_products({}, _as_lincomb(x), _as_lincomb(y), star)
+    terms of x in the outer loop (freemod._add_products), each image
+    held in _HELD until the next sweep."""
+    return _add_products({}, _as_lincomb(x), _as_lincomb(y), star,
+                         held=_HELD)
 
 
 _NEG_LAM = -LAM
@@ -171,11 +188,13 @@ def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
     star y then go into one sum, so no scaled, negated or partial sum is
     copied. star's memo holds each F of x, and each term of x star .d,
     with its prefixes until the next sweep, so the outer products
-    regraft each (F, first tree of G) once there.
+    regraft each (F, first tree of G) once there; _HELD holds every
+    image of the three sums, so a pair that an earlier call made is not
+    grafted again.
     """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})
-    xdots = _add_products({}, x, dots, star)
+    xdots = _add_products({}, x, dots, star, held=_HELD)
     acc: dict = {}
-    _add_products(acc, x, y, star, _NEG_LAM)
-    return _add_products(acc, xdots, y, star)
+    _add_products(acc, x, y, star, _NEG_LAM, held=_HELD)
+    return _add_products(acc, xdots, y, star, held=_HELD)

@@ -31,10 +31,12 @@ Each sum is written once per shape. On a memo miss, Coefficient's sum,
 product and evaluation all add monomials through _summed. Over a basis,
 _add_products is the bilinear extension of a basis product in one pass:
 LinComb.tensor, morphisms.lc_concat, star_lin, star_weighted,
-prelie_lin and bracket_lin are each one to three calls to it. The other
-hot sums, LinComb.__add__, apply, apply_leg and map_basis, keep loops of
-their own for speed (see the comment above LinComb.apply). Every
-accumulation loop over a basis tests cancellation with `is ZERO`.
+prelie_lin and bracket_lin are each one to three calls to it, and the
+last four hold the images they compute until the next sweep (see
+_add_products). The other hot sums, LinComb.__add__, apply, apply_leg
+and map_basis, keep loops of their own for speed (see the comment above
+LinComb.apply). Every accumulation loop over a basis tests cancellation
+with `is ZERO`.
 
 sweep_coefficients clears the three memos and drops every interned value
 that nothing else holds. It is registered in forest._BEFORE_SWEEP, so
@@ -72,7 +74,8 @@ operations here, coalgebra's biideal coproduct, dualprod's star and
 morphisms' theta and concatenation basis all return through it, and no
 other module assigns terms. _as_lincomb is the one coercion of an
 operand: a LinComb as it is, a Forest as its single term, anything else
-a TypeError; pairing, star_lin, star_weighted and theta use it.
+a TypeError; pairing, star_lin, star_weighted, prelie_lin, bracket_lin,
+coproduct_lin and theta use it.
 
 A LinComb's text and JSON are built with three memos that live for one
 __str__ or to_json call: tree -> text (forest._tree_text), leg forest ->
@@ -589,7 +592,7 @@ class LinComb:
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
-                  k: Coefficient = ONE) -> LinComb:
+                  k: Coefficient = ONE, held: dict | None = None) -> LinComb:
     """Add k c d f(F, G) into acc for every term c F of x and d G of y
     (k nonzero), and return the LinComb whose terms are acc.
 
@@ -600,17 +603,37 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
     in a row. Like apply, it reads the memos inline and drops a
     cancelled term on `is ZERO`; an image coefficient of ONE, as nearly
     all of star's are, costs no product.
+
+    held, when given, keeps the images: it maps (f, F) to a dict
+    G -> f(F, G), so a pair seen before costs one lookup, whichever call
+    saw it. The key names f, so a product replaced at run time (a test's
+    mutant) never reads the images of another. dualprod and prelie each
+    pass one such dict and release it at every intern sweep; the
+    products whose pairs do not repeat (tensor, lc_concat) pass none.
+    Threads that miss on one pair at once each compute it and store
+    equal images.
     """
     yterms = y.terms.items()
+    row = None
     for F, c in x.terms.items():
         if k is not ONE:
             ck = _MUL.get((c, k))
             c = c * k if ck is None else ck
+        if held is not None:
+            row = held.get((f, F))
+            if row is None:
+                row = held.setdefault((f, F), {})
         for G, d in yterms:
             cd = _MUL.get((c, d))
             if cd is None:
                 cd = c * d
-            for key, e in f(F, G).terms.items():
+            if row is None:
+                image = f(F, G)
+            else:
+                image = row.get(G)
+                if image is None:
+                    image = row[G] = f(F, G)
+            for key, e in image.terms.items():
                 if e is ONE:
                     p = cd
                 else:

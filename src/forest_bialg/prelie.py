@@ -19,16 +19,33 @@ holds, so [F1, F2] = F1|>F2 - F2|>F1 is a Lie bracket.
 prelie_lin and bracket_lin, the bilinear extensions the identity suites
 nest, accumulate every term into one sum with freemod._add_products;
 bracket_lin adds both orders into it, the second with coefficient -1.
+Each takes its operands as a Forest or a LinComb, through
+freemod._as_lincomb.
+
+The images prelie_lin and bracket_lin compute are held in _HELD, keyed
+on (prelie, F1) and then F2, until the next intern sweep: the prelie
+and jacobi suites rebuild the inner product of a triple for every third
+forest, so a pair made before costs one lookup. prelie is read from
+this module at call time, so a replaced prelie (a test's mutant, a
+tracer's wrapper) is called and keyed as itself. Direct calls of
+prelie, bracket and prelie_sandwich hold nothing: prelie-closed-form
+and the CLI's prelie and bracket commands make each pair once.
 """
 
 from __future__ import annotations
 
 from .coalgebra import coproduct_biideal, coproduct_rec
-from .forest import Forest
-from .freemod import ONE, LinComb, _add_products
+from .forest import _BEFORE_SWEEP, Forest
+from .freemod import ONE, LinComb, _add_products, _as_lincomb
 
 __all__ = ["prelie", "prelie_sandwich", "prelie_lin", "bracket",
            "bracket_lin"]
+
+
+# (prelie, F1) -> {F2: prelie(F1, F2)} for the pairs prelie_lin and
+# bracket_lin made since the last sweep (freemod._add_products)
+_HELD: dict = {}
+_BEFORE_SWEEP.append(_HELD.clear)
 
 
 def _sandwich(F1: Forest, delta2: LinComb) -> LinComb:
@@ -45,10 +62,12 @@ def prelie_sandwich(F1: Forest, F2: Forest) -> LinComb:
     return _sandwich(F1, coproduct_rec(F2))
 
 
-def prelie_lin(x: LinComb, y: LinComb) -> LinComb:
+def prelie_lin(x, y) -> LinComb:
     """Bilinear extension of prelie, for nesting products in identity
-    checks, in one accumulation pass (freemod._add_products)."""
-    return _add_products({}, x, y, prelie)
+    checks, in one accumulation pass (freemod._add_products), each image
+    held in _HELD until the next sweep."""
+    return _add_products({}, _as_lincomb(x), _as_lincomb(y), prelie,
+                         held=_HELD)
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:
@@ -59,9 +78,11 @@ def bracket(F1: Forest, F2: Forest) -> LinComb:
 _NEG_ONE = -ONE
 
 
-def bracket_lin(x: LinComb, y: LinComb) -> LinComb:
+def bracket_lin(x, y) -> LinComb:
     """Bilinear extension of bracket: x |> y and -(y |> x) go into one
-    sum, with no difference of two products copied."""
+    sum, with no difference of two products copied; the images are held
+    as prelie_lin holds them."""
+    x, y = _as_lincomb(x), _as_lincomb(y)
     acc: dict = {}
-    _add_products(acc, x, y, prelie)
-    return _add_products(acc, y, x, prelie, _NEG_ONE)
+    _add_products(acc, x, y, prelie, held=_HELD)
+    return _add_products(acc, y, x, prelie, _NEG_ONE, held=_HELD)

@@ -491,10 +491,11 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
 
     The intern tables are swept between cases once they have grown
     enough, through forest.sweep_if_due. The sweep first runs every
-    registered release, newest first: the phi cache, star's memo of
-    regrafted prefixes, the coproduct and counit caches, freemod's sum,
-    product and evaluation memos with the coefficients nothing else
-    holds, and last the encoding cache forest._ENC_INTERN. It then drops
+    registered release, newest first: the held pre-Lie products, the phi
+    cache, the held star products and star's memo of regrafted prefixes,
+    the coproduct and counit caches, freemod's sum, product and
+    evaluation memos with the coefficients nothing else holds, and last
+    the encoding cache forest._ENC_INTERN. It then drops
     the forests and trees that only the intern tables hold. So memory
     stays bounded by what the suite holds and by the enumerated
     universes, which live as long as the process, rather than by

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from forest_bialg._kernel import biideal_splits
 from forest_bialg.coalgebra import (coproduct, coproduct_biideal,
                                     coproduct_left, coproduct_lin,
@@ -157,3 +159,11 @@ def test_coproduct_lin_extends_linearly():
     x = LinComb.single(F("a"), MU) + LinComb.single(F("x"), -LAM)
     want = coproduct(F("a")).scale(MU) + coproduct(F("x")).scale(-LAM)
     assert coproduct_lin(x) == want
+
+
+def test_coproduct_lin_takes_a_forest_as_its_single_term():
+    f = F("a[x b]")
+    assert coproduct_lin(f) == coproduct(f)
+    for bad in (f.trees[0], "a[x b]"):
+        with pytest.raises(TypeError):
+            coproduct_lin(bad)

@@ -3,6 +3,7 @@
 import collections
 import copy
 import gc
+import importlib
 import inspect
 import pickle
 import random
@@ -25,6 +26,9 @@ from forest_bialg.forest import (_ENC_INTERN, EMPTY_FOREST, Alphabet,
                                  enumerate_forests, forest_from_encoding,
                                  graft, leaf, parse_forest, restrict,
                                  sweep_interned, vertex_order)
+
+# the package exports the function prelie under the module's name
+prelie = importlib.import_module("forest_bialg.prelie")
 
 AB = Alphabet(omega=("a", "b"), xset=("x", "y"))
 AB4 = Alphabet(omega=("a", "b", "c", "d"), xset=("x",))
@@ -356,6 +360,8 @@ def test_a_sweep_releases_every_registered_cache():
                 + [coalgebra.counit(f) for f in fs]
                 + [morphisms.phi_at(f, Fraction(2, 3)) for f in fs]
                 + [dualprod.star(f, g) for f in fs]
+                + [dualprod.star_lin(f, g) for f in fs]
+                + [prelie.bracket_lin(f, g) for f in fs]
                 + [forest_from_encoding(*_preorder(f)[:2]) for f in fs])
 
     caches = {"coalgebra._REC_CACHE": coalgebra._REC_CACHE,
@@ -363,6 +369,8 @@ def test_a_sweep_releases_every_registered_cache():
               "coalgebra._COUNIT_CACHE": coalgebra._COUNIT_CACHE,
               "morphisms._PHI_CACHE": morphisms._PHI_CACHE,
               "dualprod._memo": dualprod._memo,
+              "dualprod._HELD": dualprod._HELD,
+              "prelie._HELD": prelie._HELD,
               "forest._ENC_INTERN": _ENC_INTERN,
               "freemod._ADD": freemod._ADD,
               "freemod._MUL": freemod._MUL,

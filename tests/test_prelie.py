@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,3 +124,15 @@ def test_bracket_lin_is_the_difference_of_both_orders(x, y):
     assert got == prelie_lin(x, y) - prelie_lin(y, x)
     assert all(got.terms.values())
     assert bracket_lin(x, x).terms == {}
+
+
+def test_operands_are_forests_or_lincombs():
+    # a Forest is its single term; a Tree is neither
+    x, y = F("a[x]"), F("b x")
+    assert prelie_lin(x, y) == prelie(x, y) == prelie_lin(lc(x), y)
+    assert bracket_lin(x, y) == bracket(x, y) == bracket_lin(x, lc(y))
+    t = x.trees[0]
+    for call in (lambda: prelie_lin(t, y), lambda: prelie_lin(x, t),
+                 lambda: bracket_lin(t, y), lambda: bracket_lin(x, "b")):
+        with pytest.raises(TypeError):
+            call()

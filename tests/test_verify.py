@@ -1,6 +1,7 @@
 """Verification runner: determinism, evaluation points, report shapes."""
 
 import gc
+import importlib
 import json
 import math
 import os
@@ -19,6 +20,8 @@ from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
                                  run_suite)
 
 SMALL = Alphabet(omega=("a",), xset=("x",))
+# the package exports the function prelie under the module's name
+prelie = importlib.import_module("forest_bialg.prelie")
 
 
 @pytest.fixture
@@ -413,6 +416,48 @@ def test_star_assoc_regrafts_each_f_and_first_tree_once(monkeypatch):
     rep = run_suite("star-assoc", RunConfig(alphabet=SMALL, max_vertices=4))
     assert rep.ok and rep.cases == 1080
     assert seen and len(seen) <= len(set(seen))
+
+
+@pytest.mark.parametrize("suite, module, name", [
+    ("star-assoc", dualprod, "star"), ("jacobi", prelie, "prelie")],
+    ids=["star-assoc", "jacobi"])
+def test_held_images_never_outlive_a_replaced_product(monkeypatch, suite,
+                                                      module, name):
+    # the bilinear extensions hold each image under the product that made
+    # it, so the run after a mutant is undone reads none of the mutant's
+    # images, though no sweep released them in between
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    cfg = RunConfig(alphabet=SMALL, max_vertices=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, _drop_last_term(getattr(module, name)))
+        assert not run_suite(suite, cfg).ok
+    rep = run_suite(suite, cfg)
+    assert rep.ok, rep.failures[:1]
+
+
+def test_nested_products_make_each_basis_product_once(monkeypatch):
+    # with no sweep due, a pair that the bilinear extensions made before
+    # is a lookup of its held image. star-assoc's own star(x, y) and
+    # star(y, z) go through verify.star, unheld and uncounted here
+    def counted(module, name):
+        seen = []
+        real = getattr(module, name)
+
+        def product(F, G):
+            seen.append((F, G))
+            return real(F, G)
+        monkeypatch.setattr(module, name, product)
+        return seen
+
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    stars = counted(dualprod, "star")
+    rep = run_suite("star-assoc", RunConfig(alphabet=SMALL, max_vertices=4))
+    assert rep.ok and rep.cases == 1080
+    assert stars and len(stars) == len(set(stars))
+    prelies = counted(prelie, "prelie")
+    rep = run_suite("jacobi", RunConfig(alphabet=SMALL, max_vertices=4))
+    assert rep.ok and rep.cases == 897
+    assert len(prelies) == len(set(prelies)) == 393
 
 
 def test_suites_leave_no_cyclic_garbage():
