@@ -17,9 +17,11 @@ depth; phi alone recurses along the nesting, and exits 2 with "forest
 nested too deep" on a forest nested deeper than the interpreter's
 recursion limit allows.
 
-After each command main calls forest.sweep_if_due, so a process that
-calls main in a loop keeps its intern tables and caches bounded by the
-same trigger as the suites.
+After each command main releases the star products that star_weighted
+held (dualprod._HELD), since the pairs of one command rarely recur in
+the next, and calls forest.sweep_if_due, so a process that calls main in
+a loop keeps its intern tables and caches bounded by the same trigger as
+the suites.
 
 Shared flags, each taken only by the commands that read it (any other
 use exits 2): --omega a,b --xset x --json on every command;
@@ -39,7 +41,7 @@ import sys
 from fractions import Fraction
 
 from .coalgebra import coproduct, counit
-from .dualprod import star, star_weighted
+from .dualprod import _HELD, star, star_weighted
 from .forest import (Alphabet, Forest, _forest_text, concat,
                      enumerate_forests, graft, parse_forest, sweep_if_due)
 from .morphisms import phi, theta
@@ -229,6 +231,7 @@ def main(argv=None) -> int:
         print("error: forest nested too deep", file=sys.stderr)
         return 2
     finally:
+        _HELD.clear()
         sweep_if_due()
 
 

@@ -35,8 +35,8 @@ module at call time, so a replaced star (a test's mutant, a tracer's
 wrapper) is called and keyed as itself. A direct call of star holds
 nothing beyond the prefix memo: star-census makes each of its pairs
 once, and a held image per pair only took memory there. The CLI's
-star command calls star for that reason; its star-weighted command
-holds the images of its one call until cli.main's next due sweep.
+star command calls star for that reason; cli.main releases _HELD after
+each command, since one query's pairs rarely recur in the next.
 
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """

@@ -24,6 +24,13 @@ names the case instead of ending the run. An error in a suite's own
 setup (the counit at lambda = 0) or a pole at the evaluation point still
 propagates.
 
+A run of more than _BLOCK cases splits its blocks of cases over the
+CPUs the process may use, one forked process per CPU, and merges the
+failures by case index, so its report is the report of a run in one
+process (run_suite, _run). Each process sweeps its own intern tables
+and caches and collects its own garbage by the one policy run_suite
+describes, so memory is bounded per process.
+
 Suites that mix ranges derive the secondary bound from the primary one:
 counit checks multiplicativity at lambda = -1 on pairs totalling at most
 max-1; duality bounds the right tensor legs by max-1; star-assoc checks
@@ -35,6 +42,8 @@ theta-laws checks multiplicativity on pairs of forests each at most max-1.
 from __future__ import annotations
 
 import gc
+import marshal
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -489,6 +498,13 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
 
+    A run of more than _BLOCK cases splits over the CPUs this process may
+    use (os.sched_getaffinity), one process per CPU, with no option to
+    set: _run forks the workers at block boundaries and merges their
+    failures by case index, so the report is the one a run in one
+    process gives. A worker that ends without its result makes the run
+    start again in this process alone, so a report is never partial.
+
     The intern tables are swept between cases once they have grown
     enough, through forest.sweep_if_due. The sweep first runs every
     registered release, newest first: the held pre-Lie products, the phi
@@ -511,8 +527,12 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     and free next to nothing. This is safe because no suite's case makes
     reference cycles (tests/test_verify.py runs every suite under
     gc.DEBUG_SAVEALL and finds no cyclic garbage). Calls that start beside
-    other threads leave the collector alone, and neither sweep nor
-    collect, so that concurrent calls cannot restore each other's setting.
+    other threads leave the collector alone, neither sweep nor collect,
+    so that concurrent calls cannot restore each other's setting, and
+    run in one process. A worker inherits the collector's state and the
+    caches as they are at its fork, and the sweep trigger, the releases
+    and the collections then apply in each process on its own, so each
+    process's memory stays bounded the same way.
     """
     entry = _SUITES.get(name)
     if entry is None:
@@ -521,38 +541,198 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     gen, bound = entry
     if config.max_vertices is not None:
         bound = config.max_vertices
-    if threading.active_count() != 1:
-        return _run(name, gen(config, bound), config)
+    alone = threading.active_count() == 1
     enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(name, gen(config, bound), config)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(name, cases_of, config) -> SuiteReport:
+    if alone:
+        gc.disable()
     t0 = time.perf_counter()
-    evaluate = config.has_eval
-    cases, failures = 0, []
-    for fmt, fn, args in cases_of:
-        cases += 1
+    try:
         try:
-            got, want = fn(*args)
-        except Exception as e:
-            # a defect that raises inside a case fails that case and the
-            # run goes on; an error of the suite's setup or a pole in
-            # _norm still ends the run
-            failed = f"{type(e).__name__}: {e}", ""
-        else:
-            if evaluate:
-                got, want = _norm(got, config), _norm(want, config)
-            failed = (_render(got), _render(want)) if got != want else None
-        if failed:
-            size = sum(a.nvertices for a in args if isinstance(a, Forest))
-            failures.append({"case": fmt.format(*args), "lhs": failed[0],
-                             "rhs": failed[1], "size": size})
-        if sweep_if_due():
-            gc.collect(0)
+            cases, failures = _run(gen(config, bound), config,
+                                   _shard_count() if alone else 1)
+        except _WorkerLost:
+            cases, failures = _run(gen(config, bound), config, 1)
+    finally:
+        if alone and enabled:
+            gc.enable()
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)
+
+
+# cases per block: block b of a run goes to shard b mod the shard count
+_BLOCK = 1024
+
+
+def _shard_count() -> int:
+    """The CPUs this process may use, or 1 where os.fork or
+    os.sched_getaffinity is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _WorkerLost(Exception):
+    """A worker process ended without sending its result."""
+
+
+class _Workers:
+    """The worker processes of one sharded run, each with the read end
+    of the pipe it sends its result on, in fork order."""
+
+    def __init__(self):
+        self.pipes: dict = {}   # pid -> read end, as a binary file
+        self.out = None         # in a worker: the write end
+
+    def fork(self, block: int) -> int:
+        """Fork the worker that runs block's shard; return block in the
+        worker and 0 in the parent."""
+        try:
+            r, w = os.pipe()
+        except OSError as e:
+            raise _WorkerLost(f"no pipe: {e}") from e
+        try:
+            pid = os.fork()
+        except OSError as e:
+            os.close(r)
+            os.close(w)
+            raise _WorkerLost(f"no fork: {e}") from e
+        if pid:
+            os.close(w)
+            self.pipes[pid] = open(r, "rb")
+            return 0
+        os.close(r)
+        for pipe in self.pipes.values():
+            pipe.close()
+        self.pipes, self.out = {}, w
+        return block
+
+    def leave(self, result) -> None:
+        """Send result, built of marshal's types, to the parent and end
+        this worker without running any exit handler or flushing any
+        buffer it inherited."""
+        with open(self.out, "wb") as f:
+            f.write(marshal.dumps(result))
+        os._exit(0)
+
+    def results(self) -> list:
+        """Every worker's result, in fork order, once each has ended;
+        _WorkerLost if one ended without its result."""
+        out = []
+        for pid, pipe in list(self.pipes.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del self.pipes[pid]
+            # a worker exits 0 only from leave, once its result is sent
+            if status:
+                raise _WorkerLost(f"worker {pid} ended with status {status}")
+            out.append(marshal.loads(data))
+        return out
+
+    def close(self) -> None:
+        """Kill and reap every worker that results did not reap."""
+        if not self.pipes:
+            return
+        import signal
+        for pid, pipe in self.pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid in list(self.pipes):
+            os.waitpid(pid, 0)
+            del self.pipes[pid]
+
+
+def _run(cases_of, config, shards: int):
+    """Run a suite's cases; return the case count and the failures in
+    stream order.
+
+    With shards > 1 the stream is cut into blocks of _BLOCK consecutive
+    cases, and block b is run by shard b mod shards. This process is
+    shard 0; it forks shard b the first time its loop reaches block b,
+    for 0 < b < shards, so the worker takes over the live generator and
+    the warm caches at that exact case. Each process runs only its own
+    blocks but counts every case. A worker sends its (index, failure)
+    pairs through a pipe, or the index of the exception that ended its
+    loop with the exception pickled, and ends, never leaving this call
+    by a return or a raise. The parent merges the failures by index, and
+    re-raises the exception of least index if any process raised, as a
+    run in one process would. A worker that ends without its result
+    raises _WorkerLost; no worker outlives the call.
+    """
+    evaluate = config.has_eval
+    cases, found = 0, []
+    workers = _Workers() if shards > 1 else None
+    # the index of the next block boundary (-1: never) and, while the
+    # current block is another shard's, mine is False
+    edge, shard, mine = (_BLOCK if workers else -1), 0, True
+    try:
+        try:
+            for fmt, fn, args in cases_of:
+                if cases == edge:
+                    block, edge = cases // _BLOCK, edge + _BLOCK
+                    if not shard and block < shards:
+                        shard = workers.fork(block)
+                        if shard:
+                            found = []
+                    mine = block % shards == shard
+                if not mine:
+                    cases += 1
+                    continue
+                try:
+                    got, want = fn(*args)
+                except Exception as e:
+                    # a defect that raises inside a case fails that case
+                    # and the run goes on; an error of the suite's setup
+                    # or a pole in _norm still ends the run
+                    failed = f"{type(e).__name__}: {e}", ""
+                else:
+                    if evaluate:
+                        got, want = _norm(got, config), _norm(want, config)
+                    failed = ((_render(got), _render(want)) if got != want
+                              else None)
+                if failed:
+                    size = sum(a.nvertices for a in args
+                               if isinstance(a, Forest))
+                    found.append((cases, {
+                        "case": fmt.format(*args), "lhs": failed[0],
+                        "rhs": failed[1], "size": size}))
+                if sweep_if_due():
+                    gc.collect(0)
+                cases += 1
+        except BaseException as e:
+            # cases is the index of the case that raised, or of the one
+            # the generator was making
+            if shard:
+                import pickle
+                blob = pickle.dumps(e)
+                pickle.loads(blob)
+                workers.leave(("raise", cases, blob))
+            if workers is None or not isinstance(e, Exception):
+                raise
+            # a worker may have raised at an earlier case: wait for all
+            raised = [(cases, e)]
+        else:
+            if shard:
+                workers.leave(("done", found))
+            raised = []
+        if workers is None:
+            return cases, [f for _, f in found]
+        for result in workers.results():
+            if result[0] == "raise":
+                raised.append(result[1:])
+            else:
+                found += result[1]
+    finally:
+        if shard:
+            # a worker whose result failed to pickle, load or send ends
+            # without one, and the run starts again in one process
+            os._exit(1)
+        if workers is not None:
+            workers.close()
+    if raised:
+        e = min(raised, key=lambda r: r[0])[1]
+        if isinstance(e, bytes):
+            import pickle
+            e = pickle.loads(e)
+        raise e
+    found.sort(key=lambda f: f[0])
+    return cases, [f for _, f in found]

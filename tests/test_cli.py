@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import forest_bialg.cli as cli
-from forest_bialg import forest, freemod
+from forest_bialg import dualprod, forest, freemod
 from forest_bialg.forest import Alphabet, enumerate_forests
 from forest_bialg.verify import SuiteReport
 
@@ -60,6 +60,16 @@ def test_star_json_schema(capsys):
         {"coeff": [{"q": "1", "l": 0, "m": 0, "n": 0}], "legs": ["a b"]},
         {"coeff": [{"q": "1", "l": 0, "m": 0, "n": 0}], "legs": ["b[a]"]},
     ]
+
+
+def test_star_weighted_holds_no_image_after_the_command(capsys,
+                                                       monkeypatch):
+    # with no sweep due, main itself releases the images that
+    # star_weighted held for its one call
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    code, out, _ = run(capsys, "star-weighted", "a[x] b", "b a", "--json")
+    assert code == 0 and json.loads(out)
+    assert not dualprod._HELD
 
 
 def test_evaluation_points_apply(capsys):
