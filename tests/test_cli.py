@@ -1,11 +1,16 @@
-"""Command line contract: output text, JSON shapes, exit codes, one
-parser per process."""
+"""Command line contract: output text, JSON shapes, exit codes, the
+argument grammar (checked against the argparse tree the reader replaced),
+help, and a closed stdout pipe."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,7 +179,8 @@ def test_removed_workers_flag_exits_2(capsys, argv):
     assert "unrecognized arguments: --workers 2" in captured.err
 
 
-EVAL_COMMANDS = sorted(cli._COMMANDS)
+EVAL_COMMANDS = sorted(name for name, entry in cli._COMMANDS.items()
+                       if entry[2] is cli._cmd_eval)
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,13 +205,10 @@ def test_each_command_takes_only_the_flags_it_reads():
     want = {name: common | point for name in EVAL_COMMANDS}
     want["enumerate"] = common | {"--max-vertices"}
     want["verify"] = common | point | {"--max-vertices"}
-    sub = next(a for a in cli._build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    got = {name: {opt for a in p._actions for opt in a.option_strings
-                  if opt not in ("-h", "--help")}
-           for name, p in sub.choices.items()}
+    got = {name: set(flags) for name, (_, flags, _, _) in cli._COMMANDS.items()}
     assert got == want
-    assert sum(map(len, got.values())) == 71
+    assert sum(len(flags) for _, flags, _, _ in cli._COMMANDS.values()) == 71
+    assert set(cli._FLAGS) == set().union(*want.values())
 
 
 @pytest.mark.parametrize("argv,out", [
@@ -289,27 +292,263 @@ def test_output_is_the_same_in_fresh_interpreters():
     assert outputs(0, shifted) == first
 
 
-# ------------------------------------------------------ the shared parser
+# ------------------------------------------------------ the argument grammar
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    builds = []
-    flag_groups = cli._flag_groups
+@pytest.mark.parametrize("argv,out", [
+    (["counit", "x", "--om", "a"], "-m*l^-2\n"),
+    (["counit", "--om=a", "x"], "-m*l^-2\n"),
+    (["counit", "--", "x"], "-m*l^-2\n"),
+    (["counit", "--json", "--", "x"], '[{"q": "-1", "l": -2, "m": 1, "n": 0}]\n'),
+    (["coproduct", "a", "--omega", "a,b", "--omega", "b"], None),
+], ids=["prefix", "prefix-equals", "dashdash", "flag-dashdash", "last-repeat"])
+def test_the_grammar_of_flags_and_positionals(capsys, argv, out):
+    code, got, err = run(capsys, *argv)
+    if out is None:
+        # the last --omega leaves a out of the alphabet
+        assert (code, got) == (2, "") and "unknown" in err
+    else:
+        assert (code, got, err) == (0, out, "")
 
-    def counted():
-        builds.append(1)
-        return flag_groups()
 
-    cli._build_parser.cache_clear()
-    monkeypatch.setattr(cli, "_flag_groups", counted)
-    for i in range(40):
-        run(capsys, "counit", "a[x]" if i % 2 else "x")
-        run(capsys, "star", "a", "b", "--json", "--eval-mu", str(i))
-    with pytest.raises(SystemExit):
-        cli.main(["not-a-command"])
-    capsys.readouterr()
-    assert len(builds) == 1
-    assert cli._build_parser.cache_info().currsize == 1
+def test_a_negative_value_in_its_own_argument(capsys):
+    assert run(capsys, "counit", "x", "--eval-mu", "-1")[:2] == (0, "l^-2\n")
+    assert run(capsys, "counit", "x", "--eval-mu=-1/5")[:2] == (
+        0, "1/5*l^-2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["counit", "x", "--eval-mu", "-1/5"])
+    assert exc.value.code == 2
+    assert "argument --eval-mu: expected one argument" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("argv,message", [
+    (["counit", "x", "--eval", "1"], "ambiguous option"),
+    (["counit", "x", "--eval-nu"], "expected one argument"),
+    (["star", "a"], "the following arguments are required: forest2"),
+    (["counit", "x", "--json=1"], "ignored explicit argument"),
+    ([], "the following arguments are required: command"),
+], ids=["ambiguous", "no-value", "missing", "switch-value", "no-command"])
+def test_usage_errors_name_their_cause(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = argv[0] if argv else None
+    prog = f"forest-bialg {name}" if name else "forest-bialg"
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: {prog} ")
+    assert error.startswith(f"{prog}: error: ") and message in error
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *(
+    [name, flag] for name in cli._COMMANDS for flag in ("-h", "--help"))])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if argv[0] in cli._COMMANDS:
+        positionals, flags, _, _ = cli._COMMANDS[argv[0]]
+        assert out.startswith(f"usage: forest-bialg {argv[0]} [-h]")
+        for word in [*flags, *(arg for arg, _ in positionals)]:
+            assert f"\n  {word}" in out
+    else:
+        assert out.startswith("usage: forest-bialg [-h] command ...")
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("  ")}
+        assert set(cli._COMMANDS) < listed
+
+
+@pytest.mark.parametrize("argv", [
+    ["counit", "x"], ["verify", "counit", "--max-vertices", "2"]],
+    ids=["counit", "verify"])
+@pytest.mark.parametrize("exponent", ["999999999", "-999999999"])
+def test_a_huge_decimal_exponent_exits_2_at_once(capsys, argv, exponent):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--eval-nu", f"1e{exponent}"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --eval-nu: exponent larger than 4300" in captured.err
+
+
+def test_a_decimal_exponent_still_evaluates(capsys):
+    assert run(capsys, "theta", "a[x]", "--eval-nu", "1e3") == (
+        0, "(1000000) a[x]\n", "")
+    assert run(capsys, "theta", "a[x]", "--eval-nu=1e-1") == (
+        0, "(1/100) a[x]\n", "")
+
+
+# a failing verify report whose text runs to ~600 kB, so the reader
+# closes the pipe while the command is still writing
+FAILING_VERIFY = (
+    "import sys\n"
+    "import forest_bialg.cli as cli\n"
+    "from forest_bialg.verify import SuiteReport\n"
+    "lhs = '\\n'.join(['0'] * 300000)\n"
+    "cli.run_suite = lambda name, config: SuiteReport(\n"
+    "    suite=name, cases=1, wall_time=0.0,\n"
+    "    failures=[{'case': 'F=x', 'lhs': lhs, 'rhs': '1'}])\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["-m", "forest_bialg.cli", "enumerate", "--max-vertices", "6"], 0),
+    (["-m", "forest_bialg.cli", "phi",
+      "a[b[x] b[x]] a[x b[x]] x b[a[x]] a[x] b"], 0),
+    (["-c", FAILING_VERIFY, "verify", "coassoc"], 1),
+], ids=["enumerate", "phi", "failed-verify"])
+def test_a_closed_pipe_ends_the_output_not_the_command(argv, code):
+    # each output is far larger than a pipe holds, so the command is
+    # still writing when the reader closes the pipe after one line
+    proc = subprocess.Popen([sys.executable, *argv], env=fresh_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
+    finally:
+        proc.kill()
+        proc.wait()
+    assert first.strip() and proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def _argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse tree that the table-driven reader replaced, kept as
+    the reference it is compared with."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--omega", type=cli._symbols, default=("a", "b"))
+    common.add_argument("--xset", type=cli._symbols, default=("x",))
+    common.add_argument("--json", action="store_true")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--max-vertices", type=cli._bound, default=None)
+    point = argparse.ArgumentParser(add_help=False)
+    for var in ("lambda", "mu", "nu"):
+        point.add_argument(f"--eval-{var}", type=cli._fraction, default=None)
+    ap = argparse.ArgumentParser(prog="forest-bialg")
+    sub = ap.add_subparsers(dest="command", required=True, metavar="command")
+    for name, args in [
+            *((name, ["forest"]) for name in ("coproduct", "counit", "phi",
+                                              "theta")),
+            *((name, ["forest", "forest2"]) for name in (
+                "star", "star-weighted", "prelie", "bracket", "concat")),
+            ("graft", ["symbol", "forest"])]:
+        p = sub.add_parser(name, parents=[common, point])
+        for arg in args:
+            p.add_argument(arg)
+        p.set_defaults(run=cli._cmd_eval)
+    sub.add_parser("enumerate", parents=[common, bound]).set_defaults(
+        run=cli._cmd_enumerate)
+    p = sub.add_parser("verify", parents=[common, bound, point])
+    p.add_argument("suite")
+    p.set_defaults(run=cli._cmd_verify)
+    return ap
+
+
+# The argvs of the differential test leave out the classes on which
+# argparse itself differs between Python versions or on which the
+# grammar departs from it on purpose: a separate value such as -1/5 or
+# -1e3 (newer argparse reads any "-digit" argument as a negative
+# number), more than one "--" and a "--flag=--" (newer argparse removes
+# only the first "--"), a "--" before the command, as a flag's missing
+# value or at the end, and help, -h with more letters included.
+FLAG_WORDS = [
+    "--omega", "--xset", "--json", "--max-vertices", "--eval-lambda",
+    "--eval-mu", "--eval-nu",
+    # prefixes: unique, unique only where --max-vertices is not taken,
+    # and ambiguous
+    "--om", "--o", "--x", "--j", "--max", "--m", "--eval-l", "--eval-m",
+    "--eval-n", "--eval", "--eval-", "--e",
+    # flags no command takes
+    "--workers", "--bogus", "-q", "---x", "--7",
+]
+FLAG_VALUES = [
+    "a", "a,b", "", "x,y", ",", "3", "0", "-3", "-0", "-1", "-0.5", "-.5",
+    "12", "2/3", "1e3", "1.5", "1/0", "x/y", "a b", "-a b", "-", "-x",
+    "--json", "--om", "--eval",
+]
+# values each flag accepts, drawn more often than FLAG_VALUES
+GOOD_VALUES = {
+    "--omega": ["a", "a,b", "", "a,b,c", "-1"],
+    "--xset": ["x", "x,y", "", "-0.5"],
+    "--max-vertices": ["0", "3", "-0", "12"],
+    **{f"--eval-{var}": ["2/3", "-1", "-0.5", "-.5", "1e3", "0"]
+       for var in ("lambda", "mu", "nu")},
+}
+POSITIONAL_VALUES = [
+    "a", "x", "a[x]", "1", "b a", "coassoc", "-1", "-0.5", "", "-",
+    "a=b", "-x", "--json", "counit",
+]
+
+
+def _random_argv(rng: random.Random) -> list:
+    draw = rng.random()
+    if draw < 0.01:
+        return []
+    name = rng.choice(list(cli._COMMANDS))
+    npos = len(cli._COMMANDS[name][0])
+    if rng.random() < 0.15:
+        npos = max(0, npos + rng.choice((-1, 1, 2)))
+    items = [[rng.choice(POSITIONAL_VALUES[:5] if rng.random() < 0.8
+                         else POSITIONAL_VALUES)] for _ in range(npos)]
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.75:
+            # a flag the command takes, whole or as a prefix
+            word = rng.choice(cli._COMMANDS[name][1])
+            value = rng.choice(GOOD_VALUES.get(word, FLAG_VALUES)
+                               if rng.random() < 0.8 else FLAG_VALUES)
+            if rng.random() < 0.2:
+                word = word[:rng.randint(3, len(word))]
+        else:
+            word, value = rng.choice(FLAG_WORDS), rng.choice(FLAG_VALUES)
+        form = rng.random()
+        if form < (0.6 if word.startswith("--j") else 0.15):
+            items.append([word])
+        elif form < 0.8:
+            items.append([word, value])
+        else:
+            items.append([f"{word}={value}"])
+    rng.shuffle(items)
+    if items and rng.random() < 0.25:
+        # a "--" followed by at least one argument, never where a flag
+        # without "=" waits for its value
+        k = rng.randrange(len(items))
+        if k == 0 or not items[k - 1][0].startswith("-"):
+            items.insert(k, ["--"])
+    argv = [name] + [arg for item in items for arg in item]
+    if draw < 0.03:
+        argv[0] = rng.choice(["bogus", "Counit", "", "-1", "a b"])
+    elif draw < 0.06:
+        argv.insert(0, rng.choice(FLAG_WORDS + FLAG_VALUES))
+    return argv
+
+
+def _outcome(read, argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "namespace", vars(read(list(argv)))
+        except SystemExit as e:
+            return "exit", e.code
+
+
+def test_the_reader_agrees_with_argparse():
+    oracle = _argparse_oracle().parse_args
+    rng = random.Random(20231)
+    seen = {"namespace": 0, "exit": 0}
+    for _ in range(20000):
+        argv = _random_argv(rng)
+        want = _outcome(oracle, argv)
+        assert _outcome(cli._read_argv, argv) == want, argv
+        assert want[0] == "namespace" or want[1] == 2, argv
+        seen[want[0]] += 1
+    # both outcomes are common, so neither side passes by failing alike
+    assert min(seen.values()) > 5000, seen
+
+
+# ------------------------------------------------------ state across calls
 
 def test_shared_parser_leaks_no_flags(capsys):
     code, out, _ = run(capsys, "coproduct", "a[x]", "--json",
@@ -325,13 +564,12 @@ def test_shared_parser_leaks_no_flags(capsys):
         assert err.startswith("error:")
 
 
-def test_usage_error_leaves_the_parser_as_fresh():
+def test_usage_error_leaves_later_calls_as_fresh():
     argv = ["star-weighted", "a[x] b", "b[x]", "--eval-lambda", "2/3"]
     fresh = subprocess.run(
         [sys.executable, "-m", "forest_bialg.cli", *argv],
         env=fresh_env(), capture_output=True, text=True, check=True).stdout
-    # a usage error raised from inside a subparser, then one from the
-    # top-level parser
+    # a usage error in a command's flags, then an unknown command
     script = (
         "import sys\n"
         "import forest_bialg.cli as cli\n"
@@ -350,14 +588,14 @@ def test_usage_error_leaves_the_parser_as_fresh():
     assert proc.stdout == fresh and fresh.count("\n") > 1
 
 
-def test_import_builds_no_parser():
-    # the parser is built on the first main call, so importing the CLI
-    # costs no more than importing the library
-    script = ("import forest_bialg.cli as cli; "
-              "print(cli._build_parser.cache_info().misses)")
+def test_import_imports_no_argparse():
+    # the reader needs no parser library, so importing the CLI costs no
+    # more than importing the library
+    script = ("import sys, forest_bialg.cli; "
+              "print('argparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "False\n"
 
 
 # ------------------------------------------------------ memory across calls
