@@ -63,8 +63,12 @@ def phi_forest(F: Forest) -> LinComb:
             out = inner.map_basis(lambda G: graft(w, G).as_forest()) \
                 + inner.scale(NU)
     else:
-        out = lc_concat(phi_forest(F.trees[0].as_forest()),
-                        phi_forest(Forest.make(F.trees[1:])))
+        # phi is multiplicative: fold the trees' images in a loop, so the
+        # recursion follows the nesting only and a wide forest costs no
+        # depth
+        out = phi_forest(F.trees[-1].as_forest())
+        for t in reversed(F.trees[:-1]):
+            out = lc_concat(phi_forest(t.as_forest()), out)
     _PHI_CACHE[F] = out
     return out
 

@@ -27,7 +27,9 @@ propagates.
 A run of more than _BLOCK cases splits its blocks of cases over the
 CPUs the process may use, one forked process per CPU, and merges the
 failures by case index, so its report is the report of a run in one
-process (run_suite, _run). Each process sweeps its own intern tables
+process (run_suite, _run). A sharded run that raises or loses a worker
+runs again in one process, which raises the first error in stream order
+or gives the whole report. Each process sweeps its own intern tables
 and caches and collects its own garbage by the one policy run_suite
 describes, so memory is bounded per process.
 
@@ -502,8 +504,13 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     use (os.sched_getaffinity), one process per CPU, with no option to
     set: _run forks the workers at block boundaries and merges their
     failures by case index, so the report is the one a run in one
-    process gives. A worker that ends without its result makes the run
-    start again in this process alone, so a report is never partial.
+    process gives. One rule covers every way a sharded run can fail to
+    finish: if _run raises an Exception (an error in this process's own
+    blocks, a lost worker, a failing os.pipe or os.fork), the suite runs
+    again in this process alone. That run raises the first error in
+    stream order, or gives the whole report, so a report is never
+    partial; its wall_time counts both attempts. A BaseException that is
+    not an Exception, such as KeyboardInterrupt, propagates at once.
 
     The intern tables are swept between cases once they have grown
     enough, through forest.sweep_if_due. The sweep first runs every
@@ -545,12 +552,16 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     enabled = gc.isenabled()
     if alone:
         gc.disable()
+    shards = _shard_count() if alone else 1
     t0 = time.perf_counter()
     try:
         try:
-            cases, failures = _run(gen(config, bound), config,
-                                   _shard_count() if alone else 1)
-        except _WorkerLost:
+            cases, failures = _run(gen(config, bound), config, shards)
+        except Exception:
+            if shards == 1:
+                raise
+            # the one recovery path: a run in one process raises the
+            # first error in stream order, or gives the whole report
             cases, failures = _run(gen(config, bound), config, 1)
     finally:
         if alone and enabled:
@@ -570,10 +581,6 @@ def _shard_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _WorkerLost(Exception):
-    """A worker process ended without sending its result."""
-
-
 class _Workers:
     """The worker processes of one sharded run, each with the read end
     of the pipe it sends its result on, in fork order."""
@@ -585,16 +592,13 @@ class _Workers:
     def fork(self, block: int) -> int:
         """Fork the worker that runs block's shard; return block in the
         worker and 0 in the parent."""
-        try:
-            r, w = os.pipe()
-        except OSError as e:
-            raise _WorkerLost(f"no pipe: {e}") from e
+        r, w = os.pipe()
         try:
             pid = os.fork()
-        except OSError as e:
+        except OSError:
             os.close(r)
             os.close(w)
-            raise _WorkerLost(f"no fork: {e}") from e
+            raise
         if pid:
             os.close(w)
             self.pipes[pid] = open(r, "rb")
@@ -605,17 +609,17 @@ class _Workers:
         self.pipes, self.out = {}, w
         return block
 
-    def leave(self, result) -> None:
-        """Send result, built of marshal's types, to the parent and end
-        this worker without running any exit handler or flushing any
-        buffer it inherited."""
+    def leave(self, found: list) -> None:
+        """Send found, the worker's (index, failure) pairs, to the parent
+        and end this worker without running any exit handler or flushing
+        any buffer it inherited."""
         with open(self.out, "wb") as f:
-            f.write(marshal.dumps(result))
+            f.write(marshal.dumps(found))
         os._exit(0)
 
     def results(self) -> list:
-        """Every worker's result, in fork order, once each has ended;
-        _WorkerLost if one ended without its result."""
+        """Every worker's (index, failure) pairs, in fork order, once
+        each has ended; ChildProcessError if one ended without them."""
         out = []
         for pid, pipe in list(self.pipes.items()):
             with pipe:
@@ -624,7 +628,8 @@ class _Workers:
             del self.pipes[pid]
             # a worker exits 0 only from leave, once its result is sent
             if status:
-                raise _WorkerLost(f"worker {pid} ended with status {status}")
+                raise ChildProcessError(
+                    f"worker {pid} ended with status {status}")
             out.append(marshal.loads(data))
         return out
 
@@ -651,12 +656,12 @@ def _run(cases_of, config, shards: int):
     for 0 < b < shards, so the worker takes over the live generator and
     the warm caches at that exact case. Each process runs only its own
     blocks but counts every case. A worker sends its (index, failure)
-    pairs through a pipe, or the index of the exception that ended its
-    loop with the exception pickled, and ends, never leaving this call
-    by a return or a raise. The parent merges the failures by index, and
-    re-raises the exception of least index if any process raised, as a
-    run in one process would. A worker that ends without its result
-    raises _WorkerLost; no worker outlives the call.
+    pairs through a pipe and ends, never leaving this call by a return
+    or a raise: one that raises ends with status 1. The parent merges
+    the failures by index. An error in the parent's own blocks, a worker
+    that ended without its result (ChildProcessError) and a failing
+    os.pipe or os.fork (OSError) raise here, and run_suite runs the
+    suite again in one process; no worker outlives the call.
     """
     evaluate = config.has_eval
     cases, found = 0, []
@@ -665,74 +670,49 @@ def _run(cases_of, config, shards: int):
     # current block is another shard's, mine is False
     edge, shard, mine = (_BLOCK if workers else -1), 0, True
     try:
-        try:
-            for fmt, fn, args in cases_of:
-                if cases == edge:
-                    block, edge = cases // _BLOCK, edge + _BLOCK
-                    if not shard and block < shards:
-                        shard = workers.fork(block)
-                        if shard:
-                            found = []
-                    mine = block % shards == shard
-                if not mine:
-                    cases += 1
-                    continue
-                try:
-                    got, want = fn(*args)
-                except Exception as e:
-                    # a defect that raises inside a case fails that case
-                    # and the run goes on; an error of the suite's setup
-                    # or a pole in _norm still ends the run
-                    failed = f"{type(e).__name__}: {e}", ""
-                else:
-                    if evaluate:
-                        got, want = _norm(got, config), _norm(want, config)
-                    failed = ((_render(got), _render(want)) if got != want
-                              else None)
-                if failed:
-                    size = sum(a.nvertices for a in args
-                               if isinstance(a, Forest))
-                    found.append((cases, {
-                        "case": fmt.format(*args), "lhs": failed[0],
-                        "rhs": failed[1], "size": size}))
-                if sweep_if_due():
-                    gc.collect(0)
+        for fmt, fn, args in cases_of:
+            if cases == edge:
+                block, edge = cases // _BLOCK, edge + _BLOCK
+                if not shard and block < shards:
+                    shard = workers.fork(block)
+                    if shard:
+                        found = []
+                mine = block % shards == shard
+            if not mine:
                 cases += 1
-        except BaseException as e:
-            # cases is the index of the case that raised, or of the one
-            # the generator was making
-            if shard:
-                import pickle
-                blob = pickle.dumps(e)
-                pickle.loads(blob)
-                workers.leave(("raise", cases, blob))
-            if workers is None or not isinstance(e, Exception):
-                raise
-            # a worker may have raised at an earlier case: wait for all
-            raised = [(cases, e)]
-        else:
-            if shard:
-                workers.leave(("done", found))
-            raised = []
-        if workers is None:
-            return cases, [f for _, f in found]
-        for result in workers.results():
-            if result[0] == "raise":
-                raised.append(result[1:])
+                continue
+            try:
+                got, want = fn(*args)
+            except Exception as e:
+                # a defect that raises inside a case fails that case and
+                # the run goes on; an error of the suite's setup or a
+                # pole in _norm still ends the run
+                failed = f"{type(e).__name__}: {e}", ""
             else:
-                found += result[1]
+                if evaluate:
+                    got, want = _norm(got, config), _norm(want, config)
+                failed = ((_render(got), _render(want)) if got != want
+                          else None)
+            if failed:
+                size = sum(a.nvertices for a in args
+                           if isinstance(a, Forest))
+                found.append((cases, {
+                    "case": fmt.format(*args), "lhs": failed[0],
+                    "rhs": failed[1], "size": size}))
+            if sweep_if_due():
+                gc.collect(0)
+            cases += 1
+        if shard:
+            workers.leave(found)
+        if workers is not None:
+            for result in workers.results():
+                found += result
+            found.sort(key=lambda f: f[0])
     finally:
         if shard:
-            # a worker whose result failed to pickle, load or send ends
-            # without one, and the run starts again in one process
+            # a worker leaves only through leave; one that raised, or
+            # failed to send, ends here without its result
             os._exit(1)
         if workers is not None:
             workers.close()
-    if raised:
-        e = min(raised, key=lambda r: r[0])[1]
-        if isinstance(e, bytes):
-            import pickle
-            e = pickle.loads(e)
-        raise e
-    found.sort(key=lambda f: f[0])
     return cases, [f for _, f in found]

@@ -157,6 +157,27 @@ def test_deep_nesting_exits_2_in_phi(capsys):
     assert err == "error: forest nested too deep\n"
 
 
+def test_phi_limits_nesting_not_width():
+    # under a recursion limit of 100: phi of 150 leaves side by side
+    # folds its trees in a loop, while a forest nested 150 deep still
+    # exceeds the limit
+    width = 150
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "import forest_bialg.cli as cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    wide = " ".join(["x"] * width)
+    deep = "a[" * width + "x" + "]" * width
+    procs = [subprocess.run([sys.executable, "-c", script, "phi", forest],
+                            env=fresh_env(), capture_output=True, text=True)
+             for forest in (wide, deep)]
+    assert procs[0].returncode == 0, procs[0].stderr
+    assert len(procs[0].stdout.splitlines()) == width + 1
+    assert (procs[1].returncode, procs[1].stdout, procs[1].stderr) == (
+        2, "", "error: forest nested too deep\n")
+
+
 @pytest.mark.parametrize("argv", [["enumerate"], ["verify", "counit"]],
                          ids=["enumerate", "verify"])
 def test_negative_bound_exits_2(capsys, argv):

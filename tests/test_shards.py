@@ -1,10 +1,12 @@
 """Sharded suite runs: the report of a run split over worker processes
-is the report of a run in one process, failures, exceptions and lost
-workers included, and no worker outlives a run.
+is the report of a run in one process, failures included; a sharded run
+that raises or loses a worker runs again in one process, and no worker
+outlives a run.
 
 Blocks are made small (_BLOCK = 4) and the shard count is forced, so
 these runs fork on a host with any number of CPUs."""
 
+import errno
 import math
 import os
 import signal
@@ -187,6 +189,7 @@ def test_the_first_error_in_stream_order_ends_a_sharded_run(
         return i, i
 
     _probe(monkeypatch, check)
+    runs = _count_runs(monkeypatch)
     cfg = RunConfig(eval_lam=Fraction(0))
     seen = []
     for count in (1, shards.n):
@@ -198,6 +201,31 @@ def test_the_first_error_in_stream_order_ends_a_sharded_run(
     assert seen[0] == seen[1]
     assert seen[0][0] is (ZeroDivisionError if pole < unprintable
                           else LookupError)
+    # the serial run, then the sharded run and its rerun in one process
+    assert runs == [1, shards.n, 1]
+
+
+def test_an_error_in_the_parents_block_makes_the_run_start_again(
+        shards, monkeypatch):
+    # block n, cases 4n..4n+3, is the parent's, after every fork
+    where = 4 * shards.n + 1
+
+    def check(i):
+        if i == where:
+            return _Unprintable(LookupError(f"cannot print case {i}")), None
+        return i, i % 7
+
+    _probe(monkeypatch, check)
+    monkeypatch.setattr(verify, "_shard_count", lambda: 1)
+    with pytest.raises(LookupError) as serial:
+        run_suite("probe", RunConfig())
+    runs = _count_runs(monkeypatch)
+    monkeypatch.setattr(verify, "_shard_count", lambda: shards.n)
+    with pytest.raises(LookupError) as sharded:
+        run_suite("probe", RunConfig())
+    assert str(sharded.value) == str(serial.value)
+    assert runs == [shards.n, 1]
+    _no_child_left()
 
 
 # case 5 is in block 1, a worker's; case 25 in block 6, the parent's
@@ -240,22 +268,57 @@ def test_a_lost_worker_makes_the_run_start_again_serially(shards,
     assert _as_json(sharded) == _as_json(serial)
 
 
-def test_an_error_that_does_not_pickle_makes_the_run_start_again(
-        shards, monkeypatch):
+@pytest.mark.parametrize("error", ["pole", "local"])
+def test_an_error_in_a_workers_block_makes_the_run_start_again(
+        shards, monkeypatch, error):
+    # case 5 is in block 1, a worker's: a pole in _norm, whose error
+    # pickles, or an error of a class defined in this function, which
+    # does not; either way the worker ends without its result
     class Local(Exception):
         """Defined in a function, so pickle cannot find it by name."""
 
+    value = counit(parse_forest("a", SMALL))
+
     def check(i):
         if i == 5:
+            if error == "pole":
+                return value, value
             return _Unprintable(Local("case 5")), None
         return i, i
 
     _probe(monkeypatch, check)
     runs = _count_runs(monkeypatch)
     monkeypatch.setattr(verify, "_shard_count", lambda: shards.n)
-    with pytest.raises(Local, match="case 5"):
-        run_suite("probe", RunConfig())
+    expected, match = ((ZeroDivisionError, None) if error == "pole"
+                       else (Local, "case 5"))
+    with pytest.raises(expected, match=match):
+        run_suite("probe", RunConfig(eval_lam=Fraction(0)))
     assert runs == [shards.n, 1]
+    _no_child_left()
+
+
+def test_a_failing_fork_makes_the_run_start_again(monkeypatch):
+    # three shards: the first fork succeeds, the second fails
+    monkeypatch.setattr(verify, "_BLOCK", 4)
+    _probe(monkeypatch, lambda i: (i, i % 7))
+    monkeypatch.setattr(verify, "_shard_count", lambda: 1)
+    serial = run_suite("probe", RunConfig())
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "no process left")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    runs = _count_runs(monkeypatch)
+    monkeypatch.setattr(verify, "_shard_count", lambda: 3)
+    sharded = run_suite("probe", RunConfig())
+    assert runs == [3, 1] and len(forks) == 2
+    assert len(serial.failures) == 33
+    assert _as_json(sharded) == _as_json(serial)
     _no_child_left()
 
 
