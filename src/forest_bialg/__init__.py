@@ -21,9 +21,10 @@ arithmetic.
 The package is pure Python: the structural routines (postorder,
 restriction, biideal splitting) have one implementation, in the private
 module _kernel, with no backend switch. Each representation has one
-home: only freemod builds a LinComb without checking it, and only
-forest reads the flat vertex encoding that postorder and restriction
-run on.
+home: only freemod builds a LinComb without checking it, every Forest
+comes from Forest.make, which counts its vertices, and only forest
+reads the flat vertex encoding that postorder and restriction run on;
+the package does not export it.
 """
 
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
@@ -33,8 +34,8 @@ from .dualprod import left_path, pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_OMEGA, KIND_X, Alphabet, Decoration,
                      DecorationError, Forest, ForestSyntaxError, Tree,
                      VertexId, VertexSet, biideals, concat,
-                     enumerate_forests, forest_from_encoding, graft, leaf,
-                     parse_forest, restrict, vertex_order)
+                     enumerate_forests, graft, leaf, parse_forest, restrict,
+                     vertex_order)
 from .freemod import (LAM, MU, NU, ONE, ZERO, Coefficient, LinComb,
                       act_left, act_right)
 from .morphisms import lc_concat, phi, phi_at, phi_forest, phi_subsets, theta
@@ -50,7 +51,6 @@ __all__ = [
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",
     "DecorationError", "parse_forest", "concat", "graft", "leaf",
     "vertex_order", "biideals", "restrict", "enumerate_forests",
-    "forest_from_encoding",
     # coefficients and free modules
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
     "act_left", "act_right",

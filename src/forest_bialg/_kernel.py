@@ -69,11 +69,9 @@ def biideal_splits(F):
     are shared, not rebuilt.
 
     Each step moves one vertex from J to I, so the k-th pair has k and
-    n_F - k vertices; both forests are made with Forest._sized and those
-    counts, and no vertex count is summed again.
+    n_F - k vertices.
     """
-    make_tree, sized = _forest.Tree.make, _forest.Forest._sized
-    n, k = F.nvertices, 0
+    make_tree, make = _forest.Tree.make, _forest.Forest.make
     out = [(_forest.EMPTY_FOREST, F)]
     cut = []      # (decoration, later siblings) of each open ancestor
     saved = []    # (siblings, index, I-trees to their left) per open ancestor
@@ -94,8 +92,7 @@ def biideal_splits(F):
             return out
         # sibs[j] is the next vertex in postorder: its subtree joins I
         j += 1
-        k += 1
         rest = sibs[j:]
         for deco, later in reversed(cut):
             rest = (make_tree(deco, rest),) + later
-        out.append((sized(left + sibs[:j], k), sized(rest, n - k)))
+        out.append((make(left + sibs[:j]), make(rest)))

@@ -148,8 +148,7 @@ def star(F: Forest, G: Forest) -> LinComb:
     the same F store equal values.
 
     Grafting adds and drops no vertex, so every term has
-    F.nvertices + G.nvertices vertices; the terms are made with
-    Forest._sized and that count instead of recounting each one.
+    F.nvertices + G.nvertices vertices.
     """
     memo = _memo.get(F)
     if memo is None:
@@ -161,10 +160,10 @@ def star(F: Forest, G: Forest) -> LinComb:
         hit = memo[first] = _regrafted(F.trees, first)
     prefixes, cut = hit
     rest = gtrees[cut:]
-    sized, n = Forest._sized, F.nvertices + G.nvertices
+    make = Forest.make
     acc: dict = {}
     for prefix in prefixes:
-        H = sized(prefix + rest, n)
+        H = make(prefix + rest)
         c = acc.get(H)
         acc[H] = ONE if c is None else c + ONE
     return _trusted_lincomb(acc)

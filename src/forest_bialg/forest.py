@@ -33,18 +33,10 @@ a second copy. make stores a new instance with dict.setdefault, so library
 callers whose threads race on one new key still share one instance.
 
 Each tree and forest stores its vertex count; depth is computed on
-demand by Forest.depth. Every new forest is created in Forest._sized,
-which trusts the count its caller passes. Forest.make counts the trees
-of a tuple it has not seen and then takes that path. Only the callers
-below pass a count of their own, each exact by construction:
-
-* Forest.__mul__, which concat names too (and so freemod's act_left
-  and act_right): the trees of FG are those of F followed by those of G, so
-  n_FG = n_F + n_G.
-* dualprod.star: grafting moves F's trees onto G and adds or drops no
-  vertex, so every term of F star G has n_F + n_G vertices.
-* _kernel.biideal_splits: F|I_k is the restriction to the first k
-  vertices in postorder and F|J_k to the other n_F - k.
+demand by Forest.depth. Tree.make and Forest.make are the only places a
+count is set: when either makes an instance it has not seen, it sums
+the counts of its parts (a tree's root and children, a forest's trees).
+No other module passes or computes a count for a forest it makes.
 
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to. It runs through sweep_if_due, only while the
@@ -99,8 +91,8 @@ __all__ = [
     "KIND_OMEGA", "KIND_X", "Decoration", "Alphabet", "Tree", "Forest",
     "VertexId", "VertexSet", "EMPTY_FOREST", "ForestSyntaxError",
     "DecorationError", "parse_forest", "concat", "graft", "vertex_order",
-    "biideals", "restrict", "enumerate_forests", "forest_from_encoding",
-    "leaf", "sweep_interned", "sweep_if_due",
+    "biideals", "restrict", "enumerate_forests", "leaf", "sweep_interned",
+    "sweep_if_due",
 ]
 
 KIND_OMEGA = "omega"
@@ -248,10 +240,8 @@ class Forest:
     Forest._intern forgets a forest only in sweep_interned, at a point
     where nothing else refers to it, so no one can tell it was dropped.
 
-    Every new forest is created in Forest._sized, which takes its vertex
-    count from the caller instead of recounting it; make counts the trees
-    of a tuple it has not seen and then takes that path. Only callers
-    whose count is exact by construction call _sized (module docstring).
+    Forest.make is the one constructor, and the vertex count is summed
+    from the trees when a tuple is first seen (module docstring).
 
     The trees and the vertex count are all a forest stores. Depth is
     computed on demand, each call anew. Text is made by one walk,
@@ -267,6 +257,13 @@ class Forest:
 
     @classmethod
     def make(cls, trees=()) -> "Forest":
+        """The forest of the trees, the one constructor of Forest.
+
+        On a miss it does one intern lookup, counts the new forest's
+        vertices from its trees and stores it with setdefault, so
+        threads racing on one new tuple all get the instance stored
+        first.
+        """
         trees = tuple(trees)
         hit = cls._intern.get(trees)
         if hit is not None:
@@ -274,18 +271,6 @@ class Forest:
         n = 0
         for t in trees:
             n += t.nvertices
-        return cls._sized(trees, n)
-
-    @classmethod
-    def _sized(cls, trees: tuple, n: int) -> "Forest":
-        """The forest of the tuple trees, whose vertex count must be n.
-
-        n is trusted, not checked: a wrong n makes a forest that reports
-        a wrong nvertices for as long as it is interned.
-        """
-        hit = cls._intern.get(trees)
-        if hit is not None:
-            return hit
         f = object.__new__(cls)
         f.trees = trees
         f.nvertices = n
@@ -320,8 +305,7 @@ class Forest:
         if other.__class__ is not Forest:
             raise TypeError(
                 f"cannot concatenate a Forest and a {type(other).__name__}")
-        return Forest._sized(self.trees + other.trees,
-                             self.nvertices + other.nvertices)
+        return Forest.make(self.trees + other.trees)
 
     def __str__(self):
         return _forest_text(self, {})

@@ -2,20 +2,17 @@
 
 import collections
 import copy
-import gc
 import importlib
-import inspect
 import pickle
 import random
 import re
 import sys
-import textwrap
 import threading
 from fractions import Fraction
 
 import pytest
 
-from forest_bialg import _kernel, coalgebra, dualprod, freemod, morphisms
+from forest_bialg import coalgebra, dualprod, freemod, morphisms
 from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
@@ -396,7 +393,7 @@ def test_a_sweep_releases_caches_before_it_counts_coefficients():
     assert key not in freemod._INTERN
 
 
-# ------------------------------------------------------- sized construction
+# ------------------------------------------------------------ vertex counts
 
 def _tuples_of_trees(n, ab, memo):
     # every tuple of trees with n vertices in all, made without a Forest,
@@ -418,17 +415,30 @@ def _trees_of(k, ab, memo):
             for kids in _tuples_of_trees(k - 1, ab, memo)]
 
 
-def _exercise_sized_callers(tag):
-    """Run every caller that passes its own count to Forest._sized, on
-    symbols new to the intern tables; return what they made."""
-    one = Alphabet(omega=(f"sz{tag}a",), xset=(f"sz{tag}x", f"sz{tag}y"))
+def _make_forests_by_every_route():
+    """Make forests and trees by every route the package has, on symbols
+    new to the intern tables; return what they made."""
+    one = Alphabet(omega=("vca",), xset=("vcx", "vcy"))
+    a = one.decoration("vca")
+    made = [parse_forest(text, one) for text in (
+        "vca[vcx vca[vcy]] vcx", "vca[vca[vca[vcx]]]", "vcx vcy vca")]
+    made += [leaf(d) for d in one.decorations()]
     small = list(enumerate_forests(3, one))
-    made = [dualprod.star(f, g) for f in small for g in small]
+    made += [graft(a, f) for f in small]
+    made += [dualprod.star(f, g) for f in small for g in small]
     made += [concat(f, g) for f in small for g in small]
     made += [f * g for f in small for g in small]
+    tiny = list(enumerate_forests(2, one))
+    made += [dualprod.star_weighted(f, g, one) for f in tiny for g in tiny]
+    for f in small:
+        paths = _preorder(f)[2]
+        for mask in range(1 << len(paths)):
+            keep = [p for i, p in enumerate(paths) if mask >> i & 1]
+            made.append(restrict(f, VertexSet(f, keep)))
+    made += [morphisms.phi_subsets(f) for f in small]
     # largest first, so the splits of the largest forests are made by
     # biideal_splits, not found in the table from an earlier make
-    two = Alphabet(omega=(f"sz{tag}a", f"sz{tag}b"), xset=(f"sz{tag}x",))
+    two = Alphabet(omega=("vca", "vcb"), xset=("vcx",))
     memo = {}
     for n in range(5, -1, -1):
         made += [coalgebra.coproduct_biideal(Forest.make(trees))
@@ -444,35 +454,9 @@ def _miscounted():
     return bad
 
 
-def test_sized_constructions_store_exact_vertex_counts():
-    made = _exercise_sized_callers("ok")
+def test_every_interned_forest_and_tree_holds_its_exact_vertex_count():
+    made = _make_forests_by_every_route()
     assert made
-    assert _miscounted() == []
-
-
-@pytest.mark.parametrize("module, name, old, new", [
-    (dualprod, "star", "n = Forest._sized, F.nvertices + G.nvertices\n",
-     "n = Forest._sized, F.nvertices + G.nvertices + 1\n"),
-    (_kernel, "biideal_splits", "sized(left + sibs[:j], k), sized(rest, n - k)",
-     "sized(left + sibs[:j], n - k), sized(rest, k)"),
-], ids=["star-off-by-one", "biideal-sizes-swapped"])
-def test_sized_count_check_catches_miscounting_mutants(
-        monkeypatch, module, name, old, new):
-    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert src.count(old) == 1
-    namespace = dict(vars(module))
-    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
-    # a cached coproduct would keep the mutant's forests alive
-    monkeypatch.setattr(coalgebra, "_BIID_CACHE", {})
-    made = _exercise_sized_callers(f"m{name}")
-    caught = _miscounted()
-    del made, namespace
-    monkeypatch.undo()
-    gc.collect()
-    sweep_interned()
-    assert caught
-    # the mutant's forests are forgotten, so later tests see none of them
     assert _miscounted() == []
 
 
