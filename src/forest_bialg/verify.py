@@ -15,14 +15,30 @@ case's forest arguments (0 if it has none), and the smallest
 counterexample a report names is the failure of least size, the first
 in stream order among equals (SuiteReport.render_text).
 
-One table, _SUITES, names every suite once and gives its generator and
-its default vertex bound, which run_suite passes to the generator when
-RunConfig.max_vertices is None. A case whose check raises is a failure
-of that case: its lhs is the exception's type and message, its rhs is
-empty, and the run goes on, so a program defect gives a report that
-names the case instead of ending the run. An error in a suite's own
-setup (the counit at lambda = 0) or a pole at the evaluation point still
-propagates.
+One table, _SUITES, names every suite once with its default vertex
+bound m, which run_suite uses when RunConfig.max_vertices is None, and
+its sections. A section (label, check, shape, offset, params) runs at
+bound max(m - offset, 0), where its shape lists its cases' arguments:
+
+- _each: every forest after each params tuple, the forest in the outer
+  loop;
+- _pairs, _triples: pairs and triples of total at most the bound;
+- _pairs_each: pairs of forests each at most the bound;
+- _duality_cases: y and z at most the bound minus 1, x at most the
+  bound, x innermost;
+- _once: counit's one witness case over every pair of total at most
+  the bound;
+- _fixed: a fixed list (examples-golden).
+
+One builder, _stream, turns a suite's sections into its stream of
+cases. It is the only code here that enumerates forests, and every
+shape takes its forests from the forests(n) that _stream passes in.
+
+A case whose check raises is a failure of that case: its lhs is the
+exception's type and message, its rhs is empty, and the run goes on, so
+a program defect gives a report that names the case instead of ending
+the run. An error in a suite's own setup (the counit at lambda = 0) or a
+pole at the evaluation point still propagates.
 
 A run of more than _BLOCK cases splits its blocks of cases over the
 CPUs the process may use, one forked process per CPU, and merges the
@@ -33,12 +49,10 @@ or gives the whole report. Each process sweeps its own intern tables
 and caches and collects its own garbage by the one policy run_suite
 describes, so memory is bounded per process.
 
-Suites that mix ranges derive the secondary bound from the primary one:
-counit checks multiplicativity at lambda = -1 on pairs totalling at most
-max-1; duality bounds the right tensor legs by max-1; star-assoc checks
-the weighted product on triples totalling at most max-1; phi-laws runs
-composition, identity-at-zero and the coproduct intertwining at max-1;
-theta-laws checks multiplicativity on pairs of forests each at most max-1.
+Sections at offset 1 run one vertex lower than the suite: counit's
+multiplicativity at lambda = -1 and its witness, star-assoc's weighted
+product, phi-laws' composition, identity at zero and coproduct
+intertwining, and theta-laws' multiplicativity.
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
@@ -141,24 +155,6 @@ class SuiteReport:
 
 # ------------------------------------------------------------------ plumbing
 
-def _forests(cfg: RunConfig, nmax: int) -> Iterator[Forest]:
-    return enumerate_forests(nmax, cfg.alphabet)
-
-
-def _pairs(cfg: RunConfig, total: int):
-    for F in enumerate_forests(total, cfg.alphabet):
-        for G in enumerate_forests(total - F.nvertices, cfg.alphabet):
-            yield F, G
-
-
-def _triples(cfg: RunConfig, total: int):
-    for F in enumerate_forests(total, cfg.alphabet):
-        left = total - F.nvertices
-        for G in enumerate_forests(left, cfg.alphabet):
-            for H in enumerate_forests(left - G.nvertices, cfg.alphabet):
-                yield F, G, H
-
-
 def _norm(v, cfg: RunConfig):
     """v at cfg's evaluation point; called only when cfg.has_eval."""
     if isinstance(v, tuple):
@@ -174,94 +170,116 @@ def _render(v) -> str:
     return str(v).replace("\n", " ; ")
 
 
-# ------------------------------------------------------------------- suites
+# ------------------------------------------------------------------- shapes
 #
-# A suite is a generator of cases (fmt, fn, args) over a config and a
-# vertex bound m: fn(*args) -> (got, want), and fmt.format(*args) is the
-# case's label, built only for a failure. Each suite defines its check
-# functions once, outside its loops.
+# A shape lists the argument tuples of one section's cases at bound m. It
+# reads the forests of at most n vertices from forests(n), which _stream
+# passes in, and the section's params.
 
-def _suite_coassoc(cfg, m):
-    def check(F):
-        d = coproduct(F)
-        return coproduct_left(d), coproduct_right(d)
-
-    for F in _forests(cfg, m):
-        yield "F={}", check, (F,)
+def _each(forests, m, params):
+    """Each params tuple followed by a forest of at most m vertices, with
+    the forest in the outer loop."""
+    for F in forests(m):
+        for p in params:
+            yield p + (F,)
 
 
-def _suite_derivation(cfg, m):
-    def check(F, G):
-        lhs = coproduct(concat(F, G))
-        rhs = (act_left(F, coproduct(G)) + act_right(coproduct(F), G)
-               + LinComb.single((F, G), LAM))
-        return lhs, rhs
-
-    for FG in _pairs(cfg, m):
-        yield "F={} G={}", check, FG
+def _pairs(forests, m, params):
+    """(F, G) of at most m vertices in all."""
+    for F in forests(m):
+        for G in forests(m - F.nvertices):
+            yield F, G
 
 
-def _suite_cocycle(cfg, m):
-    ab = cfg.alphabet
-
-    def check(w, F):
-        dec = ab.decoration(w)
-        T = graft(dec, F).as_forest()
-        d = coproduct(F)
-        rhs = (LinComb.single((T, EMPTY_FOREST), -LAM)
-               + LinComb.single((F, EMPTY_FOREST), MU)
-               + d.map_basis(
-                   lambda legs: (legs[0], graft(dec, legs[1]).as_forest())))
-        return coproduct(T), rhs
-
-    for F in _forests(cfg, m):
-        for w in ab.omega:
-            yield "w={} F={}", check, (w, F)
+def _triples(forests, m, params):
+    """(F, G, H) of at most m vertices in all."""
+    for F in forests(m):
+        left = m - F.nvertices
+        for G in forests(left):
+            for H in forests(left - G.nvertices):
+                yield F, G, H
 
 
-def _suite_counit(cfg, m):
-    # eps(F) = -mu^n / lambda^(n+1): evaluating this suite needs lambda
-    # invertible even where the two sides of an identity cancel the poles
-    if cfg.eval_lam == 0:
-        raise ZeroDivisionError("the counit has a pole at lambda = 0")
-
-    def left(F):
-        return counit_left(coproduct(F)), LinComb.single(F)
-
-    def right(F):
-        return counit_right(coproduct(F)), LinComb.single(F)
-
-    for F in _forests(cfg, m):
-        yield "(eps x id) D F={}", left, (F,)
-        yield "(id x eps) D F={}", right, (F,)
-
-    def mult(F, G):
-        lhs = counit(concat(F, G)).subst_partial(lam=Fraction(-1))
-        rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(-1))
-        return lhs, rhs
-
-    for FG in _pairs(cfg, max(m - 1, 0)):
-        yield "multiplicative at lambda=-1 F={} G={}", mult, FG
-
-    def witness():
-        # eps is not an algebra morphism away from lambda = -1; at
-        # lambda = 1 already the empty pair separates the two sides
-        for F, G in _pairs(cfg, max(m - 1, 0)):
-            lhs = counit(concat(F, G)).subst_partial(lam=Fraction(1))
-            rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(1))
-            if lhs != rhs:
-                return f"F={F} G={G}", "F=1 G=1"
-        return "none", "F=1 G=1"
-
-    yield "non-multiplicativity witness at lambda=1", witness, ()
+def _pairs_each(forests, m, params):
+    """(F, G) of at most m vertices each."""
+    universe = tuple(forests(m))
+    for F in universe:
+        for G in universe:
+            yield F, G
 
 
-def _suite_rec_vs_biideal(cfg, m):
-    def check(F):
-        return coproduct_rec(F), coproduct_biideal(F)
+def _duality_cases(forests, m, params):
+    """(x, y, z) with y and z of at most m - 1 vertices each and x of at
+    most m, x in the inner loop."""
+    xs = tuple(forests(m))
+    for y in forests(max(m - 1, 0)):
+        for z in forests(max(m - 1, 0)):
+            for x in xs:
+                yield x, y, z
 
-    for F in _forests(cfg, m):
-        yield "F={}", check, (F,)
+
+def _once(forests, m, params):
+    """One case, whose one argument is _pairs at m."""
+    yield (_pairs(forests, m, params),)
+
+
+def _fixed(forests, m, params):
+    """The params tuples themselves, whatever the bound."""
+    return params
+
+
+# ------------------------------------------------------------------- checks
+#
+# A check takes a case's arguments and returns (got, want). The checks
+# below read no config; a section that needs the config, or a memo that
+# lives for one run, is made by a function of the config further down.
+
+def _coassoc(F):
+    d = coproduct(F)
+    return coproduct_left(d), coproduct_right(d)
+
+
+def _derivation(F, G):
+    lhs = coproduct(concat(F, G))
+    rhs = (act_left(F, coproduct(G)) + act_right(coproduct(F), G)
+           + LinComb.single((F, G), LAM))
+    return lhs, rhs
+
+
+def _cocycle(dec, F):
+    T = graft(dec, F).as_forest()
+    rhs = (LinComb.single((T, EMPTY_FOREST), -LAM)
+           + LinComb.single((F, EMPTY_FOREST), MU)
+           + coproduct(F).map_basis(
+               lambda legs: (legs[0], graft(dec, legs[1]).as_forest())))
+    return coproduct(T), rhs
+
+
+def _counit_side(side, F):
+    d = coproduct(F)
+    got = counit_left(d) if side == "eps x id" else counit_right(d)
+    return got, LinComb.single(F)
+
+
+def _counit_mult(F, G):
+    lhs = counit(concat(F, G)).subst_partial(lam=Fraction(-1))
+    rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(-1))
+    return lhs, rhs
+
+
+def _counit_witness(pairs):
+    # eps is not an algebra morphism away from lambda = -1; at lambda = 1
+    # already the empty pair separates the two sides
+    for F, G in pairs:
+        lhs = counit(concat(F, G)).subst_partial(lam=Fraction(1))
+        rhs = (counit(F) * counit(G)).subst_partial(lam=Fraction(1))
+        if lhs != rhs:
+            return f"F={F} G={G}", "F=1 G=1"
+    return "none", "F=1 G=1"
+
+
+def _rec_vs_biideal(F):
+    return coproduct_rec(F), coproduct_biideal(F)
 
 
 def _path_leq(p, q) -> bool:
@@ -280,63 +298,23 @@ def _cmp_desc(u, v) -> int:
     return -1 if _path_leq(v.path, u.path) else 1
 
 
-def _suite_biideal_count(cfg, m):
+def _biideal_count(F):
     # listing correctness is re-derived from the definitional comparator
     # on index paths, independently of the postorder kernel. One preorder
     # walk (forest._order_and_paths) feeds both: the kernel route gets the
     # vertex order that biideals and vertex_order compute, the comparator
     # route sorts the paths
-    def check(F):
-        order, paths = _order_and_paths(F)
-        ideals = _biideal_chain(F, order)
-        chain = all(ideals[k].members < ideals[k + 1].members
-                    for k in range(len(ideals) - 1))
-        got = (len(ideals), list(order), chain)
-        want = (F.nvertices + 1,
-                sorted(paths, key=cmp_to_key(_cmp_desc)), True)
-        return got, want
-
-    for F in _forests(cfg, m):
-        yield "F={}", check, (F,)
+    order, paths = _order_and_paths(F)
+    ideals = _biideal_chain(F, order)
+    chain = all(ideals[k].members < ideals[k + 1].members
+                for k in range(len(ideals) - 1))
+    got = (len(ideals), list(order), chain)
+    want = (F.nvertices + 1, sorted(paths, key=cmp_to_key(_cmp_desc)), True)
+    return got, want
 
 
-def _suite_duality(cfg, m):
-    ab = cfg.alphabet
-    yz = max(m - 1, 0)
-    xs = list(_forests(cfg, m))
-
-    # y, z and y star_{l,m} z for the last (y, z) whose product was made:
-    # the cases of one (y, z) run in a row, so each product is made once,
-    # inside a case, where an exception fails that case
-    slot = [None, None, None]
-
-    def check(x, y, z):
-        if slot[0] is not y or slot[1] is not z:
-            slot[:] = y, z, star_weighted(y, z, ab)
-        return pairing((y, z), coproduct(x)), pairing(x, slot[2])
-
-    for y in _forests(cfg, yz):
-        for z in _forests(cfg, yz):
-            for x in xs:
-                yield "x={} y={} z={}", check, (x, y, z)
-
-
-def _suite_star_assoc(cfg, m):
-    ab = cfg.alphabet
-
-    def plain(x, y, z):
-        return star_lin(star(x, y), z), star_lin(x, star(y, z))
-
-    for xyz in _triples(cfg, m):
-        yield "star x={} y={} z={}", plain, xyz
-
-    def weighted(x, y, z):
-        lhs = star_weighted(star_weighted(x, y, ab), z, ab)
-        rhs = star_weighted(x, star_weighted(y, z, ab), ab)
-        return lhs, rhs
-
-    for xyz in _triples(cfg, max(m - 1, 0)):
-        yield "star-weighted x={} y={} z={}", weighted, xyz
+def _star_assoc(x, y, z):
+    return star_lin(star(x, y), z), star_lin(x, star(y, z))
 
 
 def _left_path_len(G: Forest) -> int:
@@ -354,52 +332,25 @@ def _left_path_len(G: Forest) -> int:
     return n
 
 
-def _suite_star_census(cfg, m):
-    # n = the length of G's left path, counted once per G
-    gs = [(G, _left_path_len(G)) for G in _forests(cfg, m)]
-
-    def check(F, G, n):
-        prod = star(F, G)
-        distinct = all(c == ONE for c in prod.terms.values())
-        return ((len(prod.terms), distinct),
-                (comb(F.breadth + n, n), True))
-
-    for F in _forests(cfg, m):
-        for G, n in gs:
-            yield "F={} G={}", check, (F, G, n)
+def _prelie(x, y, z):
+    ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
+    lhs = (prelie_lin(prelie_lin(ux, uy), uz)
+           - prelie_lin(ux, prelie_lin(uy, uz)))
+    rhs = (prelie_lin(prelie_lin(uy, ux), uz)
+           - prelie_lin(uy, prelie_lin(ux, uz)))
+    return lhs, rhs
 
 
-def _suite_prelie(cfg, m):
-    def check(x, y, z):
-        ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
-        lhs = (prelie_lin(prelie_lin(ux, uy), uz)
-               - prelie_lin(ux, prelie_lin(uy, uz)))
-        rhs = (prelie_lin(prelie_lin(uy, ux), uz)
-               - prelie_lin(uy, prelie_lin(ux, uz)))
-        return lhs, rhs
-
-    for xyz in _triples(cfg, m):
-        yield "x={} y={} z={}", check, xyz
+def _jacobi(x, y, z):
+    ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
+    got = (bracket_lin(bracket_lin(ux, uy), uz)
+           + bracket_lin(bracket_lin(uy, uz), ux)
+           + bracket_lin(bracket_lin(uz, ux), uy))
+    return got, LinComb()
 
 
-def _suite_jacobi(cfg, m):
-    def check(x, y, z):
-        ux, uy, uz = (LinComb.single(v) for v in (x, y, z))
-        got = (bracket_lin(bracket_lin(ux, uy), uz)
-               + bracket_lin(bracket_lin(uy, uz), ux)
-               + bracket_lin(bracket_lin(uz, ux), uy))
-        return got, LinComb()
-
-    for xyz in _triples(cfg, m):
-        yield "x={} y={} z={}", check, xyz
-
-
-def _suite_prelie_closed_form(cfg, m):
-    def check(F, G):
-        return prelie(F, G), prelie_sandwich(F, G)
-
-    for FG in _pairs(cfg, m):
-        yield "F={} G={}", check, FG
+def _prelie_closed_form(F, G):
+    return prelie(F, G), prelie_sandwich(F, G)
 
 
 _COMPOSE_POINTS = (
@@ -409,93 +360,165 @@ _COMPOSE_POINTS = (
 )
 
 
-def _suite_phi_laws(cfg, m):
-    sub = max(m - 1, 0)
+def _phi_equiv(F):
+    return phi(F), phi_subsets(F)
 
-    def equiv(F):
-        return phi(F), phi_subsets(F)
 
-    for F in _forests(cfg, m):
-        yield "recursive = subsets F={}", equiv, (F,)
+def _phi_compose(nu1, nu2, F):
+    return phi_at(phi_at(F, nu2), nu1), phi_at(F, nu1 + nu2)
 
-    def compose(nu1, nu2, F):
-        return phi_at(phi_at(F, nu2), nu1), phi_at(F, nu1 + nu2)
 
-    for F in _forests(cfg, sub):
-        for nu1, nu2 in _COMPOSE_POINTS:
-            yield "compose nu={} nu'={} F={}", compose, (nu1, nu2, F)
+def _phi_at_zero(F):
+    return phi_at(F, Fraction(0)), LinComb.single(F)
 
-    def at_zero(F):
-        return phi_at(F, Fraction(0)), LinComb.single(F)
 
-    for F in _forests(cfg, sub):
-        yield "identity at nu=0 F={}", at_zero, (F,)
-
+def _phi_intertwine(F):
     shift = MU - LAM * NU
-
-    def intertwine(F):
-        lhs = coproduct_lin(phi(F)).map_coeff(lambda c: c.subst_mu(shift))
-        rhs = coproduct(F).apply(
-            lambda legs: phi(legs[0]).tensor(phi(legs[1])))
-        return lhs, rhs
-
-    for F in _forests(cfg, sub):
-        yield "coproduct intertwining F={}", intertwine, (F,)
+    lhs = coproduct_lin(phi(F)).map_coeff(lambda c: c.subst_mu(shift))
+    rhs = coproduct(F).apply(lambda legs: phi(legs[0]).tensor(phi(legs[1])))
+    return lhs, rhs
 
 
-def _suite_theta_laws(cfg, m):
+def _theta_intertwine(F):
     scaled = MU * NU
+    lhs = coproduct_lin(theta(F))
+    d = coproduct(F).map_coeff(lambda c: c.subst_mu(scaled))
+    rhs = LinComb({
+        legs: c * Coefficient.monomial(
+            1, c=legs[0].nvertices + legs[1].nvertices)
+        for legs, c in d.terms.items()})
+    return lhs, rhs
 
-    def intertwine(F):
-        lhs = coproduct_lin(theta(F))
-        d = coproduct(F).map_coeff(lambda c: c.subst_mu(scaled))
-        rhs = LinComb({
-            legs: c * Coefficient.monomial(
-                1, c=legs[0].nvertices + legs[1].nvertices)
-            for legs, c in d.terms.items()})
+
+def _theta_mult(F, G):
+    return theta(concat(F, G)), lc_concat(theta(F), theta(G))
+
+
+# ----------------------------------------------------------------- sections
+#
+# A section is (label, check, shape, offset, params): its cases are
+# check(*args) for each args of shape at bound max(m - offset, 0), and
+# label.format(*args) is a case's label, built only for a failure. A
+# section that depends on the config is a function of the config that
+# returns the section; _stream calls it when the run reaches it.
+
+def _cocycle_section(cfg):
+    # a Decoration prints as its symbol, so the label shows w's symbol
+    ab = cfg.alphabet
+    return ("w={} F={}", _cocycle, _each, 0,
+            tuple((ab.decoration(w),) for w in ab.omega))
+
+
+def _counit_sides(cfg):
+    # eps(F) = -mu^n / lambda^(n+1): evaluating this suite needs lambda
+    # invertible even where the two sides of an identity cancel the poles
+    if cfg.eval_lam == 0:
+        raise ZeroDivisionError("the counit has a pole at lambda = 0")
+    return ("({}) D F={}", _counit_side, _each, 0,
+            (("eps x id",), ("id x eps",)))
+
+
+def _duality_section(cfg):
+    ab = cfg.alphabet
+    # y, z and y star_{l,m} z for the last (y, z) whose product was made:
+    # the cases of one (y, z) run in a row, so each product is made once,
+    # inside a case, where an exception fails that case
+    slot = [None, None, None]
+
+    def check(x, y, z):
+        if slot[0] is not y or slot[1] is not z:
+            slot[:] = y, z, star_weighted(y, z, ab)
+        return pairing((y, z), coproduct(x)), pairing(x, slot[2])
+
+    return "x={} y={} z={}", check, _duality_cases, 0, ()
+
+
+def _star_weighted_section(cfg):
+    ab = cfg.alphabet
+
+    def check(x, y, z):
+        lhs = star_weighted(star_weighted(x, y, ab), z, ab)
+        rhs = star_weighted(x, star_weighted(y, z, ab), ab)
         return lhs, rhs
 
-    for F in _forests(cfg, m):
-        yield "coproduct intertwining F={}", intertwine, (F,)
-    sub = max(m - 1, 0)
-
-    def mult(F, G):
-        return theta(concat(F, G)), lc_concat(theta(F), theta(G))
-
-    for F in _forests(cfg, sub):
-        for G in _forests(cfg, sub):
-            yield "multiplicative F={} G={}", mult, (F, G)
+    return "star-weighted x={} y={} z={}", check, _triples, 1, ()
 
 
-def _suite_examples_golden(cfg, m):
-    # a golden label is final text: escape it as a format string
-    for label, thunk in golden_cases():
-        yield label.replace("{", "{{").replace("}", "}}"), thunk, ()
+def _star_census_section(cfg):
+    lengths = {}    # G -> the length of G's left path, counted once per G
+
+    def check(F, G):
+        n = lengths.get(G)
+        if n is None:
+            n = lengths[G] = _left_path_len(G)
+        prod = star(F, G)
+        distinct = all(c == ONE for c in prod.terms.values())
+        return ((len(prod.terms), distinct), (comb(F.breadth + n, n), True))
+
+    return "F={} G={}", check, _pairs_each, 0, ()
 
 
-# suite -> (generator, default bound). run_suite passes the bound when
-# RunConfig.max_vertices is None; the defaults keep the heaviest suites
-# in the minutes range on one core. A bound caps each forest's vertices,
-# or a pair's or triple's total where noted; examples-golden ignores it
+def _golden_section(cfg):
+    # each case is (label, thunk), and the thunk is its check
+    return "{}", lambda label, thunk: thunk(), _fixed, 0, golden_cases()
+
+
+_NONE = ((),)   # the params of a section with one case per forest
+
+# suite -> (default bound, sections). run_suite runs the sections at the
+# bound when RunConfig.max_vertices is None; the defaults keep the
+# heaviest suites in the minutes range on one core. examples-golden
+# ignores it
 _SUITES = {
-    "coassoc": (_suite_coassoc, 5),
-    "derivation": (_suite_derivation, 5),                  # pair total
-    "cocycle": (_suite_cocycle, 4),
-    "counit": (_suite_counit, 5),
-    "rec-vs-biideal": (_suite_rec_vs_biideal, 6),
-    "biideal-count": (_suite_biideal_count, 6),
-    "duality": (_suite_duality, 4),
-    "star-assoc": (_suite_star_assoc, 5),                  # triple total
-    "star-census": (_suite_star_census, 4),
-    "prelie": (_suite_prelie, 5),                          # triple total
-    "jacobi": (_suite_jacobi, 5),                          # triple total
-    "prelie-closed-form": (_suite_prelie_closed_form, 5),  # pair total
-    "phi-laws": (_suite_phi_laws, 5),
-    "theta-laws": (_suite_theta_laws, 4),
-    "examples-golden": (_suite_examples_golden, 0),
+    "coassoc": (5, (("F={}", _coassoc, _each, 0, _NONE),)),
+    "derivation": (5, (("F={} G={}", _derivation, _pairs, 0, ()),)),
+    "cocycle": (4, (_cocycle_section,)),
+    "counit": (5, (
+        _counit_sides,
+        ("multiplicative at lambda=-1 F={} G={}", _counit_mult, _pairs, 1,
+         ()),
+        ("non-multiplicativity witness at lambda=1", _counit_witness, _once,
+         1, ()))),
+    "rec-vs-biideal": (6, (("F={}", _rec_vs_biideal, _each, 0, _NONE),)),
+    "biideal-count": (6, (("F={}", _biideal_count, _each, 0, _NONE),)),
+    "duality": (4, (_duality_section,)),
+    "star-assoc": (5, (("star x={} y={} z={}", _star_assoc, _triples, 0, ()),
+                       _star_weighted_section)),
+    "star-census": (4, (_star_census_section,)),
+    "prelie": (5, (("x={} y={} z={}", _prelie, _triples, 0, ()),)),
+    "jacobi": (5, (("x={} y={} z={}", _jacobi, _triples, 0, ()),)),
+    "prelie-closed-form": (5, (
+        ("F={} G={}", _prelie_closed_form, _pairs, 0, ()),)),
+    "phi-laws": (5, (
+        ("recursive = subsets F={}", _phi_equiv, _each, 0, _NONE),
+        ("compose nu={} nu'={} F={}", _phi_compose, _each, 1,
+         _COMPOSE_POINTS),
+        ("identity at nu=0 F={}", _phi_at_zero, _each, 1, _NONE),
+        ("coproduct intertwining F={}", _phi_intertwine, _each, 1, _NONE))),
+    "theta-laws": (4, (
+        ("coproduct intertwining F={}", _theta_intertwine, _each, 0, _NONE),
+        ("multiplicative F={} G={}", _theta_mult, _pairs_each, 1, ()))),
+    "examples-golden": (0, (_golden_section,)),
 }
 
 SUITE_NAMES = tuple(_SUITES)
+
+
+def _stream(sections, cfg: RunConfig, m: int):
+    """The cases (fmt, fn, args) of sections at bound m, section by
+    section; the one place a suite reads its forest universe."""
+    ab = cfg.alphabet
+
+    def forests(n):
+        return enumerate_forests(n, ab)
+
+    for section in sections:
+        if callable(section):
+            section = section(cfg)
+        label, check, shape, offset, params = section
+        for args in shape(forests, max(m - offset, 0), params):
+            yield label, check, args
+
 
 def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     """Run one suite to completion and report deterministically.
@@ -545,7 +568,7 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     if entry is None:
         raise ValueError(
             f"unknown suite {name!r}; expected one of: {', '.join(SUITE_NAMES)}")
-    gen, bound = entry
+    bound, sections = entry
     if config.max_vertices is not None:
         bound = config.max_vertices
     alone = threading.active_count() == 1
@@ -556,13 +579,15 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     t0 = time.perf_counter()
     try:
         try:
-            cases, failures = _run(gen(config, bound), config, shards)
+            cases, failures = _run(_stream(sections, config, bound),
+                                   config, shards)
         except Exception:
             if shards == 1:
                 raise
             # the one recovery path: a run in one process raises the
             # first error in stream order, or gives the whole report
-            cases, failures = _run(gen(config, bound), config, 1)
+            cases, failures = _run(_stream(sections, config, bound),
+                                   config, 1)
     finally:
         if alone and enabled:
             gc.enable()

@@ -2,7 +2,8 @@
 
 Each criterion runs the corresponding verification suite(s) at the stated
 bounds and must finish inside its time budget. Bounds live in the suite
-defaults (the bound column of verify._SUITES); alphabets are set per
+defaults: the default bound m that opens each verify._SUITES entry,
+where a section at offset 1 runs at m - 1. Alphabets are set per
 criterion.
 """
 

@@ -114,10 +114,9 @@ def test_a_sharded_run_fails_as_a_serial_run_under_a_phi_at_mutant(
 def _probe(monkeypatch, check, cases=40):
     """Install a suite "probe" of cases i = 0..cases-1, each checked by
     check(i)."""
-    def probe(cfg, m):
-        for i in range(cases):
-            yield "i={}", check, (i,)
-    monkeypatch.setitem(verify._SUITES, "probe", (probe, 0))
+    section = ("i={}", check, verify._fixed, 0,
+               tuple((i,) for i in range(cases)))
+    monkeypatch.setitem(verify._SUITES, "probe", (0, (section,)))
 
 
 def test_each_block_runs_in_its_shards_process(shards, monkeypatch):

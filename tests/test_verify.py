@@ -1,10 +1,12 @@
 """Verification runner: determinism, evaluation points, report shapes."""
 
 import gc
+import hashlib
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -52,6 +54,85 @@ def _without_wall_time(report):
     doc = report.to_json()
     doc.pop("wall_time")
     return doc
+
+
+# every suite's case stream at bounds 0, 1 and 3 on Omega={a,b}, X={x,y}:
+# the case count and the first 16 hex digits of a sha256 over each case's
+# label and size, in stream order; recorded from the hand-written suite
+# generators that the sections replaced
+STREAMS = {
+    "coassoc": (
+        (1, "a3eeb0a02854f79e"), (5, "f7b511726f673398"),
+        (205, "c6d63c6db412bcfb")),
+    "derivation": (
+        (1, "dd19fff530cc6dbd"), (9, "0c6e6e4a077473ad"),
+        (617, "76a7c3fcd3fafcef")),
+    "cocycle": (
+        (2, "699ef46d40f0f940"), (10, "0a9ed18264c05f36"),
+        (410, "536ff1a6514bda3c")),
+    "counit": (
+        (4, "f0df82b213b4d1dc"), (12, "c570af4b020c57e9"),
+        (484, "cbc35fcaaba51a55")),
+    "rec-vs-biideal": (
+        (1, "a3eeb0a02854f79e"), (5, "f7b511726f673398"),
+        (205, "c6d63c6db412bcfb")),
+    "biideal-count": (
+        (1, "a3eeb0a02854f79e"), (5, "f7b511726f673398"),
+        (205, "c6d63c6db412bcfb")),
+    "duality": (
+        (1, "8d69f0c22db3f180"), (5, "f25e720c44dc73fe"),
+        (172405, "1cf5df7b8c9c4429")),
+    "star-assoc": (
+        (2, "da734fc6747318d9"), (14, "d881f4776165eb0a"),
+        (1434, "f661cb96c4d43079")),
+    "star-census": (
+        (1, "dd19fff530cc6dbd"), (25, "bc7c11405be1cf54"),
+        (42025, "0bb4e833573205b8")),
+    "prelie": (
+        (1, "8d69f0c22db3f180"), (13, "f828373c86f4e4bd"),
+        (1301, "fe0c8bbcac8084bc")),
+    "jacobi": (
+        (1, "8d69f0c22db3f180"), (13, "f828373c86f4e4bd"),
+        (1301, "fe0c8bbcac8084bc")),
+    "prelie-closed-form": (
+        (1, "dd19fff530cc6dbd"), (9, "0c6e6e4a077473ad"),
+        (617, "76a7c3fcd3fafcef")),
+    "phi-laws": (
+        (8, "13e554d23cbb27d2"), (12, "df1531ca3c23f491"),
+        (408, "a8391d645d4d6b47")),
+    "theta-laws": (
+        (2, "9e66987d1deec224"), (6, "0a0ddbeb5997c574"),
+        (1046, "4c20980a21d3e89d")),
+    "examples-golden": (
+        (33, "e87c6b2437751637"), (33, "e87c6b2437751637"),
+        (33, "e87c6b2437751637")),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suites_case_stream_is_pinned(suite):
+    cfg = RunConfig(alphabet=Alphabet(omega=("a", "b"), xset=("x", "y")))
+    _, sections = verify._SUITES[suite]
+    seen = []
+    for bound in (0, 1, 3):
+        digest, count = hashlib.sha256(), 0
+        for fmt, fn, args in verify._stream(sections, cfg, bound):
+            size = sum(a.nvertices for a in args
+                       if isinstance(a, forest.Forest))
+            digest.update(f"{fmt.format(*args)}\t{size}\n".encode())
+            count += 1
+        seen.append((count, digest.hexdigest()[:16]))
+    assert tuple(seen) == STREAMS[suite]
+
+
+def test_the_readme_lists_every_suite_with_its_default_bound():
+    # the bound column's leading number is the suite's default bound
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]* \| (\d+)", table, re.M)
+    assert [name for name, _ in rows] == list(SUITE_NAMES)
+    assert [int(bound) for _, bound in rows] == [
+        verify._SUITES[name][0] for name in SUITE_NAMES]
 
 
 def test_all_suite_names_are_runnable():
@@ -264,8 +345,8 @@ def _brute_force_smallest(suite, cfg):
     its vertices counted by walking each forest argument, and the first
     failure of least vertices."""
     fails = []
-    gen, _ = verify._SUITES[suite]
-    for fmt, fn, args in gen(cfg, cfg.max_vertices):
+    _, sections = verify._SUITES[suite]
+    for fmt, fn, args in verify._stream(sections, cfg, cfg.max_vertices):
         got, want = fn(*args)
         if got != want:
             n = sum(len(forest._preorder(a)[2]) for a in args
