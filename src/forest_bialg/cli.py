@@ -13,7 +13,9 @@ command or a flag is added in one place.
 An evaluation command parses its forest arguments in the configured
 alphabet, computes exactly, and prints the result, a forest, a
 coefficient or a linear combination, in canonical order through one
-printer, _print. enumerate lists a small universe. verify runs one
+printer, _print. With --json, a linear combination's JSON is written by
+LinComb.to_json_text from the same sorted rows as its text, with no
+per-term objects. enumerate lists a small universe. verify runs one
 exhaustive law suite and exits 0 on pass, 1 on an algebraic failure
 (an exception raised inside a case included), 2 on usage or parse
 errors (a negative --max-vertices and an unknown flag included); that
@@ -51,6 +53,7 @@ from .coalgebra import coproduct, counit
 from .dualprod import _HELD, star, star_weighted
 from .forest import (Alphabet, Forest, _forest_text, concat,
                      enumerate_forests, graft, parse_forest, sweep_if_due)
+from .freemod import LinComb
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
 from .verify import SUITE_NAMES, RunConfig, run_suite
@@ -300,11 +303,16 @@ def _alphabet(args) -> Alphabet:
 
 def _print(value, args) -> None:
     """Print a result, a forest or a coefficient or a linear combination,
-    as its canonical text or, with --json, as JSON."""
+    as its canonical text or, with --json, as JSON: a forest as
+    {"forest": text}, a linear combination through LinComb.to_json_text,
+    which writes its terms' JSON from the rows of its text, and a
+    coefficient as its to_json."""
     if not args.json:
         _out(str(value))
     elif isinstance(value, Forest):
         _out(json.dumps({"forest": str(value)}))
+    elif isinstance(value, LinComb):
+        _out(value.to_json_text())
     else:
         _out(json.dumps(value.to_json()))
 

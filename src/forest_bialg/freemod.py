@@ -77,12 +77,18 @@ operand: a LinComb as it is, a Forest as its single term, anything else
 a TypeError; pairing, star_lin, star_weighted, prelie_lin, bracket_lin,
 coproduct_lin and theta use it.
 
-A LinComb's text and JSON are built with three memos that live for one
-__str__ or to_json call: tree -> text (forest._tree_text), leg forest ->
-text, and coefficient -> text or JSON. So each distinct subtree, leg and
+A LinComb's text and JSON text are written from one list of rows
+(LinComb._rendered), sorted on one string per term: its leg text, or for
+a tensor its leg texts joined by "\0". Every character of a leg text
+sorts after "\0", so the joined strings order the terms exactly as their
+lists of leg texts do. The rows are built with memos that live for one
+call: tree -> text (forest._tree_text), leg forest -> text, and
+coefficient -> text or JSON text. So each distinct subtree, leg and
 coefficient of one output is rendered once, and nothing is kept between
-calls; the JSON of a coefficient is copied for every term that has it,
-so no two terms of one to_json result share a mutable object.
+calls. to_json_text writes each term's JSON text straight from its row,
+with no dict or list per term; to_json is json.loads of that text, so
+the term format is written once and no two terms of one to_json result
+share a mutable object.
 """
 
 from __future__ import annotations
@@ -539,56 +545,76 @@ class LinComb:
         return self.terms.get(basis, ZERO)
 
     def _rendered(self):
-        """(leg texts, coefficient, basis) per term, sorted on the texts.
+        """(key, coefficient, basis) per term, sorted on key: the leg text,
+        or for a tensor the leg texts joined by "\0" (module docstring).
 
         The memos live for this call only: legs maps each distinct leg
-        forest to its text, and trees each distinct tree to its text
-        (forest._tree_text), so a tree that many legs share is walked
-        once."""
+        forest of a tensor to its text, and trees each distinct tree to
+        its text (forest._tree_text), so a tree that many legs share is
+        walked once. A rank-1 basis is met once, so it needs no leg memo."""
         trees: dict = {}
         legs: dict = {}
         rows = []
         for b, c in self.terms.items():
-            texts = []
-            for leg in (b if b.__class__ is tuple else (b,)):
-                text = legs.get(leg)
-                if text is None:
-                    text = legs[leg] = _forest_text(leg, trees)
-                texts.append(text)
-            rows.append((texts, c, b))
+            if b.__class__ is tuple:
+                texts = []
+                for leg in b:
+                    text = legs.get(leg)
+                    if text is None:
+                        text = legs[leg] = _forest_text(leg, trees)
+                    texts.append(text)
+                rows.append(("\0".join(texts), c, b))
+            else:
+                rows.append((_forest_text(b, trees), c, b))
         rows.sort(key=itemgetter(0))
         return rows
 
     def __str__(self):
         if not self.terms:
             return "0"
-        # coefficient -> its text, for this call; a phi image has n + 1
-        # distinct coefficients over up to 2**n terms
-        coeffs: dict = {}
+        # coefficient -> the text that opens its lines, for this call; a
+        # phi image has n + 1 distinct coefficients over up to 2**n terms
+        heads: dict = {}
         lines = []
-        for texts, c, _ in self._rendered():
-            text = coeffs.get(c)
-            if text is None:
-                text = coeffs[c] = str(c)
-            lines.append(f"({text}) {' (x) '.join(texts)}")
-        return "\n".join(lines)
+        for key, c, _ in self._rendered():
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = f"({c}) "
+            lines.append(head + key)
+        return "\n".join(lines).replace("\0", " (x) ")
 
     def __repr__(self):
         n = len(self.terms)
         return f"LinComb<{n} term{'s' if n != 1 else ''}>"
 
+    def to_json_text(self) -> str:
+        """The JSON text of the terms, in the order of __str__: a list of
+        {"coeff": Coefficient.to_json(), "legs": [leg texts]}, written as
+        json.dumps writes it.
+
+        Each distinct coefficient's JSON text is made once per call. A leg
+        text is written as it is, unescaped: its symbols match
+        [A-Za-z_][A-Za-z0-9_]*, which Alphabet checks, and the text adds
+        only "[", "]", " " and "1", none of which JSON escapes."""
+        # imported here, so that importing the package loads no json
+        import json
+
+        heads: dict = {}
+        parts = []
+        for key, c, _ in self._rendered():
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = ('{"coeff": ' + json.dumps(c.to_json())
+                                   + ', "legs": ["')
+            parts.append(f'{head}{key}"]}}')
+        return f"[{', '.join(parts)}]".replace("\0", '", "')
+
     def to_json(self):
-        """The terms as JSON-ready dicts, in the order of __str__. Each
-        distinct coefficient's JSON is made once per call, and every term
-        gets copies of its dicts, so no two terms share a mutable object."""
-        coeffs: dict = {}
-        out = []
-        for texts, c, _ in self._rendered():
-            js = coeffs.get(c)
-            if js is None:
-                js = coeffs[c] = c.to_json()
-            out.append({"coeff": [m.copy() for m in js], "legs": texts})
-        return out
+        """The terms as JSON-ready dicts, in the order of __str__:
+        to_json_text read back, so every term has objects of its own."""
+        import json
+
+        return json.loads(self.to_json_text())
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,

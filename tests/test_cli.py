@@ -619,6 +619,16 @@ def test_import_imports_no_argparse():
     assert proc.stdout == "False\n"
 
 
+def test_import_imports_no_json():
+    # the JSON writers import json when they first run, so importing the
+    # package costs no json import
+    script = ("import sys, forest_bialg; "
+              "print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 # ------------------------------------------------------ memory across calls
 
 def test_a_main_loop_stays_bounded_and_prints_what_fresh_calls_print(

@@ -2,6 +2,7 @@
 canonical (interned, memoised) coefficients."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -303,6 +304,12 @@ def _assert_renders_as_reference(u):
     text, js, items = _rendering_reference(u)
     assert str(u) == text
     assert u.to_json() == js
+    assert u.to_json_text() == json.dumps(js)
+    # to_json_text writes leg texts and rational parts unescaped, so each
+    # must be a text that json.dumps writes as it is
+    for term in js:
+        for t in term["legs"] + [m["q"] for m in term["coeff"]]:
+            assert json.dumps(t) == '"' + t + '"'
     assert [(b, c) for _, c, b in u._rendered()] == items
 
 
@@ -321,6 +328,26 @@ def test_lincomb_rendering_matches_the_per_leg_reference():
         for u in (p, p.subst_partial(nu=half), cop, coproduct_left(cop),
                   cop - cop):
             _assert_renders_as_reference(u)
+
+
+def test_tensor_rows_sort_legs_that_are_prefixes_of_each_other():
+    # the first legs "a", "a a[x]" and "a x" are prefixes of each other, so
+    # a term whose first leg ends sooner must still sort first
+    from forest_bialg.coalgebra import coproduct
+
+    u = coproduct(F("a a[x]"))
+    _assert_renders_as_reference(u)
+    firsts = [term["legs"][0] for term in u.to_json()]
+    assert firsts == ["1", "1", "a", "a", "a a[x]", "a x", "a x"]
+
+
+def test_symbols_that_json_escapes_are_not_admitted():
+    # the reason to_json_text may write leg texts unescaped, and a "\0"
+    # join of leg texts sorts as their list does
+    for sym in ('a"', "a\\", "a\n", "a\0", "\u00e9"):
+        assert json.dumps(sym) != '"' + sym + '"'
+        with pytest.raises(ValueError):
+            Alphabet(omega=(sym,))
 
 
 def test_star_weighted_rendering_matches_the_per_leg_reference():
@@ -357,6 +384,10 @@ def test_rendering_a_deep_tree_needs_no_recursion():
     lines = [f"(m) {whole}", f"(l) {middle}", f"(2) {middle} (x) {whole}"]
     assert str(u) == "\n".join(lines)
     assert [term["legs"] for term in u.to_json()] == expected
+    coeffs = (MU, LAM, Coefficient.monomial(2))
+    assert u.to_json_text() == json.dumps(
+        [{"coeff": c.to_json(), "legs": legs}
+         for c, legs in zip(coeffs, expected)])
 
 
 def _mutables(obj):
