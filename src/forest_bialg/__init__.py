@@ -30,7 +30,7 @@ the package does not export it.
 from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
                         coproduct_lin, coproduct_rec, coproduct_right,
                         counit, counit_left, counit_right)
-from .dualprod import left_path, pairing, star, star_lin, star_weighted
+from .dualprod import pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_OMEGA, KIND_X, Alphabet, Decoration,
                      DecorationError, Forest, ForestSyntaxError, Tree,
                      VertexId, VertexSet, biideals, concat,
@@ -59,7 +59,7 @@ __all__ = [
     "coproduct_left", "coproduct_right", "counit", "counit_left",
     "counit_right",
     # dual products
-    "left_path", "pairing", "star", "star_lin", "star_weighted",
+    "pairing", "star", "star_lin", "star_weighted",
     # morphisms
     "phi", "phi_forest", "phi_subsets", "phi_at", "theta", "lc_concat",
     # pre-Lie

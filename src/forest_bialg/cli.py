@@ -25,11 +25,11 @@ parser reads any nesting depth; phi alone recurses along the nesting,
 and exits 2 with "forest nested too deep" on a forest nested deeper than
 the interpreter's recursion limit allows.
 
-After each command main releases the star products that star_weighted
-held (dualprod._HELD), since the pairs of one command rarely recur in
-the next, and calls forest.sweep_if_due, so a process that calls main in
-a loop keeps its intern tables and caches bounded by the same trigger as
-the suites.
+After each command main releases freemod's table of held bilinear
+images (freemod._HELD, where star_weighted holds its star products),
+since the pairs of one command rarely recur in the next, and calls
+forest.sweep_if_due, so a process that calls main in a loop keeps its
+intern tables and caches bounded by the same trigger as the suites.
 
 Shared flags, each taken only by the commands that read it (any other
 use exits 2): --omega a,b --xset x --json on every command;
@@ -50,10 +50,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .coalgebra import coproduct, counit
-from .dualprod import _HELD, star, star_weighted
+from .dualprod import star, star_weighted
 from .forest import (Alphabet, Forest, _forest_text, concat,
                      enumerate_forests, graft, parse_forest, sweep_if_due)
-from .freemod import LinComb
+from .freemod import _HELD, LinComb
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
 from .verify import SUITE_NAMES, RunConfig, run_suite

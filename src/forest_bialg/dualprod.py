@@ -27,16 +27,17 @@ new F on most calls there; the memo keeps every F's prefixes, so each
 star_lin and star_weighted take each operand as a Forest or a LinComb,
 through freemod._as_lincomb; a Tree is neither.
 
-The images star_lin and star_weighted compute are held in _HELD, keyed
-on (star, F) and then G, until the next intern sweep: the identity
-suites nest these products (star-assoc makes y star z again for every
-x), so a pair made before costs one lookup. star is read from this
-module at call time, so a replaced star (a test's mutant, a tracer's
-wrapper) is called and keyed as itself. A direct call of star holds
-nothing beyond the prefix memo: star-census makes each of its pairs
-once, and a held image per pair only took memory there. The CLI's
-star command calls star for that reason; cli.main releases _HELD after
-each command, since one query's pairs rarely recur in the next.
+The images star_lin and star_weighted compute are held in freemod's
+table of bilinear images (freemod._HELD), keyed on (star, F) and then
+G, until the next intern sweep: the identity suites nest these products
+(star-assoc makes y star z again for every x), so a pair made before
+costs one lookup. star is read from this module at call time, so a
+replaced star (a test's mutant, a tracer's wrapper) is called and keyed
+as itself. A direct call of star holds nothing beyond the prefix memo:
+star-census makes each of its pairs once, and a held image per pair
+only took memory there. The CLI's star command calls star for that
+reason; cli.main releases the table after each command, since one
+query's pairs rarely recur in the next.
 
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
@@ -45,12 +46,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .forest import (_BEFORE_SWEEP, KIND_X, Alphabet, Forest, Tree,
-                     VertexId, leaf)
+from .forest import _BEFORE_SWEEP, KIND_X, Alphabet, Forest, Tree, leaf
 from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
                       _add_products, _as_lincomb, _trusted_lincomb)
 
-__all__ = ["pairing", "left_path", "star", "star_lin", "star_weighted"]
+__all__ = ["pairing", "star", "star_lin", "star_weighted"]
 
 
 def pairing(x, y) -> Coefficient:
@@ -87,13 +87,6 @@ def _spine(first: Optional[Tree]) -> list[Tree]:
     return chain
 
 
-def left_path(G: Forest) -> tuple[VertexId, ...]:
-    """Vertices of G's leftmost root-to-leaf chain, root first, with an
-    X-decorated terminal leaf excluded."""
-    n = len(_spine(G.trees[0] if G.trees else None))
-    return tuple(VertexId((0,) * (i + 1)) for i in range(n))
-
-
 def _regrafted(trees: tuple, first: Optional[Tree]):
     """The prefixes trees[:hi] + sub of every grafting of trees along the
     spine from first, in sigma order, and the number of G's trees they
@@ -111,10 +104,6 @@ def _regrafted(trees: tuple, first: Optional[Tree]):
 # before it counted what the intern tables alone hold
 _memo: dict = {}
 _BEFORE_SWEEP.append(_memo.clear)
-# (star, F) -> {G: star(F, G)} for the pairs star_lin and star_weighted
-# made since the last sweep (freemod._add_products)
-_HELD: dict = {}
-_BEFORE_SWEEP.append(_HELD.clear)
 
 
 def star(F: Forest, G: Forest) -> LinComb:
@@ -172,9 +161,9 @@ def star(F: Forest, G: Forest) -> LinComb:
 def star_lin(x, y) -> LinComb:
     """Bilinear extension of star, in one accumulation pass with the
     terms of x in the outer loop (freemod._add_products), each image
-    held in _HELD until the next sweep."""
+    held until the next sweep."""
     return _add_products({}, _as_lincomb(x), _as_lincomb(y), star,
-                         held=_HELD)
+                         held=True)
 
 
 _NEG_LAM = -LAM
@@ -187,13 +176,13 @@ def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
     star y then go into one sum, so no scaled, negated or partial sum is
     copied. star's memo holds each F of x, and each term of x star .d,
     with its prefixes until the next sweep, so the outer products
-    regraft each (F, first tree of G) once there; _HELD holds every
-    image of the three sums, so a pair that an earlier call made is not
-    grafted again.
+    regraft each (F, first tree of G) once there; freemod._HELD holds
+    every image of the three sums, so a pair that an earlier call made
+    is not grafted again.
     """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})
-    xdots = _add_products({}, x, dots, star, held=_HELD)
+    xdots = _add_products({}, x, dots, star, held=True)
     acc: dict = {}
-    _add_products(acc, x, y, star, _NEG_LAM, held=_HELD)
-    return _add_products(acc, xdots, y, star, held=_HELD)
+    _add_products(acc, x, y, star, _NEG_LAM, held=True)
+    return _add_products(acc, xdots, y, star, held=True)

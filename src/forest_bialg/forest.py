@@ -50,11 +50,11 @@ trees or coefficients: it lives until the next intern sweep, and
 sweep_interned is the one place that releases it, whichever entry point
 reached the sweep. Each such module appends its release to
 _BEFORE_SWEEP at import (this module's _ENC_INTERN; freemod's
-coefficient sweep; coalgebra's coproduct and counit caches; dualprod's
-star memo and its held star products; morphisms' phi cache; prelie's
-held pre-Lie products). The releases run newest first, before
-anything is counted. A module registers after the
-modules it imports, so every cache that holds linear combinations goes
+coefficient sweep, which releases its held bilinear images first;
+coalgebra's coproduct and counit caches; dualprod's star memo;
+morphisms' phi cache). The releases run newest first, before anything
+is counted. A module registers after the modules it imports, so every
+cache that holds linear combinations goes
 before freemod counts its coefficient table, and whatever only the
 caches held goes in the same sweep. The enumerated universes
 (_ENUM_FORESTS, _ENUM_TREES) are the one exception: they hold what

@@ -32,14 +32,17 @@ product and evaluation all add monomials through _summed. Over a basis,
 _add_products is the bilinear extension of a basis product in one pass:
 LinComb.tensor, morphisms.lc_concat, star_lin, star_weighted,
 prelie_lin and bracket_lin are each one to three calls to it, and the
-last four hold the images they compute until the next sweep (see
+last four hold the images they compute in one table, _HELD, keyed on
+the product and its left operand, until the next sweep (see
 _add_products). The other hot sums, LinComb.__add__, apply, apply_leg
 and map_basis, keep loops of their own for speed (see the comment above
 LinComb.apply). Every accumulation loop over a basis tests cancellation
 with `is ZERO`.
 
-sweep_coefficients clears the three memos and drops every interned value
-that nothing else holds. It is registered in forest._BEFORE_SWEEP, so
+sweep_coefficients releases the held images, clears the three memos and
+drops every interned value that nothing else holds. The held images go
+first: their values are linear combinations, whose coefficients would
+otherwise count as held. It is registered in forest._BEFORE_SWEEP, so
 every forest intern sweep runs it, whether run_suite, cli.main or a
 library caller reached the sweep. Releases run newest first and every
 module that caches linear combinations imports this one, so their
@@ -75,7 +78,7 @@ morphisms' theta and concatenation basis all return through it, and no
 other module assigns terms. _as_lincomb is the one coercion of an
 operand: a LinComb as it is, a Forest as its single term, anything else
 a TypeError; pairing, star_lin, star_weighted, prelie_lin, bracket_lin,
-coproduct_lin and theta use it.
+coproduct_lin, phi and theta use it.
 
 A LinComb's text and JSON text are written from one list of rows
 (LinComb._rendered), sorted on one string per term: its leg text, or for
@@ -113,6 +116,9 @@ _MUL: dict = {}
 # (c, lam, mu, nu) -> c.subst_partial(lam, mu, nu); a point of 2 and one
 # of Fraction(2) are equal and hash alike, so they share an entry
 _SUBST: dict = {}
+# (f, F) -> {G: f(F, G)} for the bilinear images that _add_products held
+# (held=True) since the last sweep: star's and prelie's alike
+_HELD: dict = {}
 
 
 def _make(acc: dict) -> "Coefficient":
@@ -233,13 +239,9 @@ class Coefficient:
             out = out * self
         return out
 
-    def is_polynomial(self):
-        """True when no negative lambda exponent occurs."""
-        return all(a >= 0 for (a, _, _) in self.terms)
-
     def subst_mu(self, p: "Coefficient") -> "Coefficient":
         """Replace every mu^b by p^b. p must be polynomial in lambda."""
-        if not p.is_polynomial():
+        if any(a < 0 for a, _, _ in p.terms):
             raise ValueError("mu-substitute must have no negative lambda exponents")
         out = ZERO
         powers = {0: ONE}
@@ -327,15 +329,16 @@ MU = Coefficient.monomial(1, b=1)
 NU = Coefficient.monomial(1, c=1)
 
 def sweep_coefficients() -> None:
-    """Clear the sum, product and evaluation memos, then drop every
-    interned coefficient that nothing else holds.
+    """Release the held images, clear the sum, product and evaluation
+    memos, then drop every interned coefficient that nothing else holds.
 
-    The memos go first, since their keys and values hold coefficients.
+    The held images and the memos go first, since they hold coefficients.
     No coefficient refers to another, so one pass over the intern table
     reads every final count, as for forests. forest.sweep_interned runs
     it after the caches of every module that imports this one have been
     released, and its threading caveat applies here too.
     """
+    _HELD.clear()
     _ADD.clear()
     _MUL.clear()
     _SUBST.clear()
@@ -545,8 +548,8 @@ class LinComb:
         return self.terms.get(basis, ZERO)
 
     def _rendered(self):
-        """(key, coefficient, basis) per term, sorted on key: the leg text,
-        or for a tensor the leg texts joined by "\0" (module docstring).
+        """(key, coefficient) per term, sorted on key: the leg text, or
+        for a tensor the leg texts joined by "\0" (module docstring).
 
         The memos live for this call only: legs maps each distinct leg
         forest of a tensor to its text, and trees each distinct tree to
@@ -563,9 +566,9 @@ class LinComb:
                     if text is None:
                         text = legs[leg] = _forest_text(leg, trees)
                     texts.append(text)
-                rows.append(("\0".join(texts), c, b))
+                rows.append(("\0".join(texts), c))
             else:
-                rows.append((_forest_text(b, trees), c, b))
+                rows.append((_forest_text(b, trees), c))
         rows.sort(key=itemgetter(0))
         return rows
 
@@ -576,7 +579,7 @@ class LinComb:
         # phi image has n + 1 distinct coefficients over up to 2**n terms
         heads: dict = {}
         lines = []
-        for key, c, _ in self._rendered():
+        for key, c in self._rendered():
             head = heads.get(c)
             if head is None:
                 head = heads[c] = f"({c}) "
@@ -601,7 +604,7 @@ class LinComb:
 
         heads: dict = {}
         parts = []
-        for key, c, _ in self._rendered():
+        for key, c in self._rendered():
             head = heads.get(c)
             if head is None:
                 head = heads[c] = ('{"coeff": ' + json.dumps(c.to_json())
@@ -618,7 +621,7 @@ class LinComb:
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
-                  k: Coefficient = ONE, held: dict | None = None) -> LinComb:
+                  k: Coefficient = ONE, held: bool = False) -> LinComb:
     """Add k c d f(F, G) into acc for every term c F of x and d G of y
     (k nonzero), and return the LinComb whose terms are acc.
 
@@ -630,14 +633,14 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
     cancelled term on `is ZERO`; an image coefficient of ONE, as nearly
     all of star's are, costs no product.
 
-    held, when given, keeps the images: it maps (f, F) to a dict
-    G -> f(F, G), so a pair seen before costs one lookup, whichever call
-    saw it. The key names f, so a product replaced at run time (a test's
-    mutant) never reads the images of another. dualprod and prelie each
-    pass one such dict and release it at every intern sweep; the
-    products whose pairs do not repeat (tensor, lc_concat) pass none.
-    Threads that miss on one pair at once each compute it and store
-    equal images.
+    With held, the images are kept in _HELD, which maps (f, F) to a
+    dict G -> f(F, G), so a pair seen before costs one lookup, whichever
+    call saw it. The key names f, so one table serves every product, and
+    a product replaced at run time (a test's mutant) never reads the
+    images of another. star_lin, star_weighted, prelie_lin and
+    bracket_lin pass held; the products whose pairs do not repeat
+    (tensor, lc_concat) do not. Threads that miss on one pair at once
+    each compute it and store equal images.
     """
     yterms = y.terms.items()
     row = None
@@ -645,10 +648,10 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
         if k is not ONE:
             ck = _MUL.get((c, k))
             c = c * k if ck is None else ck
-        if held is not None:
-            row = held.get((f, F))
+        if held:
+            row = _HELD.get((f, F))
             if row is None:
-                row = held.setdefault((f, F), {})
+                row = _HELD.setdefault((f, F), {})
         for G, d in yterms:
             cd = _MUL.get((c, d))
             if cd is None:

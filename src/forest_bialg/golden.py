@@ -36,20 +36,13 @@ L2 = LAM * LAM
 ML = MU * LAM
 
 
-def _lc1(ab, terms) -> LinComb:
-    """LinComb<Forest> from (coeff, text) pairs."""
+def _lc(ab, terms) -> LinComb:
+    """The sum of (coeff, text, ...) terms: one text is a forest, two a
+    pair tensor of forests."""
     out = LinComb()
-    for c, t in terms:
-        out = out + LinComb.single(parse_forest(t, ab), c)
-    return out
-
-
-def _lc2(ab, terms) -> LinComb:
-    """LinComb over pair tensors from (coeff, text, text) triples."""
-    out = LinComb()
-    for c, t1, t2 in terms:
-        out = out + LinComb.single(
-            (parse_forest(t1, ab), parse_forest(t2, ab)), c)
+    for c, *texts in terms:
+        legs = tuple(parse_forest(t, ab) for t in texts)
+        out = out + LinComb.single(legs if len(legs) > 1 else legs[0], c)
     return out
 
 
@@ -70,7 +63,7 @@ def _case_coproducts():
     ]
     for text, expect in displays:
         F = parse_forest(text, AB_COP)
-        want = _lc2(AB_COP, expect)
+        want = _lc(AB_COP, expect)
         yield (f"coproduct {text} (recursive)",
                lambda F=F, want=want: (coproduct_rec(F), want))
         yield (f"coproduct {text} (biideal)",
@@ -114,7 +107,7 @@ def _case_star():
     for ftext, gtext, terms in displays:
         F = parse_forest(ftext, AB_STAR)
         G = parse_forest(gtext, AB_STAR)
-        want = _lc1(AB_STAR, [(one, t) for t in terms])
+        want = _lc(AB_STAR, [(one, t) for t in terms])
         yield (f"star {ftext} * {gtext}",
                lambda F=F, G=G, want=want: (star(F, G), want))
 
@@ -132,7 +125,7 @@ def _case_star_weighted():
     for s in AB_SW.omega:
         terms += [(MU, t.format(w=s)) for t in omega_terms]
     terms += [(MU, t) for t in x_terms]
-    want = _lc1(AB_SW, terms)
+    want = _lc(AB_SW, terms)
     yield ("star-weighted a * b[c]",
            lambda: (star_weighted(F, G, AB_SW), want))
 
@@ -153,7 +146,7 @@ def _case_phi():
     ]
     for text, expect in displays:
         F = parse_forest(text, AB_PHI)
-        want = _lc1(AB_PHI, expect)
+        want = _lc(AB_PHI, expect)
         yield (f"phi {text} (recursive)",
                lambda F=F, want=want: (phi_forest(F), want))
         yield (f"phi {text} (subsets)",
@@ -180,7 +173,7 @@ def _case_prelie():
           (-LAM, "x a[b]"), (-LAM, "b x a"), (-LAM, "a[b] x")]),
     ]
     for label, compute, expect in cases:
-        want = _lc1(AB_PL, expect)
+        want = _lc(AB_PL, expect)
         yield label, (lambda compute=compute, want=want:
                       (compute(), want))
 
@@ -195,14 +188,11 @@ def _case_prelie():
         (L2, "a[b] c y x"), (L2, "x c y a[b]"),
         (L2, "c a[b] y x"), (L2, "c x y a[b]"),
     ]
-    want = _lc1(AB_PL, assoc_terms)
+    want = _lc(AB_PL, assoc_terms)
 
     def assoc():
-        u1 = LinComb.single(F1)
-        u2 = LinComb.single(F2)
-        u3 = LinComb.single(F3)
-        got = (prelie_lin(u1, prelie_lin(u2, u3))
-               - prelie_lin(prelie_lin(u1, u2), u3))
+        got = (prelie_lin(F1, prelie_lin(F2, F3))
+               - prelie_lin(prelie_lin(F1, F2), F3))
         return got, want
 
     yield "prelie associator difference (x, a[b], c y)", assoc

@@ -77,7 +77,7 @@ def phi(x) -> LinComb:
     """Linear extension of phi_forest; accepts a Forest or a LinComb."""
     if isinstance(x, Forest):
         return phi_forest(x)
-    return x.apply(phi_forest)
+    return _as_lincomb(x).apply(phi_forest)
 
 
 def phi_subsets(F: Forest) -> LinComb:

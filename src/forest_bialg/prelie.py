@@ -22,8 +22,9 @@ bracket_lin adds both orders into it, the second with coefficient -1.
 Each takes its operands as a Forest or a LinComb, through
 freemod._as_lincomb.
 
-The images prelie_lin and bracket_lin compute are held in _HELD, keyed
-on (prelie, F1) and then F2, until the next intern sweep: the prelie
+The images prelie_lin and bracket_lin compute are held in freemod's
+table of bilinear images (freemod._HELD), keyed on (prelie, F1) and
+then F2, until the next intern sweep: the prelie
 and jacobi suites rebuild the inner product of a triple for every third
 forest, so a pair made before costs one lookup. prelie is read from
 this module at call time, so a replaced prelie (a test's mutant, a
@@ -35,17 +36,11 @@ and the CLI's prelie and bracket commands make each pair once.
 from __future__ import annotations
 
 from .coalgebra import coproduct_biideal, coproduct_rec
-from .forest import _BEFORE_SWEEP, Forest
+from .forest import Forest
 from .freemod import ONE, LinComb, _add_products, _as_lincomb
 
 __all__ = ["prelie", "prelie_sandwich", "prelie_lin", "bracket",
            "bracket_lin"]
-
-
-# (prelie, F1) -> {F2: prelie(F1, F2)} for the pairs prelie_lin and
-# bracket_lin made since the last sweep (freemod._add_products)
-_HELD: dict = {}
-_BEFORE_SWEEP.append(_HELD.clear)
 
 
 def _sandwich(F1: Forest, delta2: LinComb) -> LinComb:
@@ -65,9 +60,9 @@ def prelie_sandwich(F1: Forest, F2: Forest) -> LinComb:
 def prelie_lin(x, y) -> LinComb:
     """Bilinear extension of prelie, for nesting products in identity
     checks, in one accumulation pass (freemod._add_products), each image
-    held in _HELD until the next sweep."""
+    held until the next sweep."""
     return _add_products({}, _as_lincomb(x), _as_lincomb(y), prelie,
-                         held=_HELD)
+                         held=True)
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:
@@ -84,5 +79,5 @@ def bracket_lin(x, y) -> LinComb:
     as prelie_lin holds them."""
     x, y = _as_lincomb(x), _as_lincomb(y)
     acc: dict = {}
-    _add_products(acc, x, y, prelie, held=_HELD)
-    return _add_products(acc, y, x, prelie, _NEG_ONE, held=_HELD)
+    _add_products(acc, x, y, prelie, held=True)
+    return _add_products(acc, y, x, prelie, _NEG_ONE, held=True)

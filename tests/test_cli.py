@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import forest_bialg.cli as cli
-from forest_bialg import dualprod, forest, freemod
+from forest_bialg import forest, freemod
 from forest_bialg.forest import Alphabet, enumerate_forests
 from forest_bialg.verify import SuiteReport
 
@@ -70,11 +70,11 @@ def test_star_json_schema(capsys):
 def test_star_weighted_holds_no_image_after_the_command(capsys,
                                                        monkeypatch):
     # with no sweep due, main itself releases the images that
-    # star_weighted held for its one call
+    # star_weighted held for its one call in freemod's table
     monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
     code, out, _ = run(capsys, "star-weighted", "a[x] b", "b a", "--json")
     assert code == 0 and json.loads(out)
-    assert not dualprod._HELD
+    assert not freemod._HELD
 
 
 def test_evaluation_points_apply(capsys):

@@ -366,14 +366,15 @@ def test_a_sweep_releases_every_registered_cache():
               "coalgebra._COUNIT_CACHE": coalgebra._COUNIT_CACHE,
               "morphisms._PHI_CACHE": morphisms._PHI_CACHE,
               "dualprod._memo": dualprod._memo,
-              "dualprod._HELD": dualprod._HELD,
-              "prelie._HELD": prelie._HELD,
+              "freemod._HELD": freemod._HELD,
               "forest._ENC_INTERN": _ENC_INTERN,
               "freemod._ADD": freemod._ADD,
               "freemod._MUL": freemod._MUL,
               "freemod._SUBST": freemod._SUBST}
     before = results()
     assert all(caches.values())
+    # the one table of held images holds both products' images
+    assert {f for f, _ in freemod._HELD} == {dualprod.star, prelie.prelie}
     sweep_interned()
     assert [name for name, c in caches.items() if c] == []
     assert results() == before

@@ -310,7 +310,8 @@ def _assert_renders_as_reference(u):
     for term in js:
         for t in term["legs"] + [m["q"] for m in term["coeff"]]:
             assert json.dumps(t) == '"' + t + '"'
-    assert [(b, c) for _, c, b in u._rendered()] == items
+    assert u._rendered() == [("\0".join(_leg_texts(b)), c)
+                             for b, c in items]
 
 
 def test_lincomb_rendering_matches_the_per_leg_reference():

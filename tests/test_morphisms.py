@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from forest_bialg.coalgebra import coproduct, coproduct_lin
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, concat,
                                  enumerate_forests, parse_forest)
@@ -74,6 +76,17 @@ def test_theta_scales_by_vertex_count():
     assert theta(F("x")) == LinComb.single(F("x"), NU)
     assert theta(F("a[x] b")) == \
         LinComb.single(F("a[x] b"), Coefficient.monomial(1, c=3))
+
+
+def test_phi_and_theta_take_a_forest_or_a_lincomb():
+    # anything else is the TypeError of the one operand coercion
+    f = F("a[x b]")
+    assert phi(LinComb.single(f)) == phi(f)
+    assert theta(LinComb.single(f)) == theta(f)
+    for bad in (3, f.trees[0], "a[x b]"):
+        for fn in (phi, theta):
+            with pytest.raises(TypeError):
+                fn(bad)
 
 
 def test_theta_is_multiplicative():

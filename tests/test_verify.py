@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from forest_bialg import cli, dualprod, forest, freemod, verify
+from forest_bialg import cli, coalgebra, dualprod, forest, freemod, verify
 from forest_bialg.forest import Alphabet
 from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
@@ -167,6 +167,20 @@ def test_counit_suite_requires_invertible_lambda():
     with pytest.raises(ZeroDivisionError):
         run_suite("counit", RunConfig(alphabet=SMALL, max_vertices=2,
                                       eval_lam=Fraction(0)))
+
+
+def test_the_witness_fails_a_counit_multiplicative_at_lambda_1(monkeypatch):
+    # the sign flip +mu^n / lambda^(n+1) is multiplicative at lambda = 1,
+    # so the non-multiplicativity witness must fail
+    def flipped(F):
+        n = F.nvertices
+        return freemod.Coefficient.monomial(1, a=-(n + 1), b=n)
+
+    monkeypatch.setattr(coalgebra, "counit", flipped)
+    monkeypatch.setattr(verify, "counit", flipped)
+    rep = run_suite("counit", RunConfig(alphabet=SMALL, max_vertices=2))
+    assert "non-multiplicativity witness at lambda=1" in [
+        f["case"] for f in rep.failures]
 
 
 def test_report_json_shape():
