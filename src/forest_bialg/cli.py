@@ -25,9 +25,10 @@ parser reads any nesting depth; phi alone recurses along the nesting,
 and exits 2 with "forest nested too deep" on a forest nested deeper than
 the interpreter's recursion limit allows.
 
-After each command main releases freemod's table of held bilinear
-images (freemod._HELD, where star_weighted holds its star products),
-since the pairs of one command rarely recur in the next, and calls
+After each command main releases freemod's table of held rows
+(freemod._HELD, where star_weighted holds its star products and star
+its regrafted prefixes), since the pairs of one command rarely recur in
+the next, and calls
 forest.sweep_if_due, so a process that calls main in a loop keeps its
 intern tables and caches bounded by the same trigger as the suites.
 
@@ -306,15 +307,29 @@ def _print(value, args) -> None:
     as its canonical text or, with --json, as JSON: a forest as
     {"forest": text}, a linear combination through LinComb.to_json_text,
     which writes its terms' JSON from the rows of its text, and a
-    coefficient as its to_json."""
-    if not args.json:
-        _out(str(value))
-    elif isinstance(value, Forest):
-        _out(json.dumps({"forest": str(value)}))
-    elif isinstance(value, LinComb):
-        _out(value.to_json_text())
-    else:
-        _out(json.dumps(value.to_json()))
+    coefficient as its to_json.
+
+    The whole text is written before any of it is printed. Python
+    refuses to write an int of more digits than
+    sys.get_int_max_str_digits() allows, and an evaluated result can
+    hold one even though _MAX_EXPONENT bounds the input; that refusal
+    becomes a ValueError that names the cause, so the command exits 2
+    with nothing on stdout. The limit stays: a higher one would let a
+    crafted input cost minutes."""
+    try:
+        if not args.json:
+            text = str(value)
+        elif isinstance(value, Forest):
+            text = json.dumps({"forest": str(value)})
+        elif isinstance(value, LinComb):
+            text = value.to_json_text()
+        else:
+            text = json.dumps(value.to_json())
+    except ValueError:
+        # rendering raises no other ValueError
+        raise ValueError(
+            "the result holds a number too long to print") from None
+    _out(text)
 
 
 def _cmd_eval(args) -> int:

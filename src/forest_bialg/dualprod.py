@@ -13,31 +13,32 @@ coproduct dualizes to products:
   path, one level at a time, so each regrafted path vertex is made once
   for all the sigma that agree above it; the forests made are those of
   grafting sigma by sigma. Everything but the final forests depends only
-  on F and on G's first tree, and a memo keyed by F and then by that
-  tree keeps it until the next intern sweep releases it, as it releases
-  every cache that holds forests (forest module docstring; see star).
+  on F and on G's first tree: star holds it in freemod's one table of
+  held rows (freemod._HELD), keyed on (_regrafted, F) and then on that
+  tree, until the next intern sweep releases the table (see star).
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
 star_lin and star_weighted extend star bilinearly with
 freemod._add_products: every term of every product goes straight into
 one sum. Their left operands are often fresh products, so star sees a
-new F on most calls there; the memo keeps every F's prefixes, so each
+new F on most calls there; the table keeps every F's prefixes, so each
 (F, first tree of G) is still regrafted once between sweeps. pairing,
 star_lin and star_weighted take each operand as a Forest or a LinComb,
 through freemod._as_lincomb; a Tree is neither.
 
-The images star_lin and star_weighted compute are held in freemod's
-table of bilinear images (freemod._HELD), keyed on (star, F) and then
-G, until the next intern sweep: the identity suites nest these products
-(star-assoc makes y star z again for every x), so a pair made before
-costs one lookup. star is read from this module at call time, so a
-replaced star (a test's mutant, a tracer's wrapper) is called and keyed
-as itself. A direct call of star holds nothing beyond the prefix memo:
-star-census makes each of its pairs once, and a held image per pair
-only took memory there. The CLI's star command calls star for that
-reason; cli.main releases the table after each command, since one
-query's pairs rarely recur in the next.
+The images star_lin and star_weighted compute are held in the same
+table (freemod._HELD), keyed on (star, F) and then G, until the next
+intern sweep: the identity suites nest these products (star-assoc makes
+y star z again for every x), so a pair made before costs one lookup.
+star, and _regrafted within it, are read from this module at call time,
+so a replaced one (a test's mutant, a tracer's wrapper) is called and
+keyed as itself, and its rows are never read once it is undone. A
+direct call of star holds nothing beyond its prefixes: star-census makes
+each of its pairs once, and a held image per pair only took memory
+there. The CLI's star command calls star for that reason; cli.main
+releases the table after each command, since one query's pairs rarely
+recur in the next.
 
 Duality: <D_{l,m}(x), y (x) z> = <x, y star_{l,m} z>.
 """
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .forest import _BEFORE_SWEEP, KIND_X, Alphabet, Forest, Tree, leaf
-from .freemod import (LAM, MU, ONE, ZERO, Coefficient, LinComb,
+from .forest import KIND_X, Alphabet, Forest, Tree, leaf
+from .freemod import (_HELD, LAM, MU, ONE, ZERO, Coefficient, LinComb,
                       _add_products, _as_lincomb, _trusted_lincomb)
 
 __all__ = ["pairing", "star", "star_lin", "star_weighted"]
@@ -99,13 +100,6 @@ def _regrafted(trees: tuple, first: Optional[Tree]):
     return [trees[:hi] + sub for hi, sub in level], len(level[0][1])
 
 
-# F -> {first tree of G or None: _regrafted(F.trees, first)} for every F
-# passed to star since forest.sweep_interned last released the memo,
-# before it counted what the intern tables alone hold
-_memo: dict = {}
-_BEFORE_SWEEP.append(_memo.clear)
-
-
 def star(F: Forest, G: Forest) -> LinComb:
     """F star G: all C(m+n, n) left-graftings of F's trees along G's path.
 
@@ -122,31 +116,31 @@ def star(F: Forest, G: Forest) -> LinComb:
     The spine, and so every prefix trees[:hi] + sub and the count of G's
     trees that sub replaces, depend only on F and on G's first tree;
     each term is that prefix followed by the rest of G's trees. The
-    prefixes are memoised per F and then per first tree, so each
-    (F, first tree) is regrafted once per memo lifetime, whichever
-    operand varies: F in the outer loop (star-census, star_lin) and F
-    varying from call to call (star_lin(star(x, y), z), the outer
-    products of star_weighted) alike. The memo lives until the next
-    intern sweep, which releases it before it counts what only the
-    tables hold, so a sweep still frees every forest and tree the memo
-    kept. Suites and cli.main reach that sweep through
-    forest.sweep_if_due; a library loop that never calls it keeps the
-    memo, like every other forest cache, until it does. The same forests
-    are made as without the memo. Each F has its own dict, so concurrent
-    callers with different F never mix their entries; two callers with
-    the same F store equal values.
+    prefixes are held in freemod._HELD, in the row (_regrafted, F) under
+    the first tree, so each (F, first tree) is regrafted once between
+    sweeps, whichever operand varies: F in the outer loop (star-census,
+    star_lin) and F varying from call to call (star_lin(star(x, y), z),
+    the outer products of star_weighted) alike. The rows follow the
+    table's rules: a sweep releases them before it counts what only the
+    intern tables hold, and cli.main releases them after each command.
+    Suites and cli.main reach that sweep through forest.sweep_if_due; a
+    library loop that never calls it keeps the rows, like every other
+    forest cache, until it does. The same forests are made as without
+    the table. Each F has its own row, so concurrent callers with
+    different F never mix their entries; two callers with the same F
+    store equal values.
 
     Grafting adds and drops no vertex, so every term has
     F.nvertices + G.nvertices vertices.
     """
-    memo = _memo.get(F)
-    if memo is None:
-        memo = _memo.setdefault(F, {})
+    row = _HELD.get((_regrafted, F))
+    if row is None:
+        row = _HELD.setdefault((_regrafted, F), {})
     gtrees = G.trees
     first = gtrees[0] if gtrees else None
-    hit = memo.get(first)
+    hit = row.get(first)
     if hit is None:
-        hit = memo[first] = _regrafted(F.trees, first)
+        hit = row[first] = _regrafted(F.trees, first)
     prefixes, cut = hit
     rest = gtrees[cut:]
     make = Forest.make
@@ -174,11 +168,11 @@ def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
 
     x star (m sum .d) is made first; -l x star y and (x star m sum .d)
     star y then go into one sum, so no scaled, negated or partial sum is
-    copied. star's memo holds each F of x, and each term of x star .d,
-    with its prefixes until the next sweep, so the outer products
-    regraft each (F, first tree of G) once there; freemod._HELD holds
-    every image of the three sums, so a pair that an earlier call made
-    is not grafted again.
+    copied. freemod._HELD holds the prefixes of each F of x, and of each
+    term of x star .d, until the next sweep, so the outer products
+    regraft each (F, first tree of G) once there; it holds every image
+    of the three sums too, so a pair that an earlier call made is not
+    grafted again.
     """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})

@@ -50,8 +50,8 @@ trees or coefficients: it lives until the next intern sweep, and
 sweep_interned is the one place that releases it, whichever entry point
 reached the sweep. Each such module appends its release to
 _BEFORE_SWEEP at import (this module's _ENC_INTERN; freemod's
-coefficient sweep, which releases its held bilinear images first;
-coalgebra's coproduct and counit caches; dualprod's star memo;
+coefficient sweep, which releases its held rows first, star's regrafted
+prefixes among them; coalgebra's coproduct and counit caches;
 morphisms' phi cache). The releases run newest first, before anything
 is counted. A module registers after the modules it imports, so every
 cache that holds linear combinations goes

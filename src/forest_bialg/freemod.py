@@ -34,19 +34,22 @@ LinComb.tensor, morphisms.lc_concat, star_lin, star_weighted,
 prelie_lin and bracket_lin are each one to three calls to it, and the
 last four hold the images they compute in one table, _HELD, keyed on
 the product and its left operand, until the next sweep (see
-_add_products). The other hot sums, LinComb.__add__, apply, apply_leg
-and map_basis, keep loops of their own for speed (see the comment above
-LinComb.apply). Every accumulation loop over a basis tests cancellation
-with `is ZERO`.
+_add_products). dualprod.star holds its regrafted prefixes in the same
+table, keyed on (dualprod._regrafted, F) and then on G's first tree.
+The other hot sums, LinComb.__add__, apply, apply_leg and map_basis,
+keep loops of their own for speed (see the comment above LinComb.apply).
+Every accumulation loop over a basis tests cancellation with `is ZERO`.
 
-sweep_coefficients releases the held images, clears the three memos and
-drops every interned value that nothing else holds. The held images go
-first: their values are linear combinations, whose coefficients would
-otherwise count as held. It is registered in forest._BEFORE_SWEEP, so
-every forest intern sweep runs it, whether run_suite, cli.main or a
-library caller reached the sweep. Releases run newest first and every
-module that caches linear combinations imports this one, so their
-caches are released before the coefficient table is counted.
+sweep_coefficients releases the held rows, clears the three memos and
+drops every interned value that nothing else holds. The held rows go
+first: their images are linear combinations, whose coefficients would
+otherwise count as held, and their prefixes hold trees, which the
+forest sweep counts after this one. It is registered in
+forest._BEFORE_SWEEP, so every forest intern sweep runs it, whether
+run_suite, cli.main or a library caller reached the sweep. Releases run
+newest first and every module that caches linear combinations imports
+this one, so their caches are released before the coefficient table is
+counted.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -116,8 +119,10 @@ _MUL: dict = {}
 # (c, lam, mu, nu) -> c.subst_partial(lam, mu, nu); a point of 2 and one
 # of Fraction(2) are equal and hash alike, so they share an entry
 _SUBST: dict = {}
-# (f, F) -> {G: f(F, G)} for the bilinear images that _add_products held
-# (held=True) since the last sweep: star's and prelie's alike
+# every row held since the last sweep, each keyed on the function that
+# made it and its left operand: (f, F) -> {G: f(F, G)} for the bilinear
+# images that _add_products held (held=True), star's and prelie's alike,
+# and (dualprod._regrafted, F) -> {first tree of G: prefixes} for star
 _HELD: dict = {}
 
 
@@ -329,10 +334,10 @@ MU = Coefficient.monomial(1, b=1)
 NU = Coefficient.monomial(1, c=1)
 
 def sweep_coefficients() -> None:
-    """Release the held images, clear the sum, product and evaluation
+    """Release the held rows, clear the sum, product and evaluation
     memos, then drop every interned coefficient that nothing else holds.
 
-    The held images and the memos go first, since they hold coefficients.
+    The held rows and the memos go first, since they hold coefficients.
     No coefficient refers to another, so one pass over the intern table
     reads every final count, as for forests. forest.sweep_interned runs
     it after the caches of every module that imports this one have been

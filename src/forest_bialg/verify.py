@@ -326,6 +326,13 @@ def _left_path_len(G: Forest) -> int:
     return n
 
 
+def _star_census(F, G):
+    n = _left_path_len(G)
+    prod = star(F, G)
+    distinct = all(c == ONE for c in prod.terms.values())
+    return (len(prod.terms), distinct), (comb(F.breadth + n, n), True)
+
+
 def _prelie(x, y, z):
     lhs = prelie_lin(prelie_lin(x, y), z) - prelie_lin(x, prelie_lin(y, z))
     rhs = prelie_lin(prelie_lin(y, x), z) - prelie_lin(y, prelie_lin(x, z))
@@ -434,20 +441,6 @@ def _star_weighted_section(cfg):
     return "star-weighted x={} y={} z={}", check, _triples, 1, ()
 
 
-def _star_census_section(cfg):
-    lengths = {}    # G -> the length of G's left path, counted once per G
-
-    def check(F, G):
-        n = lengths.get(G)
-        if n is None:
-            n = lengths[G] = _left_path_len(G)
-        prod = star(F, G)
-        distinct = all(c == ONE for c in prod.terms.values())
-        return ((len(prod.terms), distinct), (comb(F.breadth + n, n), True))
-
-    return "F={} G={}", check, _pairs_each, 0, ()
-
-
 def _golden_section(cfg):
     # each case is (label, thunk), and the thunk is its check
     return "{}", lambda label, thunk: thunk(), _fixed, 0, golden_cases()
@@ -474,7 +467,7 @@ _SUITES = {
     "duality": (4, (_duality_section,)),
     "star-assoc": (5, (("star x={} y={} z={}", _star_assoc, _triples, 0, ()),
                        _star_weighted_section)),
-    "star-census": (4, (_star_census_section,)),
+    "star-census": (4, (("F={} G={}", _star_census, _pairs_each, 0, ()),)),
     "prelie": (5, (("x={} y={} z={}", _prelie, _triples, 0, ()),)),
     "jacobi": (5, (("x={} y={} z={}", _jacobi, _triples, 0, ()),)),
     "prelie-closed-form": (5, (
@@ -526,16 +519,11 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     not an Exception, such as KeyboardInterrupt, propagates at once.
 
     The intern tables are swept between cases once they have grown
-    enough, through forest.sweep_if_due. The sweep first runs every
-    registered release, newest first: the phi cache, star's memo of
-    regrafted prefixes, the coproduct and counit caches, freemod's held
-    bilinear images and its sum, product and evaluation memos with the
-    coefficients nothing else holds, and last the encoding cache
-    forest._ENC_INTERN. It then drops the forests and trees that only
-    the intern tables hold. So memory
-    stays bounded by what the suite holds and by the enumerated
-    universes, which live as long as the process, rather than by
-    everything the run ever built.
+    enough, through forest.sweep_if_due: forest.sweep_interned releases
+    every registered cache, then drops the forests and trees that only
+    the intern tables hold. So memory stays bounded by what the suite
+    holds and by the enumerated universes, which live as long as the
+    process, rather than by everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation

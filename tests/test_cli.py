@@ -395,6 +395,20 @@ def test_a_huge_decimal_exponent_exits_2_at_once(capsys, argv, exponent):
     assert "argument --eval-nu: exponent larger than 4300" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["counit", "x", "--eval-lambda=1e-4300"],
+    ["counit", "x", "--eval-lambda=1e-2200"],
+    ["phi", "a[" * 9 + "a" + "]" * 9, "--eval-nu=1" + "0" * 499]],
+    ids=["counit-4300", "counit-2200", "phi-chain"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_result_too_long_to_print_exits_2(capsys, argv, json_flag):
+    # the input is within _MAX_EXPONENT, but the evaluated result holds an
+    # int of more digits than str(int) writes; the int limit stays
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == 2 and out == ""
+    assert err == "error: the result holds a number too long to print\n"
+
+
 def test_a_decimal_exponent_still_evaluates(capsys):
     assert run(capsys, "theta", "a[x]", "--eval-nu", "1e3") == (
         0, "(1000000) a[x]\n", "")

@@ -365,7 +365,6 @@ def test_a_sweep_releases_every_registered_cache():
               "coalgebra._BIID_CACHE": coalgebra._BIID_CACHE,
               "coalgebra._COUNIT_CACHE": coalgebra._COUNIT_CACHE,
               "morphisms._PHI_CACHE": morphisms._PHI_CACHE,
-              "dualprod._memo": dualprod._memo,
               "freemod._HELD": freemod._HELD,
               "forest._ENC_INTERN": _ENC_INTERN,
               "freemod._ADD": freemod._ADD,
@@ -373,8 +372,10 @@ def test_a_sweep_releases_every_registered_cache():
               "freemod._SUBST": freemod._SUBST}
     before = results()
     assert all(caches.values())
-    # the one table of held images holds both products' images
-    assert {f for f, _ in freemod._HELD} == {dualprod.star, prelie.prelie}
+    # the one table of held rows holds both products' images and star's
+    # regrafted prefixes
+    assert {f for f, _ in freemod._HELD} == {
+        dualprod.star, dualprod._regrafted, prelie.prelie}
     sweep_interned()
     assert [name for name, c in caches.items() if c] == []
     assert results() == before

@@ -480,23 +480,24 @@ def test_smallest_counterexample_without_sizes_is_the_first():
 
 
 def test_a_sweep_releases_the_star_memo_first(monkeypatch, sweeps):
-    # a forest that only star's memo holds must go in the same sweep:
-    # key is its tree tuple, which holds the trees but not the forest
+    # a forest that only star's held prefixes hold must go in the same
+    # sweep: key is its tree tuple, which holds the trees but not the
+    # forest
     F = forest.parse_forest("a[a[a[x x x]]] a[x] a a x a", SMALL)
     key = F.trees
     dualprod.star(F, forest.parse_forest("a[x] a", SMALL))
-    assert F in dualprod._memo
+    assert (dualprod._regrafted, F) in freemod._HELD
     del F
     assert key in forest.Forest._intern
     monkeypatch.setattr(forest, "_sweep_at", 0)
     rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
     assert rep.ok and sweeps[:2] == ["forests", "coefficients"]
-    assert not dualprod._memo
+    assert not freemod._HELD
     assert key not in forest.Forest._intern
 
 
 def test_star_assoc_regrafts_each_f_and_first_tree_once(monkeypatch):
-    # with no sweep due, the memo holds every F of the run, whichever
+    # with no sweep due, the held rows keep every F of the run, whichever
     # operand of star varies between calls
     seen = []
     real = dualprod._regrafted
@@ -507,10 +508,29 @@ def test_star_assoc_regrafts_each_f_and_first_tree_once(monkeypatch):
 
     monkeypatch.setattr(dualprod, "_regrafted", regrafted)
     monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
-    dualprod._memo.clear()
+    freemod._HELD.clear()
     rep = run_suite("star-assoc", RunConfig(alphabet=SMALL, max_vertices=4))
     assert rep.ok and rep.cases == 1080
     assert seen and len(seen) <= len(set(seen))
+
+
+def test_a_restored_regrafting_leaves_no_stale_prefixes(monkeypatch):
+    # star holds its prefixes under the _regrafted that made them, so the
+    # run after a mutant is undone regrafts afresh, though no sweep
+    # released the mutant's rows in between
+    real = dualprod._regrafted
+
+    def regrafted(trees, first):
+        prefixes, cut = real(trees, first)
+        return (prefixes[:-1] if len(prefixes) > 1 else prefixes), cut
+
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    cfg = RunConfig(alphabet=SMALL, max_vertices=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(dualprod, "_regrafted", regrafted)
+        assert not run_suite("star-census", cfg).ok
+    rep = run_suite("star-census", cfg)
+    assert rep.ok and rep.cases == 81, rep.failures[:1]
 
 
 @pytest.mark.parametrize("suite, module, name", [
