@@ -28,9 +28,10 @@ the interpreter's recursion limit allows.
 After each command main releases freemod's table of held rows
 (freemod._HELD, where star_weighted holds its star products and star
 its regrafted prefixes), since the pairs of one command rarely recur in
-the next, and calls
-forest.sweep_if_due, so a process that calls main in a loop keeps its
-intern tables and caches bounded by the same trigger as the suites.
+the next, and calls forest.sweep_if_due, so a process that calls main
+in a loop keeps its intern tables and caches bounded by the same
+trigger as the suites. A sweep follows one rule: it clears every
+registered cache, then forgets what only the intern tables hold.
 
 Shared flags, each taken only by the commands that read it (any other
 use exits 2): --omega a,b --xset x --json on every command;

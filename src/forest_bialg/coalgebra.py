@@ -22,12 +22,16 @@ Two independent implementations are kept side by side on purpose:
 Their pointwise equality is a standing regression gate (suite
 rec-vs-biideal), never assumed. The counit is F -> -m^n / l^(n+1), a
 Laurent coefficient, so no evaluation is required to state the counit laws.
+
+Both routes and the counit cache their results in module dicts
+registered in forest._CACHES: an intern sweep clears every registered
+cache, then forgets what only the intern tables hold.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-from .forest import _BEFORE_SWEEP, EMPTY_FOREST, Forest, graft
+from .forest import _CACHES, EMPTY_FOREST, Forest, graft
 from .freemod import (LAM, MU, Coefficient, LinComb, _as_lincomb,
                       _trusted_lincomb, act_left, act_right)
 
@@ -38,19 +42,11 @@ __all__ = [
 ]
 
 # forest -> its coproduct by each route, and vertex count -> counit;
-# each lives until the next intern sweep, which releases all three
+# each lives until the next intern sweep, which clears all three
 _REC_CACHE: dict = {}
 _BIID_CACHE: dict = {}
 _COUNIT_CACHE: dict = {}
-
-
-def _release() -> None:
-    _REC_CACHE.clear()
-    _BIID_CACHE.clear()
-    _COUNIT_CACHE.clear()
-
-
-_BEFORE_SWEEP.append(_release)
+_CACHES.extend((_REC_CACHE, _BIID_CACHE, _COUNIT_CACHE))
 
 # coefficients are immutable, so every biideal term shares these
 _NEG_LAM = -LAM

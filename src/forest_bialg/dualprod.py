@@ -15,7 +15,9 @@ coproduct dualizes to products:
   grafting sigma by sigma. Everything but the final forests depends only
   on F and on G's first tree: star holds it in freemod's one table of
   held rows (freemod._HELD), keyed on (_regrafted, F) and then on that
-  tree, until the next intern sweep releases the table (see star).
+  tree, until the next intern sweep. A sweep clears every registered
+  cache, this table among them, then forgets what only the intern
+  tables hold (see star).
 * star_{l,m}: x star_{l,m} y = -l x star y + m sum_{d in X + Omega}
   x star .d star y, which needs the alphabet to be finite.
 
@@ -121,8 +123,9 @@ def star(F: Forest, G: Forest) -> LinComb:
     sweeps, whichever operand varies: F in the outer loop (star-census,
     star_lin) and F varying from call to call (star_lin(star(x, y), z),
     the outer products of star_weighted) alike. The rows follow the
-    table's rules: a sweep releases them before it counts what only the
-    intern tables hold, and cli.main releases them after each command.
+    table's rules: a sweep clears them with every registered cache
+    before it forgets what only the intern tables hold, and cli.main
+    releases them after each command.
     Suites and cli.main reach that sweep through forest.sweep_if_due; a
     library loop that never calls it keeps the rows, like every other
     forest cache, until it does. The same forests are made as without

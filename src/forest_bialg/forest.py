@@ -16,8 +16,8 @@ contraction through deleted vertices. Postorder and restriction run on the
 flat preorder encoding through the pure-Python routines of _kernel; there
 is one implementation of each and no backend switch. No other module of
 the package reads a forest's encoding: _order_and_paths turns it into
-the vertex order, and _restrictor into restrictions, which restrict and
-morphisms.phi_subsets both take from it.
+the vertex order, and _restricted into restrictions, which restrict and
+morphisms.phi_subsets (through _restrictor) both take from it.
 
 A forest stores its trees and its vertex count, nothing else. Its vertex
 views (the index paths, the postorder, the restrictions) are built
@@ -48,18 +48,20 @@ CLI loops are bounded by the same trigger as the suites.
 One release policy covers every module-level cache that holds forests,
 trees or coefficients: it lives until the next intern sweep, and
 sweep_interned is the one place that releases it, whichever entry point
-reached the sweep. Each such module appends its release to
-_BEFORE_SWEEP at import (this module's _ENC_INTERN; freemod's
-coefficient sweep, which releases its held rows first, star's regrafted
-prefixes among them; coalgebra's coproduct and counit caches;
-morphisms' phi cache). The releases run newest first, before anything
-is counted. A module registers after the modules it imports, so every
-cache that holds linear combinations goes
-before freemod counts its coefficient table, and whatever only the
-caches held goes in the same sweep. The enumerated universes
-(_ENUM_FORESTS, _ENUM_TREES) are the one exception: they hold what
-enumerate_forests has listed for the rest of the process, since every
-suite walks them again. This module imports none of the others.
+reached the sweep. A sweep follows one rule. Each module registers its
+caches as data at import, appending each dict to _CACHES (this
+module's _ENC_INTERN; freemod's held rows and its sum, product and
+evaluation memos; coalgebra's coproduct and counit caches; morphisms'
+phi cache), and each flat intern table, one whose values refer to no
+other value of it, to _INTERNS (Forest._intern; freemod's coefficient
+table). The sweep clears every cache in place, in any order, then
+forgets what only the flat intern tables hold, then what only
+Tree._intern holds. So whatever only the caches held goes in the same
+sweep, and no module has to order itself around another. The
+enumerated universes (_ENUM_FORESTS, _ENUM_TREES) are the one
+exception: they hold what enumerate_forests has listed for the rest of
+the process, since every suite walks them again. This module imports
+none of the others.
 
 Identity semantics survive a sweep because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
@@ -83,6 +85,7 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from . import _kernel
@@ -335,11 +338,12 @@ def _lone_refs():
 _LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
 _SWEEP_FLOOR = 1 << 16
 _sweep_at = _SWEEP_FLOOR
-# what sweep_interned calls, newest first, before it counts: every
-# module-level cache that holds forests, trees or coefficients appends
-# its release here at import, this module's own included (module
-# docstring)
-_BEFORE_SWEEP: list = []
+# what sweep_interned releases: every module-level cache that holds
+# forests, trees or coefficients, cleared in place, and every flat intern
+# table, forgotten with _forget_unheld; each module appends its own at
+# import (module docstring)
+_CACHES: list = []
+_INTERNS: list = [Forest._intern]
 
 
 def _forget_unheld(table):
@@ -365,20 +369,21 @@ def _forget_trees(table):
 
 
 def sweep_interned() -> None:
-    """Run the releases registered in _BEFORE_SWEEP, newest first; then
-    drop every Forest._intern entry, then every Tree._intern entry, that
-    nothing but its table refers to.
+    """Clear every cache in _CACHES; then drop every entry of each table
+    in _INTERNS, then of Tree._intern, that nothing but its table refers
+    to.
 
     Call it only where no other thread can take a reference between the
     count and the drop; sweep_if_due checks that. The caches go first,
     so that what only they held is dropped by this sweep and not the
-    next; forests go before trees, since a dropped forest releases its
-    trees.
+    next; the flat tables go before trees, since a dropped forest
+    releases its trees.
     """
     global _sweep_at
-    for release in reversed(_BEFORE_SWEEP):
-        release()
-    _forget_unheld(Forest._intern)
+    for cache in _CACHES:
+        cache.clear()
+    for table in _INTERNS:
+        _forget_unheld(table)
     _forget_trees(Tree._intern)
     _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
 
@@ -663,30 +668,33 @@ def restrict(F: Forest, I: VertexSet) -> Forest:
         raise TypeError("restrict needs a VertexSet")
     if I.host is not F:
         raise ValueError("VertexSet belongs to a different forest")
-    idx = {p: i for i, p in enumerate(_preorder(F)[2])}
-    return _restrictor(F)(tuple(sorted(idx[v] for v in I.members)))
+    # one walk gives both the encoding and the kept indices, ascending
+    parents, decos, paths = _preorder(F)
+    members = I.members
+    return _restricted(parents, decos, tuple(
+        i for i, p in enumerate(paths) if p in members))
 
 
 def _restrictor(F: Forest):
     """The map from a tuple keep of ascending preorder indices of F's
-    vertices to F|keep.
+    vertices to F|keep; one preorder walk of F serves every keep
+    (morphisms.phi_subsets)."""
+    return partial(_restricted, *_preorder(F)[:2])
 
-    One preorder walk of F serves every keep. restrict and
-    morphisms.phi_subsets both restrict through it, so the flat
+
+def _restricted(parents, decos, keep: tuple) -> Forest:
+    """F|keep from the parents and decorations of F's preorder walk.
+
+    restrict and _restrictor both restrict through it, so the flat
     (parents, decorations) encoding is read in this module alone.
     """
-    parents, decos, _ = _preorder(F)
-
-    def restricted(keep: tuple) -> Forest:
-        return forest_from_encoding(_kernel.restrict_parents(parents, keep),
-                                    tuple(decos[i] for i in keep))
-
-    return restricted
+    return forest_from_encoding(_kernel.restrict_parents(parents, keep),
+                                tuple(decos[i] for i in keep))
 
 
 # (parents, decorations) -> forest, until the next intern sweep
 _ENC_INTERN: dict = {}
-_BEFORE_SWEEP.append(_ENC_INTERN.clear)
+_CACHES.append(_ENC_INTERN)
 
 
 def forest_from_encoding(parents, decos) -> Forest:

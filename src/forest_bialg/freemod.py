@@ -40,16 +40,12 @@ The other hot sums, LinComb.__add__, apply, apply_leg and map_basis,
 keep loops of their own for speed (see the comment above LinComb.apply).
 Every accumulation loop over a basis tests cancellation with `is ZERO`.
 
-sweep_coefficients releases the held rows, clears the three memos and
-drops every interned value that nothing else holds. The held rows go
-first: their images are linear combinations, whose coefficients would
-otherwise count as held, and their prefixes hold trees, which the
-forest sweep counts after this one. It is registered in
-forest._BEFORE_SWEEP, so every forest intern sweep runs it, whether
-run_suite, cli.main or a library caller reached the sweep. Releases run
-newest first and every module that caches linear combinations imports
-this one, so their caches are released before the coefficient table is
-counted.
+The held rows, the three memos and the coefficient table live until the
+next forest intern sweep, whether run_suite, cli.main or a library
+caller reached it: this module registers _HELD, _ADD, _MUL and _SUBST
+in forest._CACHES and _INTERN in forest._INTERNS. The sweep clears
+every registered cache before it counts any table, so a coefficient or
+a tree that only a held row or a memo held goes in the same sweep.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -103,12 +99,11 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .forest import (_BEFORE_SWEEP, Forest, _forest_text, _forget_unheld,
-                     concat)
+from .forest import _CACHES, _INTERNS, Forest, _forest_text, concat
 
 __all__ = [
     "Coefficient", "LinComb", "ZERO", "ONE", "LAM", "MU", "NU",
-    "act_left", "act_right", "sweep_coefficients",
+    "act_left", "act_right",
 ]
 
 # frozenset of a value's terms -> its one Coefficient
@@ -124,6 +119,9 @@ _SUBST: dict = {}
 # images that _add_products held (held=True), star's and prelie's alike,
 # and (dualprod._regrafted, F) -> {first tree of G: prefixes} for star
 _HELD: dict = {}
+# each lives until the next forest intern sweep (module docstring)
+_CACHES.extend((_HELD, _ADD, _MUL, _SUBST))
+_INTERNS.append(_INTERN)
 
 
 def _make(acc: dict) -> "Coefficient":
@@ -332,25 +330,6 @@ ONE = Coefficient.monomial(1)
 LAM = Coefficient.monomial(1, a=1)
 MU = Coefficient.monomial(1, b=1)
 NU = Coefficient.monomial(1, c=1)
-
-def sweep_coefficients() -> None:
-    """Release the held rows, clear the sum, product and evaluation
-    memos, then drop every interned coefficient that nothing else holds.
-
-    The held rows and the memos go first, since they hold coefficients.
-    No coefficient refers to another, so one pass over the intern table
-    reads every final count, as for forests. forest.sweep_interned runs
-    it after the caches of every module that imports this one have been
-    released, and its threading caveat applies here too.
-    """
-    _HELD.clear()
-    _ADD.clear()
-    _MUL.clear()
-    _SUBST.clear()
-    _forget_unheld(_INTERN)
-
-
-_BEFORE_SWEEP.append(sweep_coefficients)
 
 
 # --------------------------------------------------------------- free module

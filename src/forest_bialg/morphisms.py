@@ -17,20 +17,24 @@ the substitution mu -> mu - lambda nu.
 
 theta rescales by the grading, theta(F) = nu^{n_F} F; it intertwines the
 coproduct up to mu -> mu nu. phi and theta take a Forest or a LinComb.
+
+phi_forest caches its images in _PHI_CACHE, registered in
+forest._CACHES: an intern sweep clears every registered cache, then
+forgets what only the intern tables hold.
 """
 
 from __future__ import annotations
 
-from .forest import _BEFORE_SWEEP, Forest, _restrictor, graft
+from .forest import _CACHES, Forest, _restrictor, graft
 from .freemod import (NU, ONE, Coefficient, LinComb, _add_products,
                       _as_lincomb, _trusted_lincomb)
 
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
            "lc_concat"]
 
-# forest -> phi_forest of it, until the next intern sweep releases it
+# forest -> phi_forest of it, until the next intern sweep clears it
 _PHI_CACHE: dict = {}
-_BEFORE_SWEEP.append(_PHI_CACHE.clear)
+_CACHES.append(_PHI_CACHE)
 
 
 def _concat_basis(F: Forest, G: Forest) -> LinComb:

@@ -519,11 +519,12 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     not an Exception, such as KeyboardInterrupt, propagates at once.
 
     The intern tables are swept between cases once they have grown
-    enough, through forest.sweep_if_due: forest.sweep_interned releases
-    every registered cache, then drops the forests and trees that only
-    the intern tables hold. So memory stays bounded by what the suite
-    holds and by the enumerated universes, which live as long as the
-    process, rather than by everything the run ever built.
+    enough, through forest.sweep_if_due. forest.sweep_interned follows
+    one rule: it clears every registered cache, in any order, then
+    forgets the forests, coefficients and trees that only the intern
+    tables hold. So memory stays bounded by what the suite holds and by
+    the enumerated universes, which live as long as the process, rather
+    than by everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation

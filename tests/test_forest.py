@@ -4,6 +4,7 @@ import collections
 import copy
 import importlib
 import pickle
+import pkgutil
 import random
 import re
 import sys
@@ -16,7 +17,7 @@ from forest_bialg import coalgebra, dualprod, freemod, morphisms
 from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
-from forest_bialg.forest import (_ENC_INTERN, EMPTY_FOREST, Alphabet,
+from forest_bialg.forest import (_CACHES, _INTERNS, EMPTY_FOREST, Alphabet,
                                  DecorationError, Forest, ForestSyntaxError,
                                  Tree, VertexId, VertexSet, _forest_text,
                                  _preorder, biideals, concat,
@@ -346,6 +347,46 @@ def test_sweep_forgets_only_what_nothing_else_holds():
                       list(Tree._intern.values()))
 
 
+def test_one_sweep_forgets_a_deep_unheld_chain():
+    # fresh symbols; each tree of a chain is held by its parent alone, so
+    # the sweep must walk the tree table newest first, parents before
+    # children, to forget a whole unheld chain in one pass
+    ab = Alphabet(omega=("dca", "dcb"), xset=("dcx", "dcy"))
+    depth = 5000
+    held = F("dcb[" * depth + "dcy" + "]" * depth, ab)
+    F("dca[" * depth + "dcx" + "]" * depth, ab)
+
+    def chain_trees(symbols):
+        return [t for t in Tree._intern.values() if t.deco.symbol in symbols]
+
+    assert len(chain_trees({"dca", "dcx"})) == depth + 1
+    sweep_interned()
+    assert chain_trees({"dca", "dcx"}) == []
+    trees = [held.trees[0]]
+    while trees[-1].children:
+        trees.append(trees[-1].children[0])
+    assert len(trees) == depth + 1
+    _assert_canonical([held], trees)
+
+
+# module-level dicts that hold static data or live for the process, so
+# no sweep registers them
+UNSWEPT = ("forest._ENUM_FORESTS", "forest._ENUM_TREES", "verify._SUITES",
+           "cli._FLAGS", "cli._COMMANDS")
+
+
+def _module_dicts():
+    # every module-level dict of every forest_bialg module, by name
+    package = importlib.import_module("forest_bialg")
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"forest_bialg.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, dict) and not name.startswith("__"):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
 def test_a_sweep_releases_every_registered_cache():
     ab = Alphabet(omega=("rla", "rlb"), xset=("rlx",))
     fs = [F("rla[rlb[rlx rla] rlx] rlb", ab), F("rlb[rla[rla]] rlx rla", ab)]
@@ -361,17 +402,21 @@ def test_a_sweep_releases_every_registered_cache():
                 + [prelie.bracket_lin(f, g) for f in fs]
                 + [forest_from_encoding(*_preorder(f)[:2]) for f in fs])
 
-    caches = {"coalgebra._REC_CACHE": coalgebra._REC_CACHE,
-              "coalgebra._BIID_CACHE": coalgebra._BIID_CACHE,
-              "coalgebra._COUNIT_CACHE": coalgebra._COUNIT_CACHE,
-              "morphisms._PHI_CACHE": morphisms._PHI_CACHE,
-              "freemod._HELD": freemod._HELD,
-              "forest._ENC_INTERN": _ENC_INTERN,
-              "freemod._ADD": freemod._ADD,
-              "freemod._MUL": freemod._MUL,
-              "freemod._SUBST": freemod._SUBST}
+    # what a sweep releases is data: dicts, never a callable
+    assert all(type(table) is dict for table in _CACHES + _INTERNS)
+    assert sorted(map(id, _INTERNS)) == sorted(
+        map(id, (Forest._intern, freemod._INTERN)))
+    found = _module_dicts()
+    known = _CACHES + _INTERNS + [found[name] for name in UNSWEPT]
+    # every module-level dict is a registered cache, a registered intern
+    # table or a static one, so a cache added without registration fails
+    assert [name for name, table in found.items()
+            if not any(table is t for t in known)] == []
+    caches = {name: table for name, table in found.items()
+              if any(table is c for c in _CACHES)}
+    assert all(any(c is t for t in caches.values()) for c in _CACHES)
     before = results()
-    assert all(caches.values())
+    assert [name for name, c in caches.items() if not c] == []
     # the one table of held rows holds both products' images and star's
     # regrafted prefixes
     assert {f for f, _ in freemod._HELD} == {
@@ -384,7 +429,8 @@ def test_a_sweep_releases_every_registered_cache():
 def test_a_sweep_releases_caches_before_it_counts_coefficients():
     # phi of eleven lone vertices gives C(11, 5) nu^6 = 462 nu^6, a value
     # that only the phi cache and the ring memos hold once the result is
-    # dropped; releasing newest first frees it in the same sweep
+    # dropped; the caches are cleared before any table is counted, so it
+    # goes in the same sweep
     ab = Alphabet(omega=("rca",))
     lc = morphisms.phi_forest(F(" ".join(["rca"] * 11), ab))
     key = frozenset(lc.coeff_of(F(" ".join(["rca"] * 5), ab)).terms.items())

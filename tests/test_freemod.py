@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_forest import _text_rec
 
-from forest_bialg import freemod
+from forest_bialg import forest, freemod
 from forest_bialg.forest import Alphabet, Tree, parse_forest
 from forest_bialg.freemod import (LAM, MU, NU, ONE, ZERO, Coefficient,
-                                  LinComb, act_left, act_right,
-                                  sweep_coefficients)
+                                  LinComb, act_left, act_right)
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 
@@ -855,7 +854,7 @@ def test_sweep_forgets_only_coefficients_nothing_else_holds():
     assert gone in freemod._INTERN
     n_values = len(freemod._INTERN)
 
-    sweep_coefficients()
+    forest.sweep_interned()
 
     assert len(freemod._INTERN) < n_values
     assert gone not in freemod._INTERN
@@ -883,7 +882,7 @@ def test_sweep_clears_the_evaluation_memo():
     assert gone in freemod._INTERN
     assert (held_in, Fraction(2, 3), None, None) in freemod._SUBST
 
-    sweep_coefficients()
+    forest.sweep_interned()
 
     assert not freemod._SUBST
     assert gone not in freemod._INTERN
@@ -904,7 +903,7 @@ def test_evaluation_memo_hit_and_recomputation_return_one_instance():
     assert not any(k[0] is u for k in freemod._SUBST)
     first = [u.subst_partial(**p) for p in points]
     again = [u.subst_partial(**p) for p in points]      # memo hits
-    sweep_coefficients()
+    forest.sweep_interned()
     assert not freemod._SUBST
     recomputed = [u.subst_partial(**p) for p in points]  # misses
     for p, x, y, z in zip(points, first, again, recomputed):
@@ -921,7 +920,7 @@ def test_int_and_fraction_points_give_one_result():
     # m^430 occurs nowhere else
     u = Coefficient({(1, 430, 0): Fraction(1, 2), (-1, 430, 2): 3})
     for order in ((2, Fraction(2)), (Fraction(2), 2)):
-        sweep_coefficients()
+        forest.sweep_interned()
         a, b = (u.subst_partial(lam=lam, nu=Fraction(4, 2)) for lam in order)
         c = u.subst_partial(lam=order[0], nu=2)
         assert a is b is c

@@ -28,25 +28,17 @@ prelie = importlib.import_module("forest_bialg.prelie")
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Lists the intern-table sweeps run while the test runs: "forests"
-    for the forest and tree tables, "coefficients" for the coefficient
-    table and its memos, which the forest sweep runs as a registered
-    release."""
+    """Lists the intern sweeps run while the test runs, one entry each:
+    forest.sweep_interned clears every registered cache and forgets what
+    only the intern tables hold, coefficients included."""
     calls = []
+    real = forest.sweep_interned
 
-    def counted(real, kind):
-        def sweep():
-            calls.append(kind)
-            real()
-        return sweep
+    def sweep():
+        calls.append("sweep")
+        real()
 
-    monkeypatch.setattr(forest, "sweep_interned",
-                        counted(forest.sweep_interned, "forests"))
-    real = freemod.sweep_coefficients
-    assert real in forest._BEFORE_SWEEP
-    monkeypatch.setattr(forest, "_BEFORE_SWEEP", [
-        counted(real, "coefficients") if release is real else release
-        for release in forest._BEFORE_SWEEP])
+    monkeypatch.setattr(forest, "sweep_interned", sweep)
     return calls
 
 
@@ -226,7 +218,7 @@ def test_sweeping_does_not_change_the_report(monkeypatch, sweeps, suite,
     monkeypatch.setattr(forest, "_SWEEP_FLOOR", 64)
     monkeypatch.setattr(forest, "_sweep_at", 64)
     swept = run_suite(suite, cfg)
-    assert set(sweeps) == {"forests", "coefficients"}
+    assert sweeps
     assert _without_wall_time(swept) == _without_wall_time(kept)
 
 
@@ -491,7 +483,7 @@ def test_a_sweep_releases_the_star_memo_first(monkeypatch, sweeps):
     assert key in forest.Forest._intern
     monkeypatch.setattr(forest, "_sweep_at", 0)
     rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
-    assert rep.ok and sweeps[:2] == ["forests", "coefficients"]
+    assert rep.ok and sweeps
     assert not freemod._HELD
     assert key not in forest.Forest._intern
 
