@@ -58,7 +58,7 @@ from .forest import (Alphabet, Forest, _forest_text, concat,
 from .freemod import _HELD, LinComb
 from .morphisms import phi, theta
 from .prelie import bracket, prelie
-from .verify import SUITE_NAMES, RunConfig, run_suite
+from .verify import DEFAULT_ALPHABET, SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main"]
 
@@ -103,13 +103,16 @@ def _symbols(text: str) -> tuple:
     return tuple(s for s in text.split(",") if s)
 
 
+_OMEGA = ",".join(DEFAULT_ALPHABET.omega)
+_XSET = ",".join(DEFAULT_ALPHABET.xset)
+
 # flag -> (attribute, converter, default, metavar, help); a flag without
 # a converter is a switch, which takes no value and sets True
 _FLAGS = {
-    "--omega": ("omega", _symbols, ("a", "b"), "a,b",
-                "Omega decorations (default a,b)"),
-    "--xset": ("xset", _symbols, ("x",), "x",
-               "X decorations (default x; may be empty)"),
+    "--omega": ("omega", _symbols, DEFAULT_ALPHABET.omega, _OMEGA,
+                f"Omega decorations (default {_OMEGA})"),
+    "--xset": ("xset", _symbols, DEFAULT_ALPHABET.xset, _XSET,
+               f"X decorations (default {_XSET}; may be empty)"),
     "--json": ("json", None, False, None, "JSON output"),
     "--max-vertices": ("max_vertices", _bound, None, "N",
                        "vertex bound (suites have per-suite defaults)"),

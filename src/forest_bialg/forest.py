@@ -58,10 +58,10 @@ table). The sweep clears every cache in place, in any order, then
 forgets what only the flat intern tables hold, then what only
 Tree._intern holds. So whatever only the caches held goes in the same
 sweep, and no module has to order itself around another. The
-enumerated universes (_ENUM_FORESTS, _ENUM_TREES) are the one
-exception: they hold what enumerate_forests has listed for the rest of
-the process, since every suite walks them again. This module imports
-none of the others.
+enumerated universe, _ENUM_FORESTS, is the one exception: it holds what
+enumerate_forests has listed for the rest of the process, since every
+suite walks it again; a tree of k vertices is held there as a one-tree
+forest of k. This module imports none of the others.
 
 Identity semantics survive a sweep because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
@@ -180,7 +180,7 @@ class Alphabet:
 
 def _check_symbol(sym):
     if not isinstance(sym, str) or not _IDENT.fullmatch(sym):
-        raise ValueError(f"bad symbol {sym!r}: need [A-Za-z_][A-Za-z0-9_]*")
+        raise ValueError(f"bad symbol {sym!r}: need {_IDENT.pattern}")
 
 
 class Tree:
@@ -543,7 +543,7 @@ def _forest_text(F: Forest, memo: dict) -> str:
 
 # a token: "[", "]" or "1" (group 1), an identifier (group 2), or any
 # other character but a space (group 3), which is an error
-_TOKEN = re.compile(r"([\[\]1])|([A-Za-z_][A-Za-z0-9_]*)|([^ ])")
+_TOKEN = re.compile(rf"([\[\]1])|({_IDENT.pattern})|([^ ])")
 
 
 def parse_forest(text: str, alphabet: Alphabet) -> Forest:
@@ -721,10 +721,9 @@ def forest_from_encoding(parents, decos) -> Forest:
 
 # ---------------------------------------------------------------- streams
 
-# (n, alphabet) -> every forest, and every tree, of n vertices: the one
-# forest-holding cache that no intern sweep releases (module docstring)
+# (n, alphabet) -> every forest of n vertices: the one forest-holding
+# cache that no intern sweep releases (module docstring)
 _ENUM_FORESTS: dict = {}
-_ENUM_TREES: dict = {}
 
 
 def _forests_exact(n: int, alphabet: Alphabet) -> tuple[Forest, ...]:
@@ -737,7 +736,15 @@ def _forests_exact(n: int, alphabet: Alphabet) -> tuple[Forest, ...]:
     else:
         acc = []
         for k in range(1, n + 1):
-            for t in _trees_exact(k, alphabet):
+            # the first tree holds k vertices: one vertex of any
+            # decoration, or an Omega root over a forest of k - 1
+            if k == 1:
+                firsts = [Tree.make(d) for d in alphabet.decorations()]
+            else:
+                firsts = [Tree.make(alphabet.decoration(w), f.trees)
+                          for w in alphabet.omega
+                          for f in _forests_exact(k - 1, alphabet)]
+            for t in firsts:
                 for rest in _forests_exact(n - k, alphabet):
                     acc.append(Forest.make((t,) + rest.trees))
         # one text memo for the whole sort, since the forests share trees
@@ -745,21 +752,6 @@ def _forests_exact(n: int, alphabet: Alphabet) -> tuple[Forest, ...]:
         acc.sort(key=lambda f: _forest_text(f, memo))
         out = tuple(acc)
     _ENUM_FORESTS[key] = out
-    return out
-
-
-def _trees_exact(n: int, alphabet: Alphabet) -> tuple[Tree, ...]:
-    key = (n, alphabet)
-    hit = _ENUM_TREES.get(key)
-    if hit is not None:
-        return hit
-    if n == 1:
-        out = tuple(Tree.make(d) for d in alphabet.decorations())
-    else:
-        out = tuple(Tree.make(alphabet.decoration(w), f.trees)
-                    for w in alphabet.omega
-                    for f in _forests_exact(n - 1, alphabet))
-    _ENUM_TREES[key] = out
     return out
 
 

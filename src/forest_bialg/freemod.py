@@ -57,11 +57,13 @@ evaluation at rational points. Since Fraction(2) == 2 and the two hash
 alike, a lookup with Fraction-stored terms finds the same instance.
 
 A rational part, wherever one is given (Coefficient(terms),
-Coefficient.monomial, LinComb(terms), scale), must be an int or a
-Fraction; any other type, a float or a string included, raises
-TypeError, so no value is rounded or parsed on the way in. The exponent
-triple of Coefficient(terms) and Coefficient.monomial follows the same
-rule: ints only, anything else a TypeError.
+Coefficient.monomial, LinComb(terms), scale), and an evaluation point
+(subst_partial, and eval_at, LinComb.subst_partial and morphisms.phi_at
+through it) must be an int or a Fraction; any other type, a float or a
+string included, raises TypeError, so no value is rounded or parsed on
+the way in. The exponent triple of Coefficient(terms) and
+Coefficient.monomial follows the same rule: ints only, anything else a
+TypeError.
 
 LinComb maps basis elements to coefficients. Bases are forests or tuples
 of forests (tensor legs); tensoring concatenates leg tuples, and
@@ -259,7 +261,14 @@ class Coefficient:
 
         Memoised by (self, lam, mu, nu); a pole (lam = 0 against a
         negative lambda power) raises on every call and is not stored.
+        A value must be an int or a Fraction, as a rational part must
+        (module docstring): anything else raises TypeError before the
+        memo is read, since a float equal to a stored key would hit it.
         """
+        for v in (lam, mu, nu):
+            if v is not None and not isinstance(v, (int, Fraction)):
+                raise TypeError("an evaluation point must be an int or a "
+                                f"Fraction, not {type(v).__name__}")
         key = (self, lam, mu, nu)
         out = _SUBST.get(key)
         if out is not None:

@@ -22,10 +22,11 @@ bound max(m - offset, 0), where its shape lists its cases' arguments:
 
 - _each: every forest after each params tuple, the forest in the outer
   loop;
-- _pairs, _triples: pairs and triples of total at most the bound;
+- _pairs, _triples: pairs and triples of total at most the bound, each
+  triple a pair of _pairs followed by a forest that fits;
 - _pairs_each: pairs of forests each at most the bound;
-- _duality_cases: y and z at most the bound minus 1, x at most the
-  bound, x innermost;
+- _duality_cases: (x, y, z) for each pair (y, z) of _pairs_each at the
+  bound minus 1 and each x of at most the bound, x innermost;
 - _fixed: a fixed list (examples-golden, and counit's witness).
 
 counit's non-multiplicativity witness is one fixed case, the empty pair:
@@ -194,12 +195,11 @@ def _pairs(forests, m, params):
 
 
 def _triples(forests, m, params):
-    """(F, G, H) of at most m vertices in all."""
-    for F in forests(m):
-        left = m - F.nvertices
-        for G in forests(left):
-            for H in forests(left - G.nvertices):
-                yield F, G, H
+    """(F, G, H) of at most m vertices in all: each pair of _pairs,
+    followed by every H that fits."""
+    for F, G in _pairs(forests, m, params):
+        for H in forests(m - F.nvertices - G.nvertices):
+            yield F, G, H
 
 
 def _pairs_each(forests, m, params):
@@ -211,13 +211,12 @@ def _pairs_each(forests, m, params):
 
 
 def _duality_cases(forests, m, params):
-    """(x, y, z) with y and z of at most m - 1 vertices each and x of at
-    most m, x in the inner loop."""
+    """(x, y, z) with (y, z) a pair of _pairs_each at bound m - 1 and x of
+    at most m vertices, x in the inner loop."""
     xs = tuple(forests(m))
-    for y in forests(max(m - 1, 0)):
-        for z in forests(max(m - 1, 0)):
-            for x in xs:
-                yield x, y, z
+    for y, z in _pairs_each(forests, max(m - 1, 0), params):
+        for x in xs:
+            yield x, y, z
 
 
 def _fixed(forests, m, params):

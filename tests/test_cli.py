@@ -6,14 +6,13 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
+from helpers import fresh_env
 
 import forest_bialg.cli as cli
 from forest_bialg import forest, freemod
@@ -21,19 +20,10 @@ from forest_bialg.forest import Alphabet, enumerate_forests
 from forest_bialg.verify import SuiteReport
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def fresh_env(**extra):
-    """The environment of a fresh interpreter that imports from src/."""
-    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def test_counit_text(capsys):

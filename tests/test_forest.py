@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,13 +18,14 @@ from forest_bialg import coalgebra, dualprod, freemod, morphisms
 from forest_bialg._kernel import postorder_indices
 from forest_bialg.coalgebra import coproduct
 from forest_bialg.dualprod import star
-from forest_bialg.forest import (_CACHES, _INTERNS, EMPTY_FOREST, Alphabet,
-                                 DecorationError, Forest, ForestSyntaxError,
-                                 Tree, VertexId, VertexSet, _forest_text,
-                                 _preorder, biideals, concat,
-                                 enumerate_forests, forest_from_encoding,
-                                 graft, leaf, parse_forest, restrict,
-                                 sweep_interned, vertex_order)
+from forest_bialg.forest import (_CACHES, _ENUM_FORESTS, _INTERNS,
+                                 EMPTY_FOREST, Alphabet, DecorationError,
+                                 Forest, ForestSyntaxError, Tree, VertexId,
+                                 VertexSet, _forest_text, _preorder,
+                                 biideals, concat, enumerate_forests,
+                                 forest_from_encoding, graft, leaf,
+                                 parse_forest, restrict, sweep_interned,
+                                 vertex_order)
 
 # the package exports the function prelie under the module's name
 prelie = importlib.import_module("forest_bialg.prelie")
@@ -371,8 +373,8 @@ def test_one_sweep_forgets_a_deep_unheld_chain():
 
 # module-level dicts that hold static data or live for the process, so
 # no sweep registers them
-UNSWEPT = ("forest._ENUM_FORESTS", "forest._ENUM_TREES", "verify._SUITES",
-           "cli._FLAGS", "cli._COMMANDS")
+UNSWEPT = ("forest._ENUM_FORESTS", "verify._SUITES", "cli._FLAGS",
+           "cli._COMMANDS")
 
 
 def _module_dicts():
@@ -746,29 +748,44 @@ def test_restriction_boundary_cases():
 
 # ------------------------------------------------------------- enumeration
 
-def test_enumeration_counts_two_omega_one_x():
-    ab = Alphabet(omega=("a", "b"), xset=("x",))
-    counts = {}
-    for f in enumerate_forests(5, ab):
-        counts[f.nvertices] = counts.get(f.nvertices, 0) + 1
-    assert [counts[n] for n in range(6)] == [1, 3, 15, 93, 645, 4791]
+def _closed_form_counts(n_omega, n_x, n_max):
+    """[f_0, ..., f_n_max], f_n the number of forests of n vertices over
+    |Omega| = n_omega and |X| = n_x, from no enumeration: a forest of n
+    vertices with j leaves is a planar tree of n edges with j leaves,
+    which the Narayana number N(n, j) = C(n, j) C(n, j - 1) / n counts,
+    and a leaf takes any symbol, an internal vertex one of Omega."""
+    counts = [1]
+    for n in range(1, n_max + 1):
+        counts.append(sum(
+            comb(n, j) * comb(n, j - 1) // n
+            * (n_omega + n_x) ** j * n_omega ** (n - j)
+            for j in range(1, n + 1)))
+    return counts
 
 
-def test_enumeration_counts_one_omega_one_x():
-    ab = Alphabet(omega=("a",), xset=("x",))
-    counts = {}
-    for f in enumerate_forests(5, ab):
-        counts[f.nvertices] = counts.get(f.nvertices, 0) + 1
-    assert [counts[n] for n in range(6)] == [1, 2, 6, 22, 90, 394]
-
-
-def test_enumeration_counts_catalan_without_x():
+def test_the_closed_form_gives_the_recorded_counts():
+    assert _closed_form_counts(2, 1, 5) == [1, 3, 15, 93, 645, 4791]
+    assert _closed_form_counts(1, 1, 5) == [1, 2, 6, 22, 90, 394]
     # one Omega letter and no X: planar forests are counted by Catalan
-    ab = Alphabet(omega=("a",))
-    counts = {}
-    for f in enumerate_forests(5, ab):
-        counts[f.nvertices] = counts.get(f.nvertices, 0) + 1
-    assert [counts[n] for n in range(6)] == [1, 1, 2, 5, 14, 42]
+    assert _closed_form_counts(1, 0, 5) == [1, 1, 2, 5, 14, 42]
+
+
+@pytest.mark.parametrize("n_omega, n_x, n_max", [
+    (1, 0, 7), (1, 1, 6), (2, 1, 6), (1, 2, 5), (2, 2, 5), (3, 0, 5),
+    (3, 2, 4)])
+def test_enumeration_counts_match_the_closed_form(n_omega, n_x, n_max):
+    # fresh symbols, so that the universe is enumerated here and not read
+    # back from an earlier test; it is dropped again afterwards
+    ab = Alphabet(omega=[f"cfo{i}" for i in range(n_omega)],
+                  xset=[f"cfx{i}" for i in range(n_x)])
+    try:
+        counts = collections.Counter(
+            f.nvertices for f in enumerate_forests(n_max, ab))
+    finally:
+        for n in range(n_max + 1):
+            _ENUM_FORESTS.pop((n, ab), None)
+    assert ([counts[n] for n in range(n_max + 1)]
+            == _closed_form_counts(n_omega, n_x, n_max))
 
 
 def test_enumeration_is_sorted_and_duplicate_free():

@@ -3,17 +3,17 @@ canonical (interned, memoised) coefficients."""
 
 import copy
 import json
-import os
 import pickle
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import fresh_env
 from test_forest import _text_rec
 
 from forest_bialg import forest, freemod
@@ -518,6 +518,24 @@ def test_evaluation_rejects_a_variable_left_symbolic():
     assert MU.eval_at(None, 2, 1) == 2     # lambda does not occur
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", Decimal("0.5")])
+def test_evaluation_points_are_ints_or_fractions(bad):
+    # rounded or parsed, 0.1 would read as 3602879701896397/2**55 and
+    # "1/3" as one third. 0.5 equals the memoised point Fraction(1, 2),
+    # so the check must come before the memo is read
+    half = Coefficient.monomial(Fraction(1, 2))
+    assert LAM.subst_partial(lam=Fraction(1, 2)) is half
+    for point in ({"lam": bad}, {"mu": bad}, {"nu": bad}):
+        with pytest.raises(TypeError, match="evaluation point"):
+            LAM.subst_partial(**point)
+        with pytest.raises(TypeError, match="evaluation point"):
+            LinComb.single(F("a"), LAM).subst_partial(**point)
+    with pytest.raises(TypeError, match="evaluation point"):
+        LAM.eval_at(bad, 0, 0)
+    # an int subclass counts as its int, as in Coefficient(terms)
+    assert LAM.subst_partial(lam=True) is ONE
+
+
 def test_evaluation_check_survives_optimized_mode():
     # python -O strips assert statements; the check must not be one
     code = ("from forest_bialg.freemod import LAM, MU\n"
@@ -525,10 +543,7 @@ def test_evaluation_check_survives_optimized_mode():
             "    print((LAM + MU).eval_at(None, 2, 1))\n"
             "except ValueError:\n"
             "    print('rejected')\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=fresh_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "rejected\n"
 

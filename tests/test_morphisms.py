@@ -53,6 +53,11 @@ def test_phi_at_zero_is_identity():
         assert phi_at(f, Fraction(0)) == LinComb.single(f)
 
 
+def test_phi_at_takes_a_rational_point_only():
+    with pytest.raises(TypeError, match="evaluation point"):
+        phi_at(F("a[x]"), 0.5)
+
+
 def test_phi_composition_law():
     # phi_{n1} o phi_{n2} = phi_{n1 + n2} at rational points
     points = [(Fraction(-2), Fraction(1)), (Fraction(1, 2), Fraction(3))]

@@ -15,13 +15,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import SMALL, drop_last_term
 
 from forest_bialg import dualprod, verify
 from forest_bialg.coalgebra import counit
-from forest_bialg.forest import Alphabet, parse_forest
+from forest_bialg.forest import parse_forest
 from forest_bialg.verify import SUITE_NAMES, RunConfig, run_suite
-
-SMALL = Alphabet(omega=("a",), xset=("x",))
 
 
 def _no_child_left():
@@ -78,18 +77,10 @@ def test_a_sharded_run_reports_as_a_serial_run(shards, suite):
     assert _as_json(sharded) == _as_json(serial)
 
 
-def _drop_last_term(real):
-    def star(F, G):
-        terms = dict(real(F, G).terms)
-        terms.popitem()
-        return verify.LinComb(terms)
-    return star
-
-
 @pytest.mark.parametrize("suite", ["star-census", "duality", "star-assoc"])
 def test_a_sharded_run_fails_as_a_serial_run_under_a_star_mutant(
         shards, monkeypatch, suite):
-    mutant = _drop_last_term(dualprod.star)
+    mutant = drop_last_term(dualprod.star)
     monkeypatch.setattr(dualprod, "star", mutant)
     monkeypatch.setattr(verify, "star", mutant)
     serial, sharded, forked = shards(suite, RunConfig(alphabet=SMALL,

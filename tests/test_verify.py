@@ -5,7 +5,6 @@ import hashlib
 import importlib
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -14,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import SMALL, drop_last_term, fresh_env
 
 from forest_bialg import cli, coalgebra, dualprod, forest, freemod, verify
 from forest_bialg.forest import Alphabet
@@ -21,7 +21,6 @@ from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
                                  run_suite)
 
-SMALL = Alphabet(omega=("a",), xset=("x",))
 # the package exports the function prelie under the module's name
 prelie = importlib.import_module("forest_bialg.prelie")
 
@@ -284,21 +283,13 @@ def test_run_suite_beside_another_thread_leaves_the_collector_alone(
     assert not sweeps
 
 
-def _drop_last_term(real):
-    def star(F, G):
-        terms = dict(real(F, G).terms)
-        terms.popitem()
-        return LinComb(terms)
-    return star
-
-
 def _labels(report):
     return len(report.failures), [f["case"] for f in report.failures[:3]]
 
 
 def test_failure_labels_under_a_star_mutant(monkeypatch):
     # recorded when every case still built its label with an f-string
-    mutant = _drop_last_term(dualprod.star)
+    mutant = drop_last_term(dualprod.star)
     monkeypatch.setattr(dualprod, "star", mutant)
     monkeypatch.setattr(verify, "star", mutant)
 
@@ -366,7 +357,7 @@ def _brute_force_smallest(suite, cfg):
 def test_smallest_counterexample_is_the_least_failure(monkeypatch, suite,
                                                       bound, mutant):
     if mutant == "star":
-        patched = _drop_last_term(dualprod.star)
+        patched = drop_last_term(dualprod.star)
         monkeypatch.setattr(dualprod, "star", patched)
         monkeypatch.setattr(verify, "star", patched)
     else:
@@ -457,6 +448,13 @@ def test_a_pole_at_the_evaluation_point_ends_the_run(capsys):
     assert "lambda must be invertible" in captured.err
 
 
+def test_a_float_evaluation_point_ends_the_run():
+    # 0.1 is no rational: evaluated at its binary value, 3602879701896397
+    # / 36028797018963968, the run would report ok
+    with pytest.raises(TypeError, match="evaluation point"):
+        run_suite("counit", RunConfig(max_vertices=2, eval_lam=0.1))
+
+
 def test_an_error_in_a_suites_setup_ends_the_run():
     # the counit suite refuses lambda = 0 before its first case
     cfg = RunConfig(alphabet=SMALL, max_vertices=2, eval_lam=Fraction(0))
@@ -536,7 +534,7 @@ def test_held_images_never_outlive_a_replaced_product(monkeypatch, suite,
     monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
     cfg = RunConfig(alphabet=SMALL, max_vertices=3)
     with monkeypatch.context() as patch:
-        patch.setattr(module, name, _drop_last_term(getattr(module, name)))
+        patch.setattr(module, name, drop_last_term(getattr(module, name)))
         assert not run_suite(suite, cfg).ok
     rep = run_suite(suite, cfg)
     assert rep.ok, rep.failures[:1]
@@ -572,9 +570,6 @@ def test_suites_leave_no_cyclic_garbage():
     # sweeps, which is safe only while no case makes reference cycles.
     # A fresh interpreter, so that no cache filled by an earlier test
     # hides a cold path
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import gc\n"
         "from fractions import Fraction as Q\n"
@@ -594,7 +589,7 @@ def test_suites_leave_no_cyclic_garbage():
         "    kinds = sorted({type(o).__name__ for o in gc.garbage})\n"
         "    assert not gc.garbage, (name, len(gc.garbage), kinds)\n"
         "print('clean')\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["clean"]
@@ -607,9 +602,6 @@ def test_star_census_memory_stays_bounded():
     # this run peaks at ~130 MB. VmHWM is the peak of this process's own
     # address space; ru_maxrss would start from the peak of the forking
     # test process, which carries over exec on Linux
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "from forest_bialg import Alphabet, RunConfig, run_suite\n"
         "ab = Alphabet(omega=('a',), xset=('x', 'y'))\n"
@@ -617,7 +609,7 @@ def test_star_census_memory_stays_bounded():
         "assert rep.ok and rep.cases == 139129, rep.cases\n"
         "with open('/proc/self/status') as f:\n"
         "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, check=True)
     peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb <= 100, f"peak RSS {peak_mb:.0f} MB"
@@ -629,9 +621,6 @@ def test_biideal_census_memory_stays_bounded():
     # the enumerated forests live as long as the process, so anything a
     # forest keeps stays too: when each forest cached its text, encoding,
     # paths, postorder and path index, this run peaked at ~90 MB
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "from forest_bialg import Alphabet, RunConfig, run_suite\n"
         "ab = Alphabet(omega=('a', 'b'), xset=('x',))\n"
@@ -639,7 +628,7 @@ def test_biideal_census_memory_stays_bounded():
         "assert rep.ok and rep.cases == 42823, rep.cases\n"
         "with open('/proc/self/status') as f:\n"
         "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, check=True)
     peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb <= 50, f"peak RSS {peak_mb:.0f} MB"
