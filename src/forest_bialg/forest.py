@@ -40,10 +40,14 @@ No other module passes or computes a count for a forest it makes.
 
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to. It runs through sweep_if_due, only while the
-calling thread is the process's only one, and once Forest._intern has
-grown to max(2**16, twice its size after the last sweep); run_suite
-calls it between cases and cli.main after each command, so library and
-CLI loops are bounded by the same trigger as the suites.
+calling thread is the process's only one, and once the intern tables
+together (Tree._intern and every table in _INTERNS) hold
+max(2**14, twice what they kept after the last sweep) entries. The
+trigger counts every table, so a loop that makes only new trees (deep
+inputs) or only new coefficients (new evaluation points) reaches it as
+surely as one that makes forests. run_suite calls it between cases and
+cli.main after each command, so library and CLI loops are bounded by the
+same trigger as the suites.
 
 One release policy covers every module-level cache that holds forests,
 trees or coefficients: it lives until the next intern sweep, and
@@ -336,7 +340,7 @@ def _lone_refs():
 
 
 _LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
-_SWEEP_FLOOR = 1 << 16
+_SWEEP_FLOOR = 1 << 14
 _sweep_at = _SWEEP_FLOOR
 # what sweep_interned releases: every module-level cache that holds
 # forests, trees or coefficients, cleared in place, and every flat intern
@@ -385,13 +389,21 @@ def sweep_interned() -> None:
     for table in _INTERNS:
         _forget_unheld(table)
     _forget_trees(Tree._intern)
-    _sweep_at = max(_SWEEP_FLOOR, 2 * len(Forest._intern))
+    kept = len(Tree._intern)
+    for table in _INTERNS:
+        kept += len(table)
+    _sweep_at = max(_SWEEP_FLOOR, 2 * kept)
 
 
 def sweep_if_due() -> bool:
-    """Run sweep_interned if Forest._intern has reached its trigger size
-    and the calling thread is the only one; return whether it ran."""
-    if len(Forest._intern) >= _sweep_at and threading.active_count() == 1:
+    """Run sweep_interned if the intern tables together, Tree._intern
+    and every table in _INTERNS, have reached the trigger size and the
+    calling thread is the only one; return whether it ran."""
+    # run between every two cases: sum the lengths inline, with no call
+    size = len(Tree._intern)
+    for table in _INTERNS:
+        size += len(table)
+    if size >= _sweep_at and threading.active_count() == 1:
         sweep_interned()
         return True
     return False

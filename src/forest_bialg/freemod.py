@@ -150,6 +150,16 @@ def _make(acc: dict) -> "Coefficient":
     return _INTERN.setdefault(key, c)
 
 
+def _check_points(lam, mu, nu) -> None:
+    """Raise TypeError unless each of lam, mu and nu is None, an int or a
+    Fraction: the one check of an evaluation point (module docstring),
+    made by subst_partial and by verify.RunConfig."""
+    for v in (lam, mu, nu):
+        if v is not None and not isinstance(v, (int, Fraction)):
+            raise TypeError("an evaluation point must be an int or a "
+                            f"Fraction, not {type(v).__name__}")
+
+
 def _summed(acc: dict, pairs) -> "Coefficient":
     """The canonical Coefficient of acc plus every (monomial, rational) of
     pairs, a monomial whose sum is zero dropped.
@@ -265,10 +275,7 @@ class Coefficient:
         (module docstring): anything else raises TypeError before the
         memo is read, since a float equal to a stored key would hit it.
         """
-        for v in (lam, mu, nu):
-            if v is not None and not isinstance(v, (int, Fraction)):
-                raise TypeError("an evaluation point must be an int or a "
-                                f"Fraction, not {type(v).__name__}")
+        _check_points(lam, mu, nu)
         key = (self, lam, mu, nu)
         out = _SUBST.get(key)
         if out is not None:

@@ -78,8 +78,8 @@ from .dualprod import pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
                      _biideal_chain, _order_and_paths, concat,
                      enumerate_forests, graft, sweep_if_due)
-from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, act_left,
-                      act_right)
+from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, _check_points,
+                      act_left, act_right)
 from .golden import golden_cases
 from .morphisms import lc_concat, phi, phi_at, phi_subsets, theta
 from .prelie import bracket_lin, prelie, prelie_lin, prelie_sandwich
@@ -93,7 +93,9 @@ class RunConfig:
     """Everything a suite run depends on.
 
     eval_* are optional rational evaluation points substituted into both
-    sides of every comparison (None keeps the variable symbolic).
+    sides of every comparison (None keeps the variable symbolic); each
+    must be an int or a Fraction, and max_vertices an int, or the
+    config raises TypeError when it is made.
     """
 
     alphabet: Alphabet = DEFAULT_ALPHABET
@@ -103,8 +105,16 @@ class RunConfig:
     eval_nu: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.max_vertices is not None and self.max_vertices < 0:
-            raise ValueError("max_vertices must be >= 0")
+        # checked here, since a suite whose values carry no coefficient
+        # never meets the evaluation point, and a float bound would run
+        _check_points(self.eval_lam, self.eval_mu, self.eval_nu)
+        n = self.max_vertices
+        if n is not None:
+            if type(n) is bool or not isinstance(n, int):
+                raise TypeError("max_vertices must be an int or None, not "
+                                f"{type(n).__name__}")
+            if n < 0:
+                raise ValueError("max_vertices must be >= 0")
 
     @property
     def has_eval(self):

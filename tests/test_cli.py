@@ -682,3 +682,43 @@ def test_a_main_loop_stays_bounded_and_prints_what_fresh_calls_print(
             assert len(forest.Forest._intern) <= forests, argv
             assert len(freemod._INTERN) <= coefficients, argv
     assert len(sweeps) == 2 * len(commands)
+
+
+def _interned_peak(argvs):
+    # the most entries the intern tables held together after any call of
+    # a main loop over argvs, in a fresh interpreter whose trigger floor
+    # is 512 entries, so that a short loop reaches it
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import forest_bialg.cli as cli\n"
+        "from forest_bialg import forest\n"
+        "forest._SWEEP_FLOOR = forest._sweep_at = 512\n"
+        "peak = 0\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    peak = max(peak, len(forest.Tree._intern)\n"
+        "               + sum(map(len, forest._INTERNS)))\n"
+        "print(peak)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(argvs),
+        env=fresh_env(), capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def test_a_main_loop_over_new_deep_inputs_stays_bounded():
+    # each input is a chain of 100 a-vertices over its own forest of
+    # nine lone vertices, so a call adds ~100 trees but one forest: a
+    # trigger that counted forests alone would never fire
+    argvs = [["counit", "a[" * 100
+              + " ".join("ab"[(i >> k) & 1] for k in range(9))
+              + "]" * 100] for i in range(300)]
+    assert _interned_peak(argvs) <= 2 * 512
+
+
+def test_a_main_loop_over_new_evaluation_points_stays_bounded():
+    # one forest at a new point per call: the loop adds no forest or
+    # tree, only the coefficients of each new evaluation
+    argvs = [["coproduct", "a[b[x] a] b[x]", f"--eval-lambda={i}/7",
+              f"--eval-mu=-{i}/11"] for i in range(1, 1001)]
+    assert _interned_peak(argvs) <= 2 * 512

@@ -145,6 +145,27 @@ def test_config_validation():
         RunConfig(max_vertices=-1)
 
 
+@pytest.mark.parametrize("field", ["eval_lam", "eval_mu", "eval_nu"])
+@pytest.mark.parametrize("value", [0.1, "1/2", 0.5 + 0j],
+                         ids=["float", "str", "complex"])
+def test_a_config_refuses_a_point_that_is_no_int_or_fraction(field, value):
+    # refused when the config is made, since a suite whose values carry
+    # no coefficient (biideal-count, star-census) never evaluates one
+    # and would report ok
+    with pytest.raises(TypeError, match="evaluation point"):
+        RunConfig(max_vertices=2, **{field: value})
+    assert getattr(RunConfig(**{field: 2}), field) == 2
+    assert getattr(RunConfig(**{field: Fraction(2, 3)}), field) == \
+        Fraction(2, 3)
+
+
+@pytest.mark.parametrize("bound", [2.5, 2.0, True, "3"])
+def test_a_config_refuses_a_bound_that_is_no_int(bound):
+    with pytest.raises(TypeError, match="max_vertices"):
+        RunConfig(max_vertices=bound)
+    assert RunConfig(max_vertices=0).max_vertices == 0
+
+
 def test_suites_pass_at_rational_points():
     cfg = RunConfig(alphabet=SMALL, max_vertices=3,
                     eval_lam=Fraction(2, 3), eval_mu=Fraction(-1, 5),
@@ -599,9 +620,12 @@ def test_suites_leave_no_cyclic_garbage():
                     reason="reads the peak RSS from /proc/self/status")
 def test_star_census_memory_stays_bounded():
     # without the sweep the intern tables keep every grafted forest, and
-    # this run peaks at ~130 MB. VmHWM is the peak of this process's own
-    # address space; ru_maxrss would start from the peak of the forking
-    # test process, which carries over exec on Linux
+    # this run peaks at ~130 MB; with a trigger that counted forests
+    # alone, from 65,536 up, at 29-33 MB, and with one that counts every
+    # intern table from 16,384 entries up, at 16-20 MB (Python 3.10 to
+    # 3.13). VmHWM is the peak of this process's own address space;
+    # ru_maxrss would start from the peak of the forking test process,
+    # which carries over exec on Linux
     code = (
         "from forest_bialg import Alphabet, RunConfig, run_suite\n"
         "ab = Alphabet(omega=('a',), xset=('x', 'y'))\n"
@@ -612,7 +636,7 @@ def test_star_census_memory_stays_bounded():
     proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, check=True)
     peak_mb = int(proc.stdout.split()[-1]) / 1024
-    assert peak_mb <= 100, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb <= 25, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
