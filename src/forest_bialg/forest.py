@@ -41,39 +41,43 @@ No other module passes or computes a count for a forest it makes.
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to. It runs through sweep_if_due, only while the
 calling thread is the process's only one, and once the intern tables
-together (Tree._intern and every table in _INTERNS) hold
-max(2**14, twice what they kept after the last sweep) entries. The
-trigger counts every table, so a loop that makes only new trees (deep
-inputs) or only new coefficients (new evaluation points) reaches it as
-surely as one that makes forests. run_suite calls it between cases and
-cli.main after each command, so library and CLI loops are bounded by the
-same trigger as the suites.
+together (every table in _INTERNS) hold max(2**14, twice what they kept
+after the last sweep) entries. The trigger counts every table, so a
+loop that makes only new trees (deep inputs) or only new coefficients
+(new evaluation points) reaches it as surely as one that makes forests.
+run_suite calls it between cases and cli.main after each command, so
+library and CLI loops are bounded by the same trigger as the suites.
 
 One release policy covers every module-level cache that holds forests,
 trees or coefficients: it lives until the next intern sweep, and
 sweep_interned is the one place that releases it, whichever entry point
-reached the sweep. A sweep follows one rule. Each module registers its
-caches as data at import, appending each dict to _CACHES (this
-module's _ENC_INTERN; freemod's held rows and its sum, product and
-evaluation memos; coalgebra's coproduct and counit caches; morphisms'
-phi cache), and each flat intern table, one whose values refer to no
-other value of it, to _INTERNS (Forest._intern; freemod's coefficient
-table). The sweep clears every cache in place, in any order, then
-forgets what only the flat intern tables hold, then what only
-Tree._intern holds. So whatever only the caches held goes in the same
-sweep, and no module has to order itself around another. The
-enumerated universe, _ENUM_FORESTS, is the one exception: it holds what
-enumerate_forests has listed for the rest of the process, since every
-suite walks it again; a tree of k vertices is held there as a one-tree
-forest of k. This module imports none of the others.
+reached the sweep, save that cli.main also clears freemod's held rows
+after each command. A sweep follows one rule. Each module registers its
+caches as data at import, appending each dict to _CACHES (this module's
+_ENC_INTERN; freemod's held rows and its sum, product and evaluation
+memos; coalgebra's coproduct and counit caches; morphisms' phi cache),
+and each intern table to _INTERNS (Forest._intern and Tree._intern
+here, freemod's coefficient table there). The sweep clears every cache
+in place, in any order, then forgets each intern table in list order
+by one pass, _forget, that reads its entries newest first: forests go
+before trees, since a dropped forest releases its trees, and a dropped
+tree releases its children before they are read. So whatever only the
+caches held goes in the same sweep, and no module has to order itself
+around another. The enumerated universe, _ENUM_FORESTS, is the one
+exception: it holds what enumerate_forests has listed for the rest of
+the process, since every suite walks it again; a tree of k vertices is
+held there as a one-tree forest of k. This module imports none of the
+others.
 
 Identity semantics survive a sweep because a dropped instance is
 unobservable: no object, cache or frame refers to it, so no comparison
 can meet it again, and the next make of that structure builds the one
 instance anything can then hold. An instance that anything holds, an
 enumerated forest, a pickled copy's target or a local variable, keeps
-its entry. Between sweeps the tables keep everything, so the hit path of
-make costs nothing extra.
+its entry. A sweep never empties a table while Python code can run, so
+a finalizer that a collection starts mid-sweep still finds every live
+instance in it. Between sweeps the tables keep everything, so the hit
+path of make costs nothing extra.
 
 Text form: "1" for the empty forest, "a[x b[y]] c" style otherwise; leaves
 render bare, children go in brackets separated by spaces. Text is not
@@ -330,77 +334,68 @@ EMPTY_FOREST = Forest.make(())
 # ------------------------------------------------------ forgetting interns
 
 def _lone_refs():
-    # the count an entry shows when only its table holds it differs
-    # between CPython versions, so read it off a probe entry the two ways
-    # the sweep reads entries: by key, and in a pass over items()
-    table, key = {None: object()}, None
-    by_key = sys.getrefcount(table[key])
-    in_items = {k: sys.getrefcount(v) for k, v in table.items()}[key]
-    return by_key, in_items
+    # the count an entry's value shows when only its table holds it may
+    # differ between CPython versions, so read it off a probe entry the
+    # way _forget reads entries
+    table = {None: object()}
+    values = list(table.values())
+    return sys.getrefcount(values.pop())
 
 
-_LONE_BY_KEY, _LONE_IN_ITEMS = _lone_refs()
+_LONE = _lone_refs()
 _SWEEP_FLOOR = 1 << 14
 _sweep_at = _SWEEP_FLOOR
 # what sweep_interned releases: every module-level cache that holds
-# forests, trees or coefficients, cleared in place, and every flat intern
-# table, forgotten with _forget_unheld; each module appends its own at
-# import (module docstring)
+# forests, trees or coefficients, cleared in place, and every intern
+# table, forgotten with _forget in list order; each module appends its
+# own at import (module docstring)
 _CACHES: list = []
-_INTERNS: list = [Forest._intern]
+_INTERNS: list = [Forest._intern, Tree._intern]
 
 
-def _forget_unheld(table):
-    # for tables whose values refer to no other value of the table
-    # (forests, and freemod's coefficients): one pass reads every final
-    # count; nearly every entry goes, and rebuilding beats deleting them
-    # one by one
-    keep = {key: v for key, v in table.items()
-            if sys.getrefcount(v) != _LONE_IN_ITEMS}
-    table.clear()
-    table.update(keep)
-
-
-def _forget_trees(table):
-    # newest first: a tree is interned after its children, so a dropped
-    # parent releases its children before they are reached; each key
-    # leaves the snapshot as it is read, since a key holds the children
-    keys = list(table)
+def _forget(table):
+    # newest first: a structure is interned after its parts, so a dropped
+    # one releases its parts before they are reached; each key and value
+    # leaves its snapshot as it is read, since either may hold the parts.
+    # Rebuilding from the survivors keeps later misses from probing the
+    # slots of deleted entries; kept holds every survivor while the table
+    # is empty, so the clear frees nothing and no finalizer can run then
+    keys, values = list(table), list(table.values())
     while keys:
         key = keys.pop()
-        if sys.getrefcount(table[key]) == _LONE_BY_KEY:
+        if sys.getrefcount(values.pop()) == _LONE:
             del table[key]
+    kept = dict(table)
+    table.clear()
+    table.update(kept)
 
 
 def sweep_interned() -> None:
-    """Clear every cache in _CACHES; then drop every entry of each table
-    in _INTERNS, then of Tree._intern, that nothing but its table refers
-    to.
+    """Clear every cache in _CACHES, then drop every entry of each table
+    in _INTERNS, in list order, that nothing but its table refers to.
 
     Call it only where no other thread can take a reference between the
     count and the drop; sweep_if_due checks that. The caches go first,
     so that what only they held is dropped by this sweep and not the
-    next; the flat tables go before trees, since a dropped forest
-    releases its trees.
+    next; forests go before trees, since a dropped forest releases its
+    trees.
     """
     global _sweep_at
     for cache in _CACHES:
         cache.clear()
+    kept = 0
     for table in _INTERNS:
-        _forget_unheld(table)
-    _forget_trees(Tree._intern)
-    kept = len(Tree._intern)
-    for table in _INTERNS:
+        _forget(table)
         kept += len(table)
     _sweep_at = max(_SWEEP_FLOOR, 2 * kept)
 
 
 def sweep_if_due() -> bool:
-    """Run sweep_interned if the intern tables together, Tree._intern
-    and every table in _INTERNS, have reached the trigger size and the
-    calling thread is the only one; return whether it ran."""
+    """Run sweep_interned if the tables in _INTERNS together have
+    reached the trigger size and the calling thread is the only one;
+    return whether it ran."""
     # run between every two cases: sum the lengths inline, with no call
-    size = len(Tree._intern)
+    size = 0
     for table in _INTERNS:
         size += len(table)
     if size >= _sweep_at and threading.active_count() == 1:

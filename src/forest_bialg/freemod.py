@@ -43,9 +43,10 @@ Every accumulation loop over a basis tests cancellation with `is ZERO`.
 The held rows, the three memos and the coefficient table live until the
 next forest intern sweep, whether run_suite, cli.main or a library
 caller reached it: this module registers _HELD, _ADD, _MUL and _SUBST
-in forest._CACHES and _INTERN in forest._INTERNS. The sweep clears
-every registered cache before it counts any table, so a coefficient or
-a tree that only a held row or a memo held goes in the same sweep.
+in forest._CACHES and _INTERN in forest._INTERNS, after the forest and
+tree tables. The sweep clears every registered cache before it forgets
+any intern table, each by the same pass, so a coefficient or a tree
+that only a held row or a memo held goes in the same sweep.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a

@@ -697,8 +697,7 @@ def _interned_peak(argvs):
         "for argv in json.load(sys.stdin):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "    peak = max(peak, len(forest.Tree._intern)\n"
-        "               + sum(map(len, forest._INTERNS)))\n"
+        "    peak = max(peak, sum(map(len, forest._INTERNS)))\n"
         "print(peak)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script], input=json.dumps(argvs),

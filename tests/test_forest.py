@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import gc
 import importlib
 import pickle
 import pkgutil
@@ -332,12 +333,18 @@ def test_sweep_forgets_only_what_nothing_else_holds():
         for g in base[-20:]:
             star(f, g)
     gone = F("swb[swb[swb[swb[swa swx]]]] swa swx", ab).trees
+    # a forest nothing holds, whose trees only it holds: the forests'
+    # pass must come first for them to go in the same sweep
+    only = Alphabet(omega=("ffa",), xset=("ffx",))
+    F("ffa[ffa[ffx] ffx] ffa", only)
     n_forests, n_trees = len(Forest._intern), len(Tree._intern)
 
     sweep_interned()
 
     assert len(Forest._intern) < n_forests
     assert len(Tree._intern) < n_trees
+    assert [t for t in Tree._intern.values()
+            if t.deco.symbol in ("ffa", "ffx")] == []
     # a forest only the table held is forgotten; the trees it shares
     # with the held tuple stay
     assert gone not in Forest._intern
@@ -369,6 +376,50 @@ def test_one_sweep_forgets_a_deep_unheld_chain():
         trees.append(trees[-1].children[0])
     assert len(trees) == depth + 1
     _assert_canonical([held], trees)
+
+
+def test_identity_survives_a_collection_during_a_sweep():
+    # a collection may start at any allocation of a sweep, or between
+    # any two bytecodes on Python 3.12 and later, and run a finalizer
+    # that makes structures: each table must then still hold every live
+    # instance, so that make returns it and not a second one
+    ab = Alphabet(omega=("gca", "gcb"), xset=("gcx",))
+    held = F("gca[gcb[gcx] gcx] gcb", ab)
+    t = held.trees[0]
+    c = freemod.Coefficient.monomial(Fraction(3, 7), 2, 1, 0)
+    checks = []
+    armed = [True]
+
+    class Cyclic:
+        def __init__(self):
+            self.me = self
+
+        def __del__(self):
+            checks.append((
+                Forest.make(held.trees) is held,
+                Tree.make(t.deco, t.children) is t,
+                freemod.Coefficient.monomial(Fraction(3, 7), 2, 1, 0) is c))
+            if armed[0]:
+                Cyclic()
+
+    base = list(enumerate_forests(3, ab))
+    for f in base[-12:]:
+        for g in base[-12:]:
+            star(f, g)
+    thresholds, enabled = gc.get_threshold(), gc.isenabled()
+    try:
+        Cyclic()
+        gc.enable()
+        gc.set_threshold(1)
+        sweep_interned()
+        armed[0] = False
+        gc.collect()
+    finally:
+        gc.set_threshold(*thresholds)
+        if not enabled:
+            gc.disable()
+    assert checks
+    assert all(all(check) for check in checks), checks
 
 
 # module-level dicts that hold static data or live for the process, so
@@ -406,8 +457,9 @@ def test_a_sweep_releases_every_registered_cache():
 
     # what a sweep releases is data: dicts, never a callable
     assert all(type(table) is dict for table in _CACHES + _INTERNS)
-    assert sorted(map(id, _INTERNS)) == sorted(
-        map(id, (Forest._intern, freemod._INTERN)))
+    # the list order is the sweep order: forests release their trees
+    assert list(map(id, _INTERNS)) == list(
+        map(id, (Forest._intern, Tree._intern, freemod._INTERN)))
     found = _module_dicts()
     known = _CACHES + _INTERNS + [found[name] for name in UNSWEPT]
     # every module-level dict is a registered cache, a registered intern
