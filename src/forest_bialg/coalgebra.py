@@ -2,9 +2,10 @@
 
 Two independent implementations are kept side by side on purpose:
 
-* coproduct_rec is the defining recursion: base cases on single vertices,
-  the cocycle step through grafting, and the derivation-style step on
-  concatenations. It is the oracle.
+* coproduct_rec is the defining recursion: its value -l 1 (x) 1 at 1,
+  the cocycle rule at a grafting B+_w(Fbar) (a single vertex is
+  B+_w(1)), and the derivation rule at a concatenation, folded over F by
+  forest._fold. It is the oracle.
 * coproduct_biideal is the closed combinatorial form: splitting along the
   chain of forest biideals,
 
@@ -31,7 +32,7 @@ cache, then forgets what only the intern tables hold.
 from __future__ import annotations
 
 from . import _kernel
-from .forest import _CACHES, EMPTY_FOREST, Forest, graft
+from .forest import _CACHES, EMPTY_FOREST, Forest, Tree, _fold
 from .freemod import (LAM, MU, Coefficient, LinComb, _as_lincomb,
                       _trusted_lincomb, act_left, act_right)
 
@@ -52,42 +53,35 @@ _CACHES.extend((_REC_CACHE, _BIID_CACHE, _COUNIT_CACHE))
 _NEG_LAM = -LAM
 
 
+def _rec_graft(w, bar: Forest, inner: LinComb) -> LinComb:
+    regrafted = inner.map_basis(
+        lambda legs: (legs[0], Tree.make(w, legs[1].trees).as_forest()))
+    return (LinComb.single((Tree.make(w, bar.trees).as_forest(),
+                            EMPTY_FOREST), _NEG_LAM)
+            + LinComb.single((bar, EMPTY_FOREST), MU)
+            + regrafted)
+
+
+def _rec_concat(T: Forest, dT: LinComb, R: Forest, dR: LinComb) -> LinComb:
+    return act_left(T, dR) + act_right(dT, R) + LinComb.single((T, R), LAM)
+
+
+_REC_ONE = LinComb.single((EMPTY_FOREST, EMPTY_FOREST), _NEG_LAM)
+
+
 def coproduct_rec(F: Forest) -> LinComb:
-    """Coproduct by the defining recursion.
+    """Coproduct by the defining recursion, its three rules folded over
+    the ways F is built (forest._fold):
 
     D(1) = -l (1 (x) 1)
-    D(.d) = m (1 (x) 1) - l (.d (x) 1 + 1 (x) .d)      for a single vertex
     D(B+_w(Fbar)) = -l B+_w(Fbar) (x) 1 + m Fbar (x) 1 + (id (x) B+_w) D(Fbar)
-    D(T1 F') = T1 . D(F') + D(T1) . F' + l (T1 (x) F')  for breadth >= 2
+    D(T1 F') = T1 . D(F') + D(T1) . F' + l (T1 (x) F')  for a tree T1, F' != 1
+
+    A single vertex .d is B+_d(1), an X leaf included, so it needs no
+    rule of its own. Only the nesting recurses: the trees of a wide
+    forest are folded in a loop.
     """
-    hit = _REC_CACHE.get(F)
-    if hit is not None:
-        return hit
-    if not F.trees:
-        out = LinComb.single((EMPTY_FOREST, EMPTY_FOREST), -LAM)
-    elif len(F.trees) == 1:
-        t = F.trees[0]
-        tf = t.as_forest()
-        if not t.children:
-            out = (LinComb.single((EMPTY_FOREST, EMPTY_FOREST), MU)
-                   + LinComb.single((tf, EMPTY_FOREST), -LAM)
-                   + LinComb.single((EMPTY_FOREST, tf), -LAM))
-        else:
-            bar = Forest.make(t.children)
-            w = t.deco
-            regrafted = coproduct_rec(bar).map_basis(
-                lambda legs: (legs[0], graft(w, legs[1]).as_forest()))
-            out = (LinComb.single((tf, EMPTY_FOREST), -LAM)
-                   + LinComb.single((bar, EMPTY_FOREST), MU)
-                   + regrafted)
-    else:
-        t1 = F.trees[0].as_forest()
-        rest = Forest.make(F.trees[1:])
-        out = (act_left(t1, coproduct_rec(rest))
-               + act_right(coproduct_rec(t1), rest)
-               + LinComb.single((t1, rest), LAM))
-    _REC_CACHE[F] = out
-    return out
+    return _fold(F, _REC_CACHE, _REC_ONE, _rec_graft, _rec_concat)
 
 
 def coproduct_biideal(F: Forest) -> LinComb:

@@ -38,6 +38,13 @@ count is set: when either makes an instance it has not seen, it sums
 the counts of its parts (a tree's root and children, a forest's trees).
 No other module passes or computes a count for a forest it makes.
 
+The defining recursions, coalgebra.coproduct_rec and
+morphisms.phi_forest, share one traversal, _fold: the value at a forest
+of the map fixed by its value at 1, a rule at a grafting B+_w(Fbar)
+and a rule at a concatenation. Each caller passes its memo and its
+rules, so _fold imports nothing. It folds the suffixes of a wide forest
+in a loop, so only the nesting recurses.
+
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to. It runs through sweep_if_due, only while the
 calling thread is the process's only one, and once the intern tables
@@ -629,6 +636,43 @@ def graft(omega: Decoration, F: Forest) -> Tree:
     if omega.kind != KIND_OMEGA:
         raise DecorationError(f"cannot graft under X-kind symbol {omega.symbol!r}")
     return Tree.make(omega, F.trees)
+
+
+def _fold(F: Forest, memo: dict, one, graft, concat):
+    """The value at F of the map fixed by rules on how a forest is built:
+    one at 1, graft(w, Fbar, value at Fbar) at B+_w(Fbar), and
+    concat(T, value at T, R, value at R) at a tree T followed by a
+    nonempty forest R. A single vertex .d is B+_d(1), X-decorated or not.
+
+    memo maps a forest to its value and is read and filled for each
+    suffix of F: the suffixes are looked up longest first down to the
+    first one held, then folded in a loop shortest first. So only the
+    nesting recurses, and a held suffix costs one lookup.
+    """
+    if not F.trees:
+        return memo.setdefault(F, one)
+    out = memo.get(F)
+    if out is not None:
+        return out
+    misses = [F]
+    for k in range(1, len(F.trees)):
+        rest = Forest.make(F.trees[k:])
+        out = memo.get(rest)
+        if out is not None:
+            break
+        misses.append(rest)
+    # out is the value at rest, the suffix just after S
+    for S in reversed(misses):
+        t = S.trees[0]
+        if len(S.trees) == 1:
+            bar = Forest.make(t.children)
+            out = graft(t.deco, bar, _fold(bar, memo, one, graft, concat))
+        else:
+            T = t.as_forest()
+            out = concat(T, _fold(T, memo, one, graft, concat), rest, out)
+        memo[S] = out
+        rest = S
+    return out
 
 
 # ------------------------------------------- order, biideals, restriction

@@ -4,7 +4,9 @@ phi is the unique algebra endomorphism with
 
     phi(B+_w(F)) = B+_w(phi(F)) + nu phi(F),    phi(.x) = .x + nu 1,
 
-computed here by that recursion with nu a first-class indeterminate.
+computed here by those rules, with phi(1) = 1 and multiplicativity on
+concatenations, folded over the forest by forest._fold (.x is B+_x(1),
+so the graft rule covers it) and with nu a first-class indeterminate.
 phi_subsets is the independent closed form
 
     phi(F) = sum over all I subseteq V(F) of nu^{|V(F)\\I|} F|I,
@@ -25,7 +27,8 @@ forgets what only the intern tables hold.
 
 from __future__ import annotations
 
-from .forest import _CACHES, Forest, _restrictor, graft
+from .forest import (_CACHES, EMPTY_FOREST, Forest, Tree, _fold,
+                     _restrictor)
 from .freemod import (NU, ONE, Coefficient, LinComb, _add_products,
                       _as_lincomb, _trusted_lincomb)
 
@@ -48,33 +51,27 @@ def lc_concat(x: LinComb, y: LinComb) -> LinComb:
     return _add_products({}, x, y, _concat_basis)
 
 
+def _phi_graft(w, bar: Forest, inner: LinComb) -> LinComb:
+    return inner.map_basis(lambda G: Tree.make(w, G.trees).as_forest()) \
+        + inner.scale(NU)
+
+
+def _phi_concat(T: Forest, pT: LinComb, R: Forest, pR: LinComb) -> LinComb:
+    # lc_concat is read at call time, so a replaced one is called
+    return lc_concat(pT, pR)
+
+
+_PHI_ONE = LinComb.single(EMPTY_FOREST)
+
+
 def phi_forest(F: Forest) -> LinComb:
-    """phi on a basis forest, by the defining recursion."""
-    hit = _PHI_CACHE.get(F)
-    if hit is not None:
-        return hit
-    if not F.trees:
-        out = LinComb.single(F)
-    elif len(F.trees) == 1:
-        t = F.trees[0]
-        if not t.children:
-            # single vertex of either kind: phi(.d) = .d + nu 1
-            out = LinComb.single(t.as_forest()) + LinComb.single(
-                Forest.make(()), NU)
-        else:
-            w = t.deco
-            inner = phi_forest(Forest.make(t.children))
-            out = inner.map_basis(lambda G: graft(w, G).as_forest()) \
-                + inner.scale(NU)
-    else:
-        # phi is multiplicative: fold the trees' images in a loop, so the
-        # recursion follows the nesting only and a wide forest costs no
-        # depth
-        out = phi_forest(F.trees[-1].as_forest())
-        for t in reversed(F.trees[:-1]):
-            out = lc_concat(phi_forest(t.as_forest()), out)
-    _PHI_CACHE[F] = out
-    return out
+    """phi on a basis forest, by the defining recursion folded over the
+    ways F is built (forest._fold): phi(1) = 1,
+    phi(B+_w(Fbar)) = B+_w(phi(Fbar)) + nu phi(Fbar), which gives
+    phi(.x) = .x + nu 1 for a single vertex, and phi(T F') = phi(T) phi(F').
+    Only the nesting recurses: the trees of a wide forest are folded in
+    a loop."""
+    return _fold(F, _PHI_CACHE, _PHI_ONE, _phi_graft, _phi_concat)
 
 
 def phi(x) -> LinComb:
@@ -87,15 +84,19 @@ def phi(x) -> LinComb:
 def phi_subsets(F: Forest) -> LinComb:
     """phi by the all-subsets closed form (independent of the recursion)."""
     n = F.nvertices
-    nu_pow = [Coefficient.monomial(1)]
-    for _ in range(n):
-        nu_pow.append(nu_pow[-1] * NU)
-    # the formal sum of the subsets I (kept preorder indices), each weighted
-    # nu^{|V(F)\I|}, mapped along I -> F|I
-    keeps = [tuple(i for i in range(n) if mask >> i & 1)
-             for mask in range(1 << n)]
-    subsets = LinComb({keep: nu_pow[n - len(keep)] for keep in keeps})
-    return subsets.map_basis(_restrictor(F))
+    nu_pow = [Coefficient.monomial(1, c=k) for k in range(n + 1)]
+    # nu^{|V(F)\I|} F|I summed over the subsets I (kept preorder indices,
+    # one per mask); every coefficient is a positive multiple of a power
+    # of nu, so no term cancels
+    restricted = _restrictor(F)
+    acc: dict = {}
+    for mask in range(1 << n):
+        keep = tuple(i for i in range(n) if mask >> i & 1)
+        G = restricted(keep)
+        c = nu_pow[n - len(keep)]
+        s = acc.get(G)
+        acc[G] = c if s is None else s + c
+    return _trusted_lincomb(acc)
 
 
 def phi_at(x, nu):

@@ -1,6 +1,8 @@
 """Coproduct axioms and counit values on small forests."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,8 @@ from forest_bialg.forest import (EMPTY_FOREST, Alphabet, VertexSet, _preorder,
                                  parse_forest, restrict)
 from forest_bialg.freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
 from forest_bialg.morphisms import phi
+
+from helpers import fresh_env
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 ABXY = Alphabet(omega=("a", "b"), xset=("x", "y"))
@@ -153,6 +157,27 @@ def test_coproduct_is_memoized():
     f = F("a[x b]")
     assert coproduct(f) is coproduct(f)
     assert coproduct_rec(f) is coproduct_rec(f)
+
+
+def test_defining_recursions_limit_nesting_not_width():
+    # under a recursion limit of 100, coproduct_rec and prelie_sandwich
+    # fold the 150 trees of a wide forest in a loop and agree with the
+    # closed forms, as phi does (test_cli's width test)
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from forest_bialg import Alphabet, parse_forest\n"
+        "from forest_bialg.coalgebra import coproduct_biideal, coproduct_rec\n"
+        "from forest_bialg.prelie import prelie, prelie_sandwich\n"
+        "ab = Alphabet(omega=('a', 'b'), xset=('x',))\n"
+        "F = parse_forest(' '.join(['a[x] x b'] * 50), ab)\n"
+        "G = parse_forest('b[x]', ab)\n"
+        "assert len(F.trees) == 150\n"
+        "assert coproduct_rec(F) == coproduct_biideal(F)\n"
+        "assert prelie_sandwich(G, F) == prelie(G, F)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_coproduct_lin_extends_linearly():
