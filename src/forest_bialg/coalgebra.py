@@ -5,7 +5,10 @@ Two independent implementations are kept side by side on purpose:
 * coproduct_rec is the defining recursion: its value -l 1 (x) 1 at 1,
   the cocycle rule at a grafting B+_w(Fbar) (a single vertex is
   B+_w(1)), and the derivation rule at a concatenation, folded over F by
-  forest._fold. It is the oracle.
+  forest._fold. It is the oracle. Each rule builds its value in one
+  dict, with no LinComb per part: the graft rule's three parts never
+  share a key, and the derivation rule adds D(T) . R and l (T (x) R)
+  into T . D(R), cancelling on `is ZERO`.
 * coproduct_biideal is the closed combinatorial form: splitting along the
   chain of forest biideals,
 
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 from . import _kernel
 from .forest import _CACHES, EMPTY_FOREST, Forest, Tree, _fold
-from .freemod import (LAM, MU, Coefficient, LinComb, _as_lincomb,
-                      _trusted_lincomb, act_left, act_right)
+from .freemod import (LAM, MU, ZERO, Coefficient, LinComb, _as_lincomb,
+                      _trusted_lincomb)
 
 __all__ = [
     "coproduct", "coproduct_rec", "coproduct_biideal", "coproduct_lin",
@@ -54,16 +57,39 @@ _NEG_LAM = -LAM
 
 
 def _rec_graft(w, bar: Forest, inner: LinComb) -> LinComb:
-    regrafted = inner.map_basis(
-        lambda legs: (legs[0], Tree.make(w, legs[1].trees).as_forest()))
-    return (LinComb.single((Tree.make(w, bar.trees).as_forest(),
-                            EMPTY_FOREST), _NEG_LAM)
-            + LinComb.single((bar, EMPTY_FOREST), MU)
-            + regrafted)
+    # (id (x) B+_w) D(Fbar), then -l B+_w(Fbar) (x) 1 and m Fbar (x) 1,
+    # in one dict with no sum: B+_w is injective, so the regrafted keys
+    # are distinct, each has a one-tree right leg where the last two
+    # have 1, and those two differ in their left leg's vertex count
+    acc = {(left, Tree.make(w, right.trees).as_forest()): c
+           for (left, right), c in inner.terms.items()}
+    acc[Tree.make(w, bar.trees).as_forest(), EMPTY_FOREST] = _NEG_LAM
+    acc[bar, EMPTY_FOREST] = MU
+    return _trusted_lincomb(acc)
 
 
 def _rec_concat(T: Forest, dT: LinComb, R: Forest, dR: LinComb) -> LinComb:
-    return act_left(T, dR) + act_right(dT, R) + LinComb.single((T, R), LAM)
+    # T . D(R) + D(T) . R + l (T (x) R) in one dict. Concatenating T on
+    # the left is injective, so the T . D(R) keys are distinct; the
+    # D(T) . R terms and l (T (x) R) can land on them (D(a b) meets the
+    # key (a, b) three times), so those are added
+    head, tail = T.trees, R.trees
+    acc = {(Forest.make(head + left.trees), right): c
+           for (left, right), c in dR.terms.items()}
+    added = [((left, Forest.make(right.trees + tail)), c)
+             for (left, right), c in dT.terms.items()]
+    added.append(((T, R), LAM))
+    for key, c in added:
+        s = acc.get(key)
+        if s is None:
+            acc[key] = c
+            continue
+        t = s + c
+        if t is ZERO:
+            del acc[key]
+        else:
+            acc[key] = t
+    return _trusted_lincomb(acc)
 
 
 _REC_ONE = LinComb.single((EMPTY_FOREST, EMPTY_FOREST), _NEG_LAM)

@@ -159,8 +159,7 @@ def star_lin(x, y) -> LinComb:
     """Bilinear extension of star, in one accumulation pass with the
     terms of x in the outer loop (freemod._add_products), each image
     held until the next sweep."""
-    return _add_products({}, _as_lincomb(x), _as_lincomb(y), star,
-                         held=True)
+    return _add_products({}, _as_lincomb(x), _as_lincomb(y), star)
 
 
 _NEG_LAM = -LAM
@@ -179,7 +178,7 @@ def star_weighted(x, y, alphabet: Alphabet) -> LinComb:
     """
     x, y = _as_lincomb(x), _as_lincomb(y)
     dots = LinComb({leaf(d): MU for d in alphabet.decorations()})
-    xdots = _add_products({}, x, dots, star, held=True)
+    xdots = _add_products({}, x, dots, star)
     acc: dict = {}
-    _add_products(acc, x, y, star, _NEG_LAM, held=True)
-    return _add_products(acc, xdots, y, star, held=True)
+    _add_products(acc, x, y, star, _NEG_LAM)
+    return _add_products(acc, xdots, y, star)

@@ -21,32 +21,39 @@ c * d. The suites multiply a handful of distinct coefficients over and
 over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
 the memos: the operators look a pair up first, and LinComb.apply,
-apply_leg and _add_products, which carry the suites' ring work, read
-them inline. Evaluation is memoised the same way: _SUBST maps
-(c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an evaluated
-suite or CLI result substitutes one point into the same few
-coefficients over and over.
+apply_leg, _add_products and _basis_products, which carry the suites'
+ring work, read them inline. Evaluation is memoised the same way:
+_SUBST maps (c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an
+evaluated suite or CLI result substitutes one point into the same few
+coefficients over and over. LinComb.subst_partial keeps its own memo,
+_SUBST_ROWS, which maps a point to a row {c: value there}, so it hashes
+the point once per call and not once per coefficient; both memos
+compute a value missing from them by _evaluated.
 
 Each sum is written once per shape. On a memo miss, Coefficient's sum,
 product and evaluation all add monomials through _summed. Over a basis,
-_add_products is the bilinear extension of a basis product in one pass:
-LinComb.tensor, morphisms.lc_concat, star_lin, star_weighted,
-prelie_lin and bracket_lin are each one to three calls to it, and the
-last four hold the images they compute in one table, _HELD, keyed on
-the product and its left operand, until the next sweep (see
-_add_products). dualprod.star holds its regrafted prefixes in the same
-table, keyed on (dualprod._regrafted, F) and then on G's first tree.
-The other hot sums, LinComb.__add__, apply, apply_leg and map_basis,
-keep loops of their own for speed (see the comment above LinComb.apply).
-Every accumulation loop over a basis tests cancellation with `is ZERO`.
+a bilinear extension is one pass of one of two loops, by what the basis
+product returns. _add_products takes a LinComb-valued product: star_lin,
+star_weighted, prelie_lin and bracket_lin are each one to three calls
+to it, and it holds the images they compute in one table, _HELD, keyed
+on the product and its left operand, until the next sweep (see
+_add_products). _basis_products takes a product whose value is a basis
+key: LinComb.tensor (the tuple of legs) and morphisms.lc_concat (the
+concatenated forest) call it, and nothing is held. dualprod.star holds
+its regrafted prefixes in _HELD too, keyed on (dualprod._regrafted, F)
+and then on G's first tree. The other hot sums, LinComb.__add__, apply,
+apply_leg and map_basis, and the phi and coproduct fold rules of
+morphisms and coalgebra, keep loops of their own for speed (see the
+comment above LinComb.apply). Every accumulation loop
+over a basis tests cancellation with `is ZERO`.
 
-The held rows, the three memos and the coefficient table live until the
+The held rows, the four memos and the coefficient table live until the
 next forest intern sweep, whether run_suite, cli.main or a library
-caller reached it: this module registers _HELD, _ADD, _MUL and _SUBST
-in forest._CACHES and _INTERN in forest._INTERNS, after the forest and
-tree tables. The sweep clears every registered cache before it forgets
-any intern table, each by the same pass, so a coefficient or a tree
-that only a held row or a memo held goes in the same sweep.
+caller reached it: this module registers _HELD, _ADD, _MUL, _SUBST and
+_SUBST_ROWS in forest._CACHES and _INTERN in forest._INTERNS, after the
+forest and tree tables. The sweep clears every registered cache before
+it forgets any intern table, each by the same pass, so a coefficient or
+a tree that only a held row or a memo held goes in the same sweep.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -75,12 +82,12 @@ int and Fraction values through Coefficient.monomial and drops zeros.
 This module is the one home of the LinComb representation. Every
 LinComb that LinComb(...) does not check is made by _trusted_lincomb,
 which states the invariant (nonzero Coefficient values) once; the
-operations here, coalgebra's biideal coproduct, dualprod's star and
-morphisms' theta and concatenation basis all return through it, and no
-other module assigns terms. _as_lincomb is the one coercion of an
-operand: a LinComb as it is, a Forest as its single term, anything else
-a TypeError; pairing, star_lin, star_weighted, prelie_lin, bracket_lin,
-coproduct_lin, phi and theta use it.
+operations here, coalgebra's biideal coproduct and fold rules,
+dualprod's star and morphisms' theta and phi graft rule all return
+through it, and no other module assigns terms. _as_lincomb is the one
+coercion of an operand: a LinComb as it is, a Forest as its single
+term, anything else a TypeError; pairing, star_lin, star_weighted,
+prelie_lin, bracket_lin, coproduct_lin, phi and theta use it.
 
 A LinComb's text and JSON text are written from one list of rows
 (LinComb._rendered), sorted on one string per term: its leg text, or for
@@ -117,13 +124,17 @@ _MUL: dict = {}
 # (c, lam, mu, nu) -> c.subst_partial(lam, mu, nu); a point of 2 and one
 # of Fraction(2) are equal and hash alike, so they share an entry
 _SUBST: dict = {}
+# (lam, mu, nu) -> {c: c evaluated there}, LinComb.subst_partial's rows,
+# which hash a point once per call and not once per coefficient
+_SUBST_ROWS: dict = {}
 # every row held since the last sweep, each keyed on the function that
-# made it and its left operand: (f, F) -> {G: f(F, G)} for the bilinear
-# images that _add_products held (held=True), star's and prelie's alike,
-# and (dualprod._regrafted, F) -> {first tree of G: prefixes} for star
+# made it and its left operand: (f, F) -> {G: f(F, G)} for the images of
+# every LinComb-valued product that _add_products sums, star's and
+# prelie's alike, and (dualprod._regrafted, F) -> {first tree of G:
+# prefixes} for star
 _HELD: dict = {}
 # each lives until the next forest intern sweep (module docstring)
-_CACHES.extend((_HELD, _ADD, _MUL, _SUBST))
+_CACHES.extend((_HELD, _ADD, _MUL, _SUBST, _SUBST_ROWS))
 _INTERNS.append(_INTERN)
 
 
@@ -175,6 +186,25 @@ def _summed(acc: dict, pairs) -> "Coefficient":
         else:
             acc.pop(mono, None)
     return _make(acc)
+
+
+def _evaluated(coeff: "Coefficient", lam, mu, nu) -> "Coefficient":
+    """coeff with each of lam, mu and nu that is not None substituted,
+    computed: the one evaluation of the ring, which Coefficient's and
+    LinComb's subst_partial memoise, each in its own table. The point
+    must have passed _check_points; a pole raises ZeroDivisionError."""
+    pairs = []
+    for (a, b, c), q in coeff.terms.items():
+        if lam is not None:
+            if lam == 0 and a < 0:
+                raise ZeroDivisionError("lambda = 0 meets a negative power")
+            q, a = q * Fraction(lam) ** a, 0
+        if mu is not None:
+            q, b = q * Fraction(mu) ** b, 0
+        if nu is not None:
+            q, c = q * Fraction(nu) ** c, 0
+        pairs.append(((a, b, c), q))
+    return _summed({}, pairs)
 
 
 class Coefficient:
@@ -279,20 +309,8 @@ class Coefficient:
         _check_points(lam, mu, nu)
         key = (self, lam, mu, nu)
         out = _SUBST.get(key)
-        if out is not None:
-            return out
-        pairs = []
-        for (a, b, c), q in self.terms.items():
-            if lam is not None:
-                if lam == 0 and a < 0:
-                    raise ZeroDivisionError("lambda = 0 meets a negative power")
-                q, a = q * Fraction(lam) ** a, 0
-            if mu is not None:
-                q, b = q * Fraction(mu) ** b, 0
-            if nu is not None:
-                q, c = q * Fraction(nu) ** c, 0
-            pairs.append(((a, b, c), q))
-        out = _SUBST[key] = _summed({}, pairs)
+        if out is None:
+            out = _SUBST[key] = _evaluated(self, lam, mu, nu)
         return out
 
     def eval_at(self, lam, mu, nu) -> Fraction:
@@ -366,11 +384,10 @@ def _trusted_lincomb(terms: dict) -> "LinComb":
     return out
 
 
-def _tensor_basis(b1, b2) -> "LinComb":
-    """The basis tensor b1 (x) b2: the legs of b1, then those of b2. Made
-    without LinComb.single, which costs a call more per pair."""
-    return _trusted_lincomb({(b1 if type(b1) is tuple else (b1,))
-                             + (b2 if type(b2) is tuple else (b2,)): ONE})
+def _tensor_basis(b1, b2) -> tuple:
+    """The basis tensor b1 (x) b2: the legs of b1, then those of b2."""
+    return ((b1 if type(b1) is tuple else (b1,))
+            + (b2 if type(b2) is tuple else (b2,)))
 
 
 class LinComb:
@@ -440,7 +457,7 @@ class LinComb:
     def tensor(self, other: "LinComb") -> "LinComb":
         """self (x) other: the legs of each basis of self, then those of
         each basis of other."""
-        return _add_products({}, self, other, _tensor_basis)
+        return _basis_products(self, other, _tensor_basis)
 
     # apply and apply_leg carry the law suites' ring work, so they read
     # the memos directly instead of calling the operators (with the
@@ -448,9 +465,11 @@ class LinComb:
     # _tensor_basis wrap a forest key as a leg inline, since a helper call
     # per image term to do it was 0.30 s of a profiled laws-symbolic pass.
     #
-    # The five hot sums (__add__, apply, apply_leg, map_basis and
-    # _add_products) stay separate loops. A prototype that routed all
-    # but apply_leg through one _add_scaled(acc, pairs, c) raised
+    # The hot sums (__add__, apply, apply_leg, map_basis, _add_products,
+    # _basis_products, and the fold rules morphisms._phi_graft,
+    # coalgebra._rec_graft and coalgebra._rec_concat) stay separate
+    # loops. A prototype that routed __add__, apply, map_basis and
+    # _add_products through one _add_scaled(acc, pairs, c) raised
     # laws-symbolic wall_s from 2.018 to 2.228 s and its query_p50_ms
     # from 285 to 316 ms (perfbench, medians of 5 alternating pairs,
     # 2-vCPU x86 host, Python 3.11). Routing apply_leg through per-term
@@ -542,8 +561,27 @@ class LinComb:
 
     def subst_partial(self, lam=None, mu=None, nu=None) -> "LinComb":
         """Coefficient.subst_partial on every coefficient, dropping the
-        terms that vanish at the point."""
-        return self.map_coeff(lambda c: c.subst_partial(lam, mu, nu))
+        terms that vanish at the point.
+
+        The point is checked and hashed once per call: _SUBST_ROWS maps
+        it to a row {coefficient: value at the point}, so a coefficient
+        met before costs one identity lookup. One that the row lacks is
+        evaluated (_evaluated; a pole raises there and stores nothing)
+        and added to the row, with no lookup in Coefficient's memo,
+        whose key would hash the point again."""
+        _check_points(lam, mu, nu)
+        point = (lam, mu, nu)
+        row = _SUBST_ROWS.get(point)
+        if row is None:
+            row = _SUBST_ROWS.setdefault(point, {})
+        acc = {}
+        for b, c in self.terms.items():
+            v = row.get(c)
+            if v is None:
+                v = row[c] = _evaluated(c, lam, mu, nu)
+            if v is not ZERO:
+                acc[b] = v
+        return _trusted_lincomb(acc)
 
     def coeff_of(self, basis) -> Coefficient:
         return self.terms.get(basis, ZERO)
@@ -622,47 +660,41 @@ class LinComb:
 
 
 def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
-                  k: Coefficient = ONE, held: bool = False) -> LinComb:
+                  k: Coefficient = ONE) -> LinComb:
     """Add k c d f(F, G) into acc for every term c F of x and d G of y
     (k nonzero), and return the LinComb whose terms are acc.
 
-    The bilinear extension of a basis product f in one pass: each image
-    term is multiplied once and added straight into acc, with no LinComb
-    per pair, and a further call with the same acc adds another product
-    to the same sum. x is the outer loop, so f sees one F for all of y
-    in a row. Like apply, it reads the memos inline and drops a
-    cancelled term on `is ZERO`; an image coefficient of ONE, as nearly
-    all of star's are, costs no product.
+    The bilinear extension of a LinComb-valued basis product f in one
+    pass: each image term is multiplied once and added straight into
+    acc, with no LinComb per pair, and a further call with the same acc
+    adds another product to the same sum. x is the outer loop, so f sees
+    one F for all of y in a row. Like apply, it reads the memos inline
+    and drops a cancelled term on `is ZERO`; an image coefficient of ONE,
+    as nearly all of star's are, costs no product.
 
-    With held, the images are kept in _HELD, which maps (f, F) to a
-    dict G -> f(F, G), so a pair seen before costs one lookup, whichever
-    call saw it. The key names f, so one table serves every product, and
-    a product replaced at run time (a test's mutant) never reads the
+    The images are held in _HELD, which maps (f, F) to a dict
+    G -> f(F, G), so a pair seen before costs one lookup, whichever call
+    saw it. The key names f, so one table serves every product, and a
+    product replaced at run time (a test's mutant) never reads the
     images of another. star_lin, star_weighted, prelie_lin and
-    bracket_lin pass held; the products whose pairs do not repeat
-    (tensor, lc_concat) do not. Threads that miss on one pair at once
-    each compute it and store equal images.
+    bracket_lin call it. Threads that miss on one pair at once each
+    compute it and store equal images.
     """
     yterms = y.terms.items()
-    row = None
     for F, c in x.terms.items():
         if k is not ONE:
             ck = _MUL.get((c, k))
             c = c * k if ck is None else ck
-        if held:
-            row = _HELD.get((f, F))
-            if row is None:
-                row = _HELD.setdefault((f, F), {})
+        row = _HELD.get((f, F))
+        if row is None:
+            row = _HELD.setdefault((f, F), {})
         for G, d in yterms:
             cd = _MUL.get((c, d))
             if cd is None:
                 cd = c * d
-            if row is None:
-                image = f(F, G)
-            else:
-                image = row.get(G)
-                if image is None:
-                    image = row[G] = f(F, G)
+            image = row.get(G)
+            if image is None:
+                image = row[G] = f(F, G)
             for key, e in image.terms.items():
                 if e is ONE:
                     p = cd
@@ -681,6 +713,39 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
                     del acc[key]
                 else:
                     acc[key] = t
+    return _trusted_lincomb(acc)
+
+
+def _basis_products(x: LinComb, y: LinComb, f: Callable) -> LinComb:
+    """The sum of c d f(F, G) over every term c F of x and d G of y, for
+    a product f whose value is a basis key.
+
+    The sibling of _add_products for LinComb.tensor (_tensor_basis) and
+    morphisms.lc_concat (concatenation): the key itself is the image,
+    so no image is made or held and each pair costs one product of
+    coefficients. Distinct pairs can share a key (the concatenations
+    a . b x and a b . x are one forest), so a term can cancel, and the
+    sum drops it on `is ZERO` as apply does.
+    """
+    acc: dict = {}
+    yterms = y.terms.items()
+    for F, c in x.terms.items():
+        for G, d in yterms:
+            key = f(F, G)
+            p = _MUL.get((c, d))
+            if p is None:
+                p = c * d
+            s = acc.get(key)
+            if s is None:
+                acc[key] = p
+                continue
+            t = _ADD.get((s, p))
+            if t is None:
+                t = s + p
+            if t is ZERO:
+                del acc[key]
+            else:
+                acc[key] = t
     return _trusted_lincomb(acc)
 
 

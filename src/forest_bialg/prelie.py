@@ -61,8 +61,7 @@ def prelie_lin(x, y) -> LinComb:
     """Bilinear extension of prelie, for nesting products in identity
     checks, in one accumulation pass (freemod._add_products), each image
     held until the next sweep."""
-    return _add_products({}, _as_lincomb(x), _as_lincomb(y), prelie,
-                         held=True)
+    return _add_products({}, _as_lincomb(x), _as_lincomb(y), prelie)
 
 
 def bracket(F1: Forest, F2: Forest) -> LinComb:
@@ -79,5 +78,5 @@ def bracket_lin(x, y) -> LinComb:
     as prelie_lin holds them."""
     x, y = _as_lincomb(x), _as_lincomb(y)
     acc: dict = {}
-    _add_products(acc, x, y, prelie, held=True)
-    return _add_products(acc, y, x, prelie, _NEG_ONE, held=True)
+    _add_products(acc, x, y, prelie)
+    return _add_products(acc, y, x, prelie, _NEG_ONE)

@@ -5,16 +5,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forest_bialg._kernel import biideal_splits
-from forest_bialg.coalgebra import (coproduct, coproduct_biideal,
+from forest_bialg.coalgebra import (_rec_concat, _rec_graft, coproduct,
+                                    coproduct_biideal,
                                     coproduct_left, coproduct_lin,
                                     coproduct_rec, coproduct_right, counit,
                                     counit_left, counit_right)
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, VertexSet, _preorder,
                                  biideals, concat, enumerate_forests, graft,
                                  parse_forest, restrict)
-from forest_bialg.freemod import LAM, MU, Coefficient, LinComb, act_left, act_right
+from forest_bialg.freemod import (LAM, MU, NU, ONE, Coefficient, LinComb,
+                                  act_left, act_right)
 from forest_bialg.morphisms import phi
 
 from helpers import fresh_env
@@ -60,6 +64,59 @@ def test_product_derivation_instance():
     want = (act_left(f, coproduct(g)) + act_right(coproduct(f), g)
             + LinComb.single((f, g), LAM))
     assert coproduct(fg) == want
+
+
+def test_derivation_rule_adds_the_terms_that_meet():
+    # a . D(b), D(a) . b and l (a (x) b) each have a term on (a, b):
+    # -l - l + l
+    key = (F("a"), F("b"))
+    got = coproduct_rec(F("a b"))
+    assert got.terms[key] is coproduct_biideal(F("a b")).terms[key] is -LAM
+    assert got == coproduct_biideal(F("a b"))
+
+
+SMALL = list(enumerate_forests(2, AB))
+TREES = [f for f in SMALL if len(f.trees) == 1]
+OMEGA = [AB.decoration(w) for w in ("a", "b")]
+# opposite coefficients, and l against -l, on overlapping pairs make the
+# three parts of a rule cancel
+signed = st.sampled_from([ONE, -ONE, LAM, -LAM, MU, -MU, NU])
+pairs = st.lists(st.tuples(st.tuples(st.sampled_from(SMALL),
+                                     st.sampled_from(SMALL)), signed),
+                 max_size=5).map(
+    lambda terms: sum((LinComb.single(k, c) for k, c in terms), LinComb()))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(OMEGA), st.sampled_from(SMALL), pairs)
+def test_graft_rule_matches_its_nested_sums(w, bar, inner):
+    # the one-pass cocycle rule against its three terms, built from
+    # public operations, on any signed pair tensor
+    got = _rec_graft(w, bar, inner)
+    want = (LinComb.single((graft(w, bar).as_forest(), EMPTY_FOREST), -LAM)
+            + LinComb.single((bar, EMPTY_FOREST), MU)
+            + inner.map_basis(
+                lambda legs: (legs[0], graft(w, legs[1]).as_forest())))
+    assert got == want
+    assert all(got.terms.values())
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(TREES), pairs, st.sampled_from(SMALL[1:]), pairs)
+# -l (1 (x) b) puts -l a (x) b against l (a (x) b)
+@example(F("a"), LinComb(), F("b"),
+         LinComb.single((EMPTY_FOREST, F("b")), -LAM))
+# a (x) x from D(T) . R against a (x) x from T . D(R), l - l
+@example(F("a"), LinComb.single((F("a"), EMPTY_FOREST), LAM), F("x"),
+         LinComb.single((EMPTY_FOREST, F("x")), -LAM))
+def test_derivation_rule_matches_its_nested_sums(T, dT, R, dR):
+    # the one-pass derivation rule against T . dR + dT . R + l (T (x) R),
+    # built from public operations, on any signed pair tensors
+    got = _rec_concat(T, dT, R, dR)
+    want = (act_left(T, dR) + act_right(dT, R)
+            + LinComb.single((T, R), LAM))
+    assert got == want
+    assert all(got.terms.values())
 
 
 def test_rec_and_biideal_agree_small():

@@ -449,6 +449,8 @@ def test_a_sweep_releases_every_registered_cache():
         return ([coalgebra.coproduct_rec(f) for f in fs]
                 + [coalgebra.coproduct_biideal(f) for f in fs]
                 + [coalgebra.counit(f) for f in fs]
+                + [coalgebra.counit(f).subst_partial(lam=Fraction(2, 3))
+                   for f in fs]
                 + [morphisms.phi_at(f, Fraction(2, 3)) for f in fs]
                 + [dualprod.star(f, g) for f in fs]
                 + [dualprod.star_lin(f, g) for f in fs]

@@ -4,13 +4,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forest_bialg.coalgebra import coproduct, coproduct_lin
 from forest_bialg.forest import (EMPTY_FOREST, Alphabet, concat,
-                                 enumerate_forests, parse_forest)
-from forest_bialg.freemod import LAM, MU, NU, Coefficient, LinComb
-from forest_bialg.morphisms import (lc_concat, phi, phi_at, phi_forest,
-                                    phi_subsets, theta)
+                                 enumerate_forests, graft, parse_forest)
+from forest_bialg.freemod import LAM, MU, NU, ONE, Coefficient, LinComb
+from forest_bialg.morphisms import (_phi_graft, lc_concat, phi, phi_at,
+                                    phi_forest, phi_subsets, theta)
 
 AB = Alphabet(omega=("a", "b"), xset=("x",))
 
@@ -35,6 +37,35 @@ def test_phi_on_a_grafted_tree():
     want = (LinComb.single(F("a[x]")) + LinComb.single(F("a"), NU)
             + LinComb.single(F("x"), NU) + LinComb.single(EMPTY_FOREST, nu2))
     assert phi(F("a[x]")) == want
+    # B+_a(phi(a)) = a[a] + n a and n phi(a) = n a + n^2 1 meet on a:
+    # phi(a[a]) = a[a] + 2n a + n^2 1
+    want = (LinComb.single(F("a[a]"))
+            + LinComb.single(F("a"), Coefficient.monomial(2, c=1))
+            + LinComb.single(EMPTY_FOREST, nu2))
+    assert phi(F("a[a]")) == want
+
+
+SMALL = list(enumerate_forests(2, AB))
+OMEGA = [AB.decoration(w) for w in ("a", "b")]
+# opposite and nu-scaled coefficients on overlapping forests make the
+# grafted and the scaled terms cancel
+signed = st.sampled_from([ONE, -ONE, NU, -NU, MU, -LAM])
+lincombs = st.lists(st.tuples(st.sampled_from(SMALL), signed), max_size=5).map(
+    lambda pairs: sum((LinComb.single(f, c) for f, c in pairs), LinComb()))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(OMEGA), st.sampled_from(SMALL), lincombs)
+# -nu 1 + a: the grafted a and the scaled a cancel
+@example(OMEGA[0], EMPTY_FOREST,
+         LinComb.single(EMPTY_FOREST, -NU) + LinComb.single(F("a")))
+def test_phi_graft_rule_matches_its_nested_sums(w, bar, inner):
+    # the one-pass graft rule against B+_w(inner) + nu inner, built from
+    # public operations, on any signed inner
+    got = _phi_graft(w, bar, inner)
+    want = inner.map_basis(lambda G: graft(w, G).as_forest()) + inner.scale(NU)
+    assert got == want
+    assert all(got.terms.values())
 
 
 def test_phi_recursion_matches_subset_expansion():
