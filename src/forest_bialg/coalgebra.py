@@ -8,7 +8,7 @@ Two independent implementations are kept side by side on purpose:
   forest._fold. It is the oracle. Each rule builds its value in one
   dict, with no LinComb per part: the graft rule's three parts never
   share a key, and the derivation rule adds D(T) . R and l (T (x) R)
-  into T . D(R), cancelling on `is ZERO`.
+  into T . D(R) through freemod._added, the module's one cancelling sum.
 * coproduct_biideal is the closed combinatorial form: splitting along the
   chain of forest biideals,
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from . import _kernel
 from .forest import _CACHES, EMPTY_FOREST, Forest, Tree, _fold
-from .freemod import (LAM, MU, ZERO, Coefficient, LinComb, _as_lincomb,
+from .freemod import (LAM, MU, Coefficient, LinComb, _added, _as_lincomb,
                       _trusted_lincomb)
 
 __all__ = [
@@ -72,24 +72,14 @@ def _rec_concat(T: Forest, dT: LinComb, R: Forest, dR: LinComb) -> LinComb:
     # T . D(R) + D(T) . R + l (T (x) R) in one dict. Concatenating T on
     # the left is injective, so the T . D(R) keys are distinct; the
     # D(T) . R terms and l (T (x) R) can land on them (D(a b) meets the
-    # key (a, b) three times), so those are added
+    # key (a, b) three times), so freemod._added adds those
     head, tail = T.trees, R.trees
     acc = {(Forest.make(head + left.trees), right): c
            for (left, right), c in dR.terms.items()}
     added = [((left, Forest.make(right.trees + tail)), c)
              for (left, right), c in dT.terms.items()]
     added.append(((T, R), LAM))
-    for key, c in added:
-        s = acc.get(key)
-        if s is None:
-            acc[key] = c
-            continue
-        t = s + c
-        if t is ZERO:
-            del acc[key]
-        else:
-            acc[key] = t
-    return _trusted_lincomb(acc)
+    return _added(acc, added)
 
 
 _REC_ONE = LinComb.single((EMPTY_FOREST, EMPTY_FOREST), _NEG_LAM)

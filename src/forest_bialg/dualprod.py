@@ -62,8 +62,11 @@ def pairing(x, y) -> Coefficient:
     Works on any equal-rank pair of LinCombs (single forests or tensor
     tuples compare leg-wise through key equality). A basis element (a
     Forest, or a tuple of forests for a tensor basis) paired with a
-    LinComb is a lookup of its coefficient.
+    LinComb, on either side, is a lookup of its coefficient, so
+    pairing(x, y) is pairing(y, x).
     """
+    if isinstance(x, LinComb) and isinstance(y, (Forest, tuple)):
+        x, y = y, x
     if isinstance(x, (Forest, tuple)) and isinstance(y, LinComb):
         return y.terms.get(x, ZERO)
     x, y = _as_lincomb(x), _as_lincomb(y)

@@ -22,38 +22,43 @@ over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
 the memos: the operators look a pair up first, and LinComb.apply,
 apply_leg, _add_products and _basis_products, which carry the suites'
-ring work, read them inline. Evaluation is memoised the same way:
-_SUBST maps (c, lam, mu, nu) to c.subst_partial(lam, mu, nu), since an
-evaluated suite or CLI result substitutes one point into the same few
-coefficients over and over. LinComb.subst_partial keeps its own memo,
-_SUBST_ROWS, which maps a point to a row {c: value there}, so it hashes
-the point once per call and not once per coefficient; both memos
-compute a value missing from them by _evaluated.
+ring work, read them inline. Evaluation is memoised the same way, in
+one table: _SUBST maps a point (lam, mu, nu) to a row {c: c evaluated
+there}, since an evaluated suite or CLI result substitutes one point
+into the same few coefficients over and over. Coefficient.subst_partial
+and LinComb.subst_partial both read the row through _subst_row, which
+checks and hashes the point once per call, so a linear combination
+costs one identity lookup per coefficient; a value missing from the
+row is computed by _evaluated.
 
 Each sum is written once per shape. On a memo miss, Coefficient's sum,
 product and evaluation all add monomials through _summed. Over a basis,
-a bilinear extension is one pass of one of two loops, by what the basis
-product returns. _add_products takes a LinComb-valued product: star_lin,
-star_weighted, prelie_lin and bracket_lin are each one to three calls
-to it, and it holds the images they compute in one table, _HELD, keyed
-on the product and its left operand, until the next sweep (see
-_add_products). _basis_products takes a product whose value is a basis
-key: LinComb.tensor (the tuple of legs) and morphisms.lc_concat (the
-concatenated forest) call it, and nothing is held. dualprod.star holds
-its regrafted prefixes in _HELD too, keyed on (dualprod._regrafted, F)
-and then on G's first tree. The other hot sums, LinComb.__add__, apply,
-apply_leg and map_basis, and the phi and coproduct fold rules of
-morphisms and coalgebra, keep loops of their own for speed (see the
-comment above LinComb.apply). Every accumulation loop
-over a basis tests cancellation with `is ZERO`.
+a sum that only adds is one call of _added, the one cancelling add
+loop: LinComb.__add__ and the fold rules coalgebra._rec_concat and
+morphisms._phi_graft use it. A bilinear extension is one pass of one of
+two loops, by what the basis product returns. _add_products takes a
+LinComb-valued product: star_lin, star_weighted, prelie_lin and
+bracket_lin are each one to three calls to it, and it holds the images
+they compute in one table, _HELD, keyed on the product and its left
+operand, until the next sweep (see _add_products). _basis_products takes
+a product whose value is a basis key: LinComb.tensor (the tuple of
+legs) and morphisms.lc_concat (the concatenated forest) call it, and
+nothing is held. dualprod.star holds its regrafted prefixes in _HELD
+too, keyed on (dualprod._regrafted, F) and then on G's first tree. The
+loops that stay their own are map_basis, which was slower through
+_added; apply and apply_leg, which multiply per term as the two
+bilinear loops do; dualprod.star, whose terms never cancel; and
+morphisms.phi_subsets, phi's independent route (see the comment above
+LinComb.apply). Every accumulation loop over a basis tests cancellation
+with `is ZERO`.
 
-The held rows, the four memos and the coefficient table live until the
+The held rows, the three memos and the coefficient table live until the
 next forest intern sweep, whether run_suite, cli.main or a library
-caller reached it: this module registers _HELD, _ADD, _MUL, _SUBST and
-_SUBST_ROWS in forest._CACHES and _INTERN in forest._INTERNS, after the
-forest and tree tables. The sweep clears every registered cache before
-it forgets any intern table, each by the same pass, so a coefficient or
-a tree that only a held row or a memo held goes in the same sweep.
+caller reached it: this module registers _HELD, _ADD, _MUL and _SUBST in
+forest._CACHES and _INTERN in forest._INTERNS, after the forest and tree
+tables. The sweep clears every registered cache before it forgets any
+intern table, each by the same pass, so a coefficient or a tree that
+only a held row or a memo held goes in the same sweep.
 
 A rational part q is stored as an int when it is integral and as a
 Fraction otherwise: _make converts integral Fractions when it stores a
@@ -79,15 +84,15 @@ apply_leg maps one leg of every tuple in a single pass, splicing the
 image's legs in place of it. LinComb() is zero; LinComb(terms) converts
 int and Fraction values through Coefficient.monomial and drops zeros.
 
-This module is the one home of the LinComb representation. Every
-LinComb that LinComb(...) does not check is made by _trusted_lincomb,
-which states the invariant (nonzero Coefficient values) once; the
-operations here, coalgebra's biideal coproduct and fold rules,
-dualprod's star and morphisms' theta and phi graft rule all return
-through it, and no other module assigns terms. _as_lincomb is the one
-coercion of an operand: a LinComb as it is, a Forest as its single
-term, anything else a TypeError; pairing, star_lin, star_weighted,
-prelie_lin, bracket_lin, coproduct_lin, phi and theta use it.
+This module is the one home of the LinComb representation. Every LinComb
+that LinComb(...) does not check is made by _trusted_lincomb, which
+states the invariant (nonzero Coefficient values) once; the operations
+here, _added among them, coalgebra's biideal coproduct and graft rule,
+dualprod's star and morphisms' theta and phi_subsets all return through
+it, and no other module assigns terms. _as_lincomb is the one coercion
+of an operand: a LinComb as it is, a Forest as its single term, anything
+else a TypeError; pairing, star_lin, star_weighted, prelie_lin,
+bracket_lin, coproduct_lin, phi and theta use it.
 
 A LinComb's text and JSON text are written from one list of rows
 (LinComb._rendered), sorted on one string per term: its leg text, or for
@@ -121,12 +126,11 @@ _INTERN: dict = {}
 # (c, d) -> c + d and c * d; tuples of coefficients hash by identity in C
 _ADD: dict = {}
 _MUL: dict = {}
-# (c, lam, mu, nu) -> c.subst_partial(lam, mu, nu); a point of 2 and one
-# of Fraction(2) are equal and hash alike, so they share an entry
+# (lam, mu, nu) -> {c: c.subst_partial(lam, mu, nu)}, one row per point,
+# read by Coefficient's and LinComb's subst_partial through _subst_row; a
+# point of 2 and one of Fraction(2) are equal and hash alike, so they
+# share a row
 _SUBST: dict = {}
-# (lam, mu, nu) -> {c: c evaluated there}, LinComb.subst_partial's rows,
-# which hash a point once per call and not once per coefficient
-_SUBST_ROWS: dict = {}
 # every row held since the last sweep, each keyed on the function that
 # made it and its left operand: (f, F) -> {G: f(F, G)} for the images of
 # every LinComb-valued product that _add_products sums, star's and
@@ -134,7 +138,7 @@ _SUBST_ROWS: dict = {}
 # prefixes} for star
 _HELD: dict = {}
 # each lives until the next forest intern sweep (module docstring)
-_CACHES.extend((_HELD, _ADD, _MUL, _SUBST, _SUBST_ROWS))
+_CACHES.extend((_HELD, _ADD, _MUL, _SUBST))
 _INTERNS.append(_INTERN)
 
 
@@ -165,7 +169,7 @@ def _make(acc: dict) -> "Coefficient":
 def _check_points(lam, mu, nu) -> None:
     """Raise TypeError unless each of lam, mu and nu is None, an int or a
     Fraction: the one check of an evaluation point (module docstring),
-    made by subst_partial and by verify.RunConfig."""
+    made by _subst_row for both subst_partials and by verify.RunConfig."""
     for v in (lam, mu, nu):
         if v is not None and not isinstance(v, (int, Fraction)):
             raise TypeError("an evaluation point must be an int or a "
@@ -188,10 +192,23 @@ def _summed(acc: dict, pairs) -> "Coefficient":
     return _make(acc)
 
 
+def _subst_row(lam, mu, nu) -> dict:
+    """The row of _SUBST for the point (lam, mu, nu), {coefficient: its
+    value there}, made empty if the point is new. Both subst_partials
+    read the memo through here, so each call checks and hashes its
+    point once."""
+    _check_points(lam, mu, nu)
+    point = (lam, mu, nu)
+    row = _SUBST.get(point)
+    if row is None:
+        row = _SUBST.setdefault(point, {})
+    return row
+
+
 def _evaluated(coeff: "Coefficient", lam, mu, nu) -> "Coefficient":
     """coeff with each of lam, mu and nu that is not None substituted,
     computed: the one evaluation of the ring, which Coefficient's and
-    LinComb's subst_partial memoise, each in its own table. The point
+    LinComb's subst_partial memoise in the one table _SUBST. The point
     must have passed _check_points; a pole raises ZeroDivisionError."""
     pairs = []
     for (a, b, c), q in coeff.terms.items():
@@ -300,17 +317,17 @@ class Coefficient:
     def subst_partial(self, lam=None, mu=None, nu=None) -> "Coefficient":
         """Substitute rational values for any subset of the variables.
 
-        Memoised by (self, lam, mu, nu); a pole (lam = 0 against a
-        negative lambda power) raises on every call and is not stored.
-        A value must be an int or a Fraction, as a rational part must
-        (module docstring): anything else raises TypeError before the
-        memo is read, since a float equal to a stored key would hit it.
+        Memoised in the point's row of _SUBST, which LinComb.subst_partial
+        reads too; a pole (lam = 0 against a negative lambda power)
+        raises on every call and is not stored. A value must be an int
+        or a Fraction, as a rational part must (module docstring):
+        anything else raises TypeError before the memo is read, since a
+        float equal to a stored point would hit it.
         """
-        _check_points(lam, mu, nu)
-        key = (self, lam, mu, nu)
-        out = _SUBST.get(key)
+        row = _subst_row(lam, mu, nu)
+        out = row.get(self)
         if out is None:
-            out = _SUBST[key] = _evaluated(self, lam, mu, nu)
+            out = row[self] = _evaluated(self, lam, mu, nu)
         return out
 
     def eval_at(self, lam, mu, nu) -> Fraction:
@@ -384,6 +401,27 @@ def _trusted_lincomb(terms: dict) -> "LinComb":
     return out
 
 
+def _added(acc: dict, pairs) -> "LinComb":
+    """The LinComb of acc plus every (basis, coefficient) of pairs, a key
+    whose sum is ZERO dropped.
+
+    The one cancelling sum of the free module: LinComb.__add__ and the
+    fold rules coalgebra._rec_concat and morphisms._phi_graft call it,
+    once per sum. acc is consumed as in _trusted_lincomb.
+    """
+    for b, c in pairs:
+        s = acc.get(b)
+        if s is None:
+            acc[b] = c
+            continue
+        s = s + c
+        if s is ZERO:
+            del acc[b]
+        else:
+            acc[b] = s
+    return _trusted_lincomb(acc)
+
+
 def _tensor_basis(b1, b2) -> tuple:
     """The basis tensor b1 (x) b2: the legs of b1, then those of b2."""
     return ((b1 if type(b1) is tuple else (b1,))
@@ -428,18 +466,7 @@ class LinComb:
     def __add__(self, other):
         if not isinstance(other, LinComb):
             return NotImplemented
-        acc = dict(self.terms)
-        for b, c in other.terms.items():
-            s = acc.get(b)
-            if s is None:
-                acc[b] = c
-                continue
-            s = s + c
-            if s is ZERO:
-                del acc[b]
-            else:
-                acc[b] = s
-        return _trusted_lincomb(acc)
+        return _added(dict(self.terms), other.terms.items())
 
     def __neg__(self):
         return _trusted_lincomb({b: -c for b, c in self.terms.items()})
@@ -465,15 +492,24 @@ class LinComb:
     # _tensor_basis wrap a forest key as a leg inline, since a helper call
     # per image term to do it was 0.30 s of a profiled laws-symbolic pass.
     #
-    # The hot sums (__add__, apply, apply_leg, map_basis, _add_products,
-    # _basis_products, and the fold rules morphisms._phi_graft,
-    # coalgebra._rec_graft and coalgebra._rec_concat) stay separate
-    # loops. A prototype that routed __add__, apply, map_basis and
-    # _add_products through one _add_scaled(acc, pairs, c) raised
-    # laws-symbolic wall_s from 2.018 to 2.228 s and its query_p50_ms
-    # from 285 to 316 ms (perfbench, medians of 5 alternating pairs,
-    # 2-vCPU x86 host, Python 3.11). Routing apply_leg through per-term
-    # lists made it slower in 8 of 8 pairs (raw wall time).
+    # A sum that only adds goes through _added: __add__ and the fold
+    # rules coalgebra._rec_concat and morphisms._phi_graft. These loops
+    # stay their own, each for a measured or stated reason:
+    # - map_basis: through _added, on zip(map(g, terms), terms.values()),
+    #   act_left and act_right of 960 pairs (24 forests of at most 3
+    #   vertices by 40 coproducts) took 9.0-9.4 ms against 8.2-8.6 ms,
+    #   10% slower (min of 5 in 4 rounds, 2-vCPU x86 host, Python 3.11);
+    # - apply, apply_leg, _add_products and _basis_products multiply per
+    #   term. A prototype that routed __add__, apply, map_basis and
+    #   _add_products through one _add_scaled(acc, pairs, c) raised
+    #   laws-symbolic wall_s from 2.018 to 2.228 s and its query_p50_ms
+    #   from 285 to 316 ms (perfbench, medians of 5 alternating pairs,
+    #   same host), and routing apply_leg through per-term lists made it
+    #   slower in 8 of 8 pairs (raw wall time);
+    # - dualprod.star: the hottest loop of star-products, whose terms
+    #   never cancel;
+    # - morphisms.phi_subsets: phi's independent route keeps a sum of
+    #   its own, sharing no code with the recursion it is checked against.
 
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a basis map f: basis -> LinComb.
@@ -563,17 +599,12 @@ class LinComb:
         """Coefficient.subst_partial on every coefficient, dropping the
         terms that vanish at the point.
 
-        The point is checked and hashed once per call: _SUBST_ROWS maps
-        it to a row {coefficient: value at the point}, so a coefficient
-        met before costs one identity lookup. One that the row lacks is
-        evaluated (_evaluated; a pole raises there and stores nothing)
-        and added to the row, with no lookup in Coefficient's memo,
-        whose key would hash the point again."""
-        _check_points(lam, mu, nu)
-        point = (lam, mu, nu)
-        row = _SUBST_ROWS.get(point)
-        if row is None:
-            row = _SUBST_ROWS.setdefault(point, {})
+        The point is checked and hashed once per call: its row of _SUBST,
+        the memo Coefficient.subst_partial reads too, maps each
+        coefficient met before to its value, in one identity lookup. One
+        that the row lacks is evaluated (_evaluated; a pole raises there
+        and stores nothing) and added to the row."""
+        row = _subst_row(lam, mu, nu)
         acc = {}
         for b, c in self.terms.items():
             v = row.get(c)

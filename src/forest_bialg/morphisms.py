@@ -8,9 +8,10 @@ computed here by those rules, with phi(1) = 1 and multiplicativity on
 concatenations, folded over the forest by forest._fold (.x is B+_x(1),
 so the graft rule covers it) and with nu a first-class indeterminate.
 Each rule builds its value in one dict: the graft rule adds nu phi(Fbar)
-into the grafted terms, with which it can share keys, and the concat
-rule is lc_concat, one pass of freemod._basis_products over the pairs
-of terms. Neither makes a LinComb per term or per pair.
+into the grafted terms, with which it can share keys, through
+freemod._added, the module's one cancelling sum; the concat rule is
+lc_concat, one pass of freemod._basis_products over the pairs of terms.
+Neither makes a LinComb per term or per pair.
 phi_subsets is the independent closed form
 
     phi(F) = sum over all I subseteq V(F) of nu^{|V(F)\\I|} F|I,
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from .forest import (_CACHES, EMPTY_FOREST, Forest, Tree, _fold,
                      _restrictor, concat)
-from .freemod import (NU, ZERO, Coefficient, LinComb, _as_lincomb,
+from .freemod import (NU, Coefficient, LinComb, _added, _as_lincomb,
                       _basis_products, _trusted_lincomb)
 
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
@@ -52,21 +53,10 @@ def lc_concat(x: LinComb, y: LinComb) -> LinComb:
 def _phi_graft(w, bar: Forest, inner: LinComb) -> LinComb:
     # B+_w phi(Fbar) + nu phi(Fbar) in one dict. B+_w is injective, so
     # the grafted keys are distinct; a nu-scaled term can land on one of
-    # them (phi(a[a]) has 2 nu a), so those are added
-    acc = {Tree.make(w, G.trees).as_forest(): c
-           for G, c in inner.terms.items()}
-    for G, c in inner.terms.items():
-        p = c * NU
-        s = acc.get(G)
-        if s is None:
-            acc[G] = p
-            continue
-        t = s + p
-        if t is ZERO:
-            del acc[G]
-        else:
-            acc[G] = t
-    return _trusted_lincomb(acc)
+    # them (phi(a[a]) has 2 nu a), so freemod._added adds those
+    terms = inner.terms.items()
+    return _added({Tree.make(w, G.trees).as_forest(): c for G, c in terms},
+                  [(G, c * NU) for G, c in terms])
 
 
 def _phi_concat(T: Forest, pT: LinComb, R: Forest, pR: LinComb) -> LinComb:

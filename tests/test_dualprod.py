@@ -53,10 +53,34 @@ def test_pairing_a_tensor_basis_with_a_lincomb_reads_its_coefficient():
     assert pairing((a, one), LinComb()) is ZERO
 
 
+def test_pairing_is_symmetric():
+    # a basis element on either side of a LinComb is one lookup
+    f = F("a[x] b")
+    t = coproduct(f)
+    x = LinComb.single(f, MU) + LinComb.single(F("a"), -LAM)
+    tensors = [LinComb(), t, t + LinComb.single((F("a"), F("b")), MU)]
+    forests = [LinComb(), x, LinComb.single(F("a"), LAM)]
+    for k in [*t.terms, (F("a"), F("x")), (F("1"), F("1"))]:
+        for v in tensors:
+            assert pairing(k, v) is pairing(v, k)
+    for g in (f, F("a"), F("b"), F("1")):
+        for v in forests:
+            assert pairing(g, v) is pairing(v, g)
+    for u in tensors:
+        for v in tensors:
+            assert pairing(u, v) is pairing(v, u)
+    for u in forests:
+        for v in forests:
+            assert pairing(u, v) is pairing(v, u)
+    first = next(iter(t.terms))
+    assert pairing(t, first) is t.terms[first]
+
+
 def test_operands_are_forests_or_lincombs():
     # a Tree is neither: its forest is spelled t.as_forest()
     t = F("a[x]").trees[0]
-    for call in (lambda: pairing(t, F("a")), lambda: star_lin(F("a"), t),
+    for call in (lambda: pairing(t, F("a")), lambda: pairing(LinComb(), t),
+                 lambda: star_lin(F("a"), t),
                  lambda: star_weighted(t, F("a"), AB)):
         with pytest.raises(TypeError):
             call()

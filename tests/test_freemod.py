@@ -155,9 +155,10 @@ def test_lambda_zero_pole():
             eps.subst_partial(lam=lam)
         with pytest.raises(ZeroDivisionError):
             eps.subst_partial(lam=lam, mu=1, nu=1)
-    assert (poly, 0, None, None) in freemod._SUBST
-    assert (eps, 0, None, None) not in freemod._SUBST
-    assert (eps, 0, 1, 1) not in freemod._SUBST
+    # _SUBST maps a point to its row {coefficient: value there}
+    assert poly in freemod._SUBST[0, None, None]
+    assert eps not in freemod._SUBST[0, None, None]
+    assert eps not in freemod._SUBST.get((0, 1, 1), {})
 
 
 # --------------------------------------------------------------- rendering
@@ -895,7 +896,7 @@ def test_sweep_clears_the_evaluation_memo():
     Coefficient.monomial(5, a=2, c=401).subst_partial(lam=Fraction(2, 3))
     gone = frozenset({((0, 0, 401), Fraction(20, 9))})
     assert gone in freemod._INTERN
-    assert (held_in, Fraction(2, 3), None, None) in freemod._SUBST
+    assert held_in in freemod._SUBST[Fraction(2, 3), None, None]
 
     forest.sweep_interned()
 
@@ -915,7 +916,7 @@ def test_evaluation_memo_hit_and_recomputation_return_one_instance():
                      (0, 0, 2): 1})
     point = dict(lam=Fraction(2, 3), mu=Fraction(-1, 5), nu=Fraction(7, 3))
     points = [point, dict(lam=point["lam"]), dict(mu=0, nu=point["nu"])]
-    assert not any(k[0] is u for k in freemod._SUBST)
+    assert not any(u in row for row in freemod._SUBST.values())
     first = [u.subst_partial(**p) for p in points]
     again = [u.subst_partial(**p) for p in points]      # memo hits
     forest.sweep_interned()
@@ -929,6 +930,34 @@ def test_evaluation_memo_hit_and_recomputation_return_one_instance():
         assert _poly(sp, _expr(sp, x), SHIFT) == _poly(sp, expect, SHIFT)
     assert first[0].terms.keys() == {(0, 0, 0)}
     assert u.eval_at(**point) == first[0].terms[(0, 0, 0)]
+
+
+def test_coefficient_and_lincomb_evaluation_share_one_memo(monkeypatch):
+    # m^440 and m^441 occur nowhere else, so each is new to the memo
+    calls = []
+    evaluated = freemod._evaluated
+
+    def counted(c, lam, mu, nu):
+        calls.append(c)
+        return evaluated(c, lam, mu, nu)
+
+    monkeypatch.setattr(freemod, "_evaluated", counted)
+    point = dict(lam=Fraction(2, 3), mu=Fraction(-1, 5), nu=Fraction(7, 3))
+    u = Coefficient({(1, 440, 0): 3, (-2, 440, 1): Fraction(-1, 2)})
+    v = Coefficient({(2, 441, 0): -5, (0, 441, 3): 1})
+    # a coefficient first, then a LinComb holding it, and the reverse
+    for c, first_alone in ((u, True), (v, False)):
+        lc = LinComb({F("a"): c, F("b[x]"): c * LAM})
+        if first_alone:
+            alone = c.subst_partial(**point)
+            held = lc.subst_partial(**point)
+        else:
+            held = lc.subst_partial(**point)
+            alone = c.subst_partial(**point)
+        assert held.terms[F("a")] is alone
+        assert calls.count(c) == 1
+        assert calls.count(c * LAM) == 1
+    assert len(calls) == 4
 
 
 def test_int_and_fraction_points_give_one_result():
