@@ -44,13 +44,15 @@ the run. An error in a suite's own setup (the counit at lambda = 0) or a
 pole at the evaluation point still propagates.
 
 A run of more than _BLOCK cases splits its blocks of cases over the
-CPUs the process may use, one forked process per CPU, and merges the
-failures by case index, so its report is the report of a run in one
-process (run_suite, _run). A sharded run that raises or loses a worker
-runs again in one process, which raises the first error in stream order
-or gives the whole report. Each process sweeps its own intern tables
-and caches and collects its own garbage by the one policy run_suite
-describes, so memory is bounded per process.
+CPUs the process may use, one forked process per CPU. Each process
+claims its next block from one counter they all share once it has
+passed its last one, and the parent merges the failures by case index,
+so the report is the report of a run in one process (run_suite, _run).
+A sharded run that raises or loses a worker runs again in one process,
+which raises the first error in stream order or gives the whole report.
+Each process sweeps its own intern tables and caches and collects its
+own garbage by the one policy run_suite describes, so memory is bounded
+per process.
 
 Sections at offset 1 run one vertex lower than the suite: counit's
 multiplicativity at lambda = -1, star-assoc's weighted product,
@@ -517,15 +519,19 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
 
     A run of more than _BLOCK cases splits over the CPUs this process may
     use (os.sched_getaffinity), one process per CPU, with no option to
-    set: _run forks the workers at block boundaries and merges their
-    failures by case index, so the report is the one a run in one
-    process gives. One rule covers every way a sharded run can fail to
-    finish: if _run raises an Exception (an error in this process's own
-    blocks, a lost worker, a failing os.pipe or os.fork), the suite runs
-    again in this process alone. That run raises the first error in
-    stream order, or gives the whole report, so a report is never
-    partial; its wall_time counts both attempts. A BaseException that is
-    not an Exception, such as KeyboardInterrupt, propagates at once.
+    set: _run forks the workers at block boundaries, each process claims
+    its next block from a counter the run's processes share once it has
+    passed its last one, and the parent merges the failures by case
+    index, so the report is the one a run in one process gives. The
+    counter's lock is an fcntl.lockf lock, which the kernel releases
+    when its holder dies, so no worker can leave it held. One rule covers
+    every way a sharded run can fail to finish: if _run raises an
+    Exception (an error in this process's own blocks, a lost worker, a
+    failing os.pipe, os.fork or counter), the suite runs again in this
+    process alone. That run raises the first error in stream order, or
+    gives the whole report, so a report is never partial; its wall_time
+    counts both attempts. A BaseException that is not an Exception, such
+    as KeyboardInterrupt, propagates at once.
 
     The intern tables are swept between cases once they have grown
     enough, through forest.sweep_if_due. forest.sweep_interned follows
@@ -582,28 +588,62 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)
 
 
-# cases per block: block b of a run goes to shard b mod the shard count
-_BLOCK = 1024
+# cases per block. Each block runs in one process: block 0 in the parent,
+# block k < the shard count in worker k, and every later block in the
+# process that first claims it from the run's shared counter, whose lock
+# the kernel releases if its holder dies (_Workers). Blocks are small so
+# that a process with warm caches can take many of them while a cold
+# worker is still busy with one; a claim costs four system calls
+_BLOCK = 256
 
 
 def _shard_count() -> int:
-    """The CPUs this process may use, or 1 where os.fork or
-    os.sched_getaffinity is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    """The CPUs this process may use, or 1 where os.fork,
+    os.sched_getaffinity or os.memfd_create is missing."""
+    if not all(hasattr(os, f) for f in
+               ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return len(os.sched_getaffinity(0))
 
 
 class _Workers:
     """The worker processes of one sharded run, each with the read end
-    of the pipe it sends its result on, in fork order."""
+    of the pipe it sends its result on, in fork order, and the counter
+    that every process of the run claims blocks from.
 
-    def __init__(self):
+    The counter is 8 bytes in an anonymous memory file, guarded by an
+    fcntl.lockf lock. The kernel releases such a lock when its holder
+    dies, so a worker killed while it claims cannot leave the counter
+    locked and hang the others; its lost result then makes the run start
+    again in one process.
+    """
+
+    def __init__(self, shards: int):
         self.pipes: dict = {}   # pid -> read end, as a binary file
         self.out = None         # in a worker: the write end
+        # the first unclaimed block: blocks 1 to shards - 1 go to the
+        # workers as they fork
+        self.counter = os.memfd_create("forest-bialg-blocks")
+        try:
+            os.pwrite(self.counter, shards.to_bytes(8, "little"), 0)
+        except OSError:
+            os.close(self.counter)
+            raise
+
+    def claim(self) -> int:
+        """The index of the next unclaimed block, now claimed by this
+        process."""
+        import fcntl
+        fcntl.lockf(self.counter, fcntl.LOCK_EX)
+        try:
+            block = int.from_bytes(os.pread(self.counter, 8, 0), "little")
+            os.pwrite(self.counter, (block + 1).to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(self.counter, fcntl.LOCK_UN)
+        return block
 
     def fork(self, block: int) -> int:
-        """Fork the worker that runs block's shard; return block in the
+        """Fork the worker that runs block first; return block in the
         worker and 0 in the parent."""
         r, w = os.pipe()
         try:
@@ -647,7 +687,9 @@ class _Workers:
         return out
 
     def close(self) -> None:
-        """Kill and reap every worker that results did not reap."""
+        """Close the counter, and kill and reap every worker that results
+        did not reap."""
+        os.close(self.counter)
         if not self.pipes:
             return
         import signal
@@ -664,33 +706,42 @@ def _run(cases_of, config, shards: int):
     stream order.
 
     With shards > 1 the stream is cut into blocks of _BLOCK consecutive
-    cases, and block b is run by shard b mod shards. This process is
-    shard 0; it forks shard b the first time its loop reaches block b,
-    for 0 < b < shards, so the worker takes over the live generator and
-    the warm caches at that exact case. Each process runs only its own
-    blocks but counts every case. A worker sends its (index, failure)
-    pairs through a pipe and ends, never leaving this call by a return
-    or a raise: one that raises ends with status 1. The parent merges
-    the failures by index. An error in the parent's own blocks, a worker
-    that ended without its result (ChildProcessError) and a failing
-    os.pipe or os.fork (OSError) raise here, and run_suite runs the
-    suite again in one process; no worker outlives the call.
+    cases, and each block runs in exactly one process. This process runs
+    block 0. It forks worker k the first time its loop reaches block k,
+    for 0 < k < shards, so the worker takes over the live generator and
+    the warm caches at that exact case, and runs block k. Every later
+    block goes to the process that claims it: a process that has passed
+    the last block it claimed takes the next unclaimed index from the
+    counter all processes of the run share (_Workers.claim), so a process
+    with warm caches takes more blocks and a cold worker does not set the
+    run's length. The counter's lock is one the kernel releases when its
+    holder dies, so a killed worker cannot hang the others. Each process runs only its claimed blocks but steps
+    through every case. A worker sends its (index, failure) pairs through
+    a pipe and ends, never leaving this call by a return or a raise: one
+    that raises ends with status 1. The parent merges the failures by
+    index. An error in the parent's own blocks, a worker that ended
+    without its result (ChildProcessError) and a failing os.pipe, os.fork
+    or counter (OSError) raise here, and run_suite runs the suite again
+    in one process; no worker outlives the call.
     """
     evaluate = config.has_eval
     cases, found = 0, []
-    workers = _Workers() if shards > 1 else None
-    # the index of the next block boundary (-1: never) and, while the
-    # current block is another shard's, mine is False
-    edge, shard, mine = (_BLOCK if workers else -1), 0, True
+    workers = _Workers(shards) if shards > 1 else None
+    # the index of the next block boundary (-1: never), this process's
+    # fork index (0 in the parent), the block it runs or will run next,
+    # and whether the current block is that block
+    edge, shard, block, mine = (_BLOCK if workers else -1), 0, 0, True
     try:
         for fmt, fn, args in cases_of:
             if cases == edge:
-                block, edge = cases // _BLOCK, edge + _BLOCK
-                if not shard and block < shards:
-                    shard = workers.fork(block)
+                k, edge = cases // _BLOCK, edge + _BLOCK
+                if block < k:
+                    block = workers.claim()
+                if not shard and k < shards:
+                    shard = workers.fork(k)
                     if shard:
-                        found = []
-                mine = block % shards == shard
+                        found, block = [], k
+                mine = block == k
             if not mine:
                 cases += 1
                 continue

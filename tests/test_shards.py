@@ -7,6 +7,7 @@ Blocks are made small (_BLOCK = 4) and the shard count is forced, so
 these runs fork on a host with any number of CPUs."""
 
 import errno
+import fcntl
 import math
 import os
 import signal
@@ -37,6 +38,19 @@ def _as_json(report):
     doc = report.to_json()
     doc.pop("wall_time")
     return doc
+
+
+def _count_runs(monkeypatch):
+    """The shard count of every _run call, in call order."""
+    runs = []
+    real = verify._run
+
+    def run(cases_of, config, count):
+        runs.append(count)
+        return real(cases_of, config, count)
+
+    monkeypatch.setattr(verify, "_run", run)
+    return runs
 
 
 @pytest.fixture(params=[2, 3])
@@ -70,10 +84,13 @@ def shards(request, monkeypatch):
     return run
 
 
+# in these three, runs == [1, shards.n]: the serial run, then the sharded
+# run with no rerun in one process, which would give the same report
 @pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_a_sharded_run_reports_as_a_serial_run(shards, suite):
+def test_a_sharded_run_reports_as_a_serial_run(shards, monkeypatch, suite):
+    runs = _count_runs(monkeypatch)
     serial, sharded, forked = shards(suite, RunConfig(max_vertices=3))
-    assert serial.ok and forked == shards.n - 1
+    assert serial.ok and forked == shards.n - 1 and runs == [1, shards.n]
     assert _as_json(sharded) == _as_json(serial)
 
 
@@ -83,9 +100,11 @@ def test_a_sharded_run_fails_as_a_serial_run_under_a_star_mutant(
     mutant = drop_last_term(dualprod.star)
     monkeypatch.setattr(dualprod, "star", mutant)
     monkeypatch.setattr(verify, "star", mutant)
+    runs = _count_runs(monkeypatch)
     serial, sharded, forked = shards(suite, RunConfig(alphabet=SMALL,
                                                       max_vertices=3))
     assert not serial.ok and forked == shards.n - 1
+    assert runs == [1, shards.n]
     assert _as_json(sharded) == _as_json(serial)
     assert _as_text(sharded) == _as_text(serial)
 
@@ -95,9 +114,11 @@ def test_a_sharded_run_fails_as_a_serial_run_under_a_phi_at_mutant(
     real = verify.phi_at
     monkeypatch.setattr(verify, "phi_at",
                         lambda x, nu: real(x, math.floor(nu)))
+    runs = _count_runs(monkeypatch)
     serial, sharded, forked = shards("phi-laws", RunConfig(alphabet=SMALL,
                                                            max_vertices=3))
     assert len(serial.failures) == 8 and forked == shards.n - 1
+    assert runs == [1, shards.n]
     assert _as_json(sharded) == _as_json(serial)
     assert _as_text(sharded) == _as_text(serial)
 
@@ -110,20 +131,49 @@ def _probe(monkeypatch, check, cases=40):
     monkeypatch.setitem(verify._SUITES, "probe", (0, (section,)))
 
 
-def test_each_block_runs_in_its_shards_process(shards, monkeypatch):
+def test_each_block_runs_in_exactly_one_process(shards, monkeypatch):
+    # every case fails with the pid of the process that ran it
     parent = os.getpid()
-    _probe(monkeypatch, lambda i: (os.getpid(), parent))
+    _probe(monkeypatch, lambda i: (os.getpid(), None))
     serial, sharded, forked = shards("probe", RunConfig())
-    assert serial.ok and sharded.cases == 40 and forked == shards.n - 1
+    assert sharded.cases == 40 and forked == shards.n - 1
     failed = [int(f["case"][2:]) for f in sharded.failures]
-    assert failed == [i for i in range(40) if i // 4 % shards.n]
+    assert failed == list(range(40))
     pids = {}
-    for f in sharded.failures:
-        pids.setdefault(int(f["case"][2:]) // 4 % shards.n, set()).add(
-            f["lhs"])
-    assert len(pids) == shards.n - 1
+    for i, f in zip(failed, sharded.failures):
+        pids.setdefault(i // 4, set()).add(int(f["lhs"]))
+    assert sorted(pids) == list(range(10))
     assert all(len(p) == 1 for p in pids.values())
-    assert len(set.union(*pids.values())) == shards.n - 1
+    assert pids[0] == {parent}
+    # block k, 0 < k < shards.n, is worker k's first block
+    workers = [pids[k] for k in range(1, shards.n)]
+    assert parent not in set.union(*workers)
+    assert len(set.union(*workers)) == shards.n - 1
+    assert len(set.union(*pids.values())) <= shards.n
+
+
+@pytest.mark.parametrize("cases", [4, 5, 8, 9, 12])
+def test_a_run_of_b_blocks_forks_min_of_b_and_n_less_one_workers(
+        shards, monkeypatch, cases):
+    # worker k forks when the parent's loop first reaches block k
+    _probe(monkeypatch, lambda i: (i, i % 3), cases)
+    serial, sharded, forked = shards("probe", RunConfig())
+    assert forked == min(math.ceil(cases / 4), shards.n) - 1
+    assert _as_json(sharded) == _as_json(serial)
+
+
+def test_contended_claims_run_each_block_once(monkeypatch):
+    # eight processes on however many CPUs claim blocks of one case: a
+    # lost update on the counter would run a case twice or never
+    monkeypatch.setattr(verify, "_BLOCK", 1)
+    monkeypatch.setattr(verify, "_shard_count", lambda: 8)
+    _probe(monkeypatch, lambda i: (os.getpid(), None), cases=400)
+    t0 = time.monotonic()
+    rep = run_suite("probe", RunConfig())
+    assert time.monotonic() - t0 < 10
+    _no_child_left()
+    assert [f["case"] for f in rep.failures] == [f"i={i}" for i in range(400)]
+    assert len({f["lhs"] for f in rep.failures}) <= 8
 
 
 def test_a_case_raising_in_a_workers_block_is_that_cases_failure(
@@ -149,19 +199,6 @@ class _Unprintable:
 
     def __str__(self):
         raise self.error
-
-
-def _count_runs(monkeypatch):
-    """The shard count of every _run call, in call order."""
-    runs = []
-    real = verify._run
-
-    def run(cases_of, config, count):
-        runs.append(count)
-        return real(cases_of, config, count)
-
-    monkeypatch.setattr(verify, "_run", run)
-    return runs
 
 
 @pytest.mark.parametrize("pole, unprintable", [(5, 9), (9, 5), (13, 6)])
@@ -197,7 +234,8 @@ def test_the_first_error_in_stream_order_ends_a_sharded_run(
 
 def test_an_error_in_the_parents_block_makes_the_run_start_again(
         shards, monkeypatch):
-    # block n, cases 4n..4n+3, is the parent's, after every fork
+    # block n, cases 4n..4n+3, is the parent's: its first claim, made
+    # before its first fork
     where = 4 * shards.n + 1
 
     def check(i):
@@ -218,7 +256,8 @@ def test_an_error_in_the_parents_block_makes_the_run_start_again(
     _no_child_left()
 
 
-# case 5 is in block 1, a worker's; case 25 in block 6, the parent's
+# case 5 is in block 1, a worker's; case 25 in block 6, which the parent
+# claims while every worker sleeps in its first block
 @pytest.mark.parametrize("where", [5, 25], ids=["worker", "parent"])
 def test_no_worker_outlives_an_interrupted_run(shards, monkeypatch, where):
     # interrupted in its own block, the parent does not wait for the
@@ -243,10 +282,12 @@ def test_no_worker_outlives_an_interrupted_run(shards, monkeypatch, where):
 
 def test_a_lost_worker_makes_the_run_start_again_serially(shards,
                                                           monkeypatch):
+    # a worker runs its first block, block k at cases 4k..4k+3, and is
+    # killed at its last case
     parent = os.getpid()
 
     def check(i):
-        if os.getpid() != parent:
+        if os.getpid() != parent and i % 4 == 3:
             os.kill(os.getpid(), signal.SIGKILL)
         return i, i % 7
 
@@ -312,14 +353,41 @@ def test_a_failing_fork_makes_the_run_start_again(monkeypatch):
     _no_child_left()
 
 
+def test_a_worker_killed_while_it_holds_the_claim_lock(shards,
+                                                        monkeypatch):
+    # a worker claims its second block at the end of its first, and is
+    # killed right after it takes the counter's lock: the kernel releases
+    # the lock, so the run neither hangs nor leaves a child, and starts
+    # again in one process
+    parent = os.getpid()
+    real = fcntl.lockf
+
+    def lockf(fd, cmd, *args):
+        real(fd, cmd, *args)
+        if cmd == fcntl.LOCK_EX and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(fcntl, "lockf", lockf)
+    _probe(monkeypatch, lambda i: (i, i % 7))
+    runs = _count_runs(monkeypatch)
+    t0 = time.monotonic()
+    serial, sharded, forked = shards("probe", RunConfig())
+    assert time.monotonic() - t0 < 10
+    assert runs == [1, shards.n, 1] and forked == shards.n - 1
+    assert len(serial.failures) == 33
+    assert _as_json(sharded) == _as_json(serial)
+
+
 def test_a_run_of_one_block_or_beside_a_thread_never_forks(monkeypatch):
     forks = []
     monkeypatch.setattr(verify._Workers, "fork",
                         lambda self, block: forks.append(block))
     monkeypatch.setattr(verify, "_shard_count", lambda: 2)
+    # exactly one block: the loop ends at the first block boundary
+    _probe(monkeypatch, lambda i: (i, i), cases=verify._BLOCK)
+    rep = run_suite("probe", RunConfig())
+    assert rep.ok and rep.cases == verify._BLOCK and not forks
     cfg = RunConfig(alphabet=SMALL, max_vertices=3)
-    rep = run_suite("star-census", cfg)
-    assert rep.ok and rep.cases <= verify._BLOCK and not forks
     monkeypatch.setattr(verify, "_BLOCK", 4)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
