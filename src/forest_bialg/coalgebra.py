@@ -27,9 +27,13 @@ Their pointwise equality is a standing regression gate (suite
 rec-vs-biideal), never assumed. The counit is F -> -m^n / l^(n+1), a
 Laurent coefficient, so no evaluation is required to state the counit laws.
 
-Both routes and the counit cache their results in module dicts
+coproduct_biideal and the counit cache their results, and coproduct_rec
+only what its fold reads back (the values at child forests, first trees
+and proper suffixes, never the value it returns), in module dicts
 registered in forest._CACHES: an intern sweep clears every registered
-cache, then forgets what only the intern tables hold.
+cache, then forgets what only the intern tables hold. Suite
+rec-vs-biideal reads neither of its values again, so it compares
+coproduct_rec with the closed form computed afresh by _biideal.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ __all__ = [
     "counit_right",
 ]
 
-# forest -> its coproduct by each route, and vertex count -> counit;
-# each lives until the next intern sweep, which clears all three
+# forest -> its coproduct by each route (by the recursion, only for the
+# parts a fold reads back), and vertex count -> counit; each lives until
+# the next intern sweep, which clears all three
 _REC_CACHE: dict = {}
 _BIID_CACHE: dict = {}
 _COUNIT_CACHE: dict = {}
@@ -100,8 +105,21 @@ def coproduct_rec(F: Forest) -> LinComb:
     return _fold(F, _REC_CACHE, _REC_ONE, _rec_graft, _rec_concat)
 
 
+def _biideal(F: Forest) -> LinComb:
+    # coproduct_biideal's closed form, uncached
+    acc: dict = {}
+    prev = None
+    for first, second in _kernel.biideal_splits(F):
+        acc[first, second] = _NEG_LAM
+        if prev is not None:
+            acc[prev, second] = MU
+        prev = first
+    return _trusted_lincomb(acc)
+
+
 def coproduct_biideal(F: Forest) -> LinComb:
-    """Coproduct by splitting along the biideal chain (closed form).
+    """Coproduct by splitting along the biideal chain (closed form),
+    held in _BIID_CACHE.
 
     _kernel.biideal_splits lists the pairs (F|I_k, F|J_k) for k = 0..n in
     one walk over the nested trees. The term (F|I_k, F|J_k) gets -l and
@@ -111,17 +129,9 @@ def coproduct_biideal(F: Forest) -> LinComb:
     different vertex count. So every coefficient is a constant and no
     arithmetic or zero check is needed.
     """
-    hit = _BIID_CACHE.get(F)
-    if hit is not None:
-        return hit
-    acc: dict = {}
-    prev = None
-    for first, second in _kernel.biideal_splits(F):
-        acc[first, second] = _NEG_LAM
-        if prev is not None:
-            acc[prev, second] = MU
-        prev = first
-    out = _BIID_CACHE[F] = _trusted_lincomb(acc)
+    out = _BIID_CACHE.get(F)
+    if out is None:
+        out = _BIID_CACHE[F] = _biideal(F)
     return out
 
 

@@ -43,7 +43,9 @@ morphisms.phi_forest, share one traversal, _fold: the value at a forest
 of the map fixed by its value at 1, a rule at a grafting B+_w(Fbar)
 and a rule at a concatenation. Each caller passes its memo and its
 rules, so _fold imports nothing. It folds the suffixes of a wide forest
-in a loop, so only the nesting recurses.
+in a loop, so only the nesting recurses. The memo keeps only what a
+fold reads back, the values at child forests, first trees and proper
+suffixes, and never the value it returns to its caller.
 
 The intern tables forget. sweep_interned drops every entry that nothing
 but its table refers to. It runs through sweep_if_due, only while the
@@ -52,8 +54,9 @@ together (every table in _INTERNS) hold max(2**14, twice what they kept
 after the last sweep) entries. The trigger counts every table, so a
 loop that makes only new trees (deep inputs) or only new coefficients
 (new evaluation points) reaches it as surely as one that makes forests.
-run_suite calls it between cases and cli.main after each command, so
-library and CLI loops are bounded by the same trigger as the suites.
+run_suite calls it after every 64th case and as a run ends, and cli.main
+after each command, so library and CLI loops are bounded by the same
+trigger as the suites.
 
 One release policy covers every module-level cache that holds forests,
 trees or coefficients: it lives until the next intern sweep, and
@@ -401,7 +404,8 @@ def sweep_if_due() -> bool:
     """Run sweep_interned if the tables in _INTERNS together have
     reached the trigger size and the calling thread is the only one;
     return whether it ran."""
-    # run between every two cases: sum the lengths inline, with no call
+    # run every 64 cases of a suite and after each CLI command: sum the
+    # lengths inline, with no call
     size = 0
     for table in _INTERNS:
         size += len(table)
@@ -644,16 +648,19 @@ def _fold(F: Forest, memo: dict, one, graft, concat):
     concat(T, value at T, R, value at R) at a tree T followed by a
     nonempty forest R. A single vertex .d is B+_d(1), X-decorated or not.
 
-    memo maps a forest to its value and is read and filled for each
-    suffix of F: the suffixes are looked up longest first down to the
-    first one held, then folded in a loop shortest first. So only the
-    nesting recurses, and a held suffix costs one lookup.
+    memo maps a forest to its value and holds only what a fold reads
+    back: the child forest Fbar of each grafting, the first tree T and
+    the proper suffixes R of each concatenation, and theirs in turn, but
+    not F itself, whose value the caller alone reads. The suffixes of F
+    are looked up longest first down to the first one held, then folded
+    in a loop shortest first, so only the nesting recurses and a held
+    suffix costs one lookup; a part that misses is folded and stored.
     """
-    if not F.trees:
-        return memo.setdefault(F, one)
     out = memo.get(F)
     if out is not None:
         return out
+    if not F.trees:
+        return one
     misses = [F]
     for k in range(1, len(F.trees)):
         rest = Forest.make(F.trees[k:])
@@ -664,13 +671,17 @@ def _fold(F: Forest, memo: dict, one, graft, concat):
     # out is the value at rest, the suffix just after S
     for S in reversed(misses):
         t = S.trees[0]
-        if len(S.trees) == 1:
-            bar = Forest.make(t.children)
-            out = graft(t.deco, bar, _fold(bar, memo, one, graft, concat))
+        graft_at = len(S.trees) == 1
+        part = Forest.make(t.children) if graft_at else t.as_forest()
+        value = memo.get(part)
+        if value is None:
+            value = memo[part] = _fold(part, memo, one, graft, concat)
+        if graft_at:
+            out = graft(t.deco, part, value)
         else:
-            T = t.as_forest()
-            out = concat(T, _fold(T, memo, one, graft, concat), rest, out)
-        memo[S] = out
+            out = concat(part, value, rest, out)
+        if S is not F:
+            memo[S] = out
         rest = S
     return out
 

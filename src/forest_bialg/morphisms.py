@@ -25,9 +25,10 @@ the substitution mu -> mu - lambda nu.
 theta rescales by the grading, theta(F) = nu^{n_F} F; it intertwines the
 coproduct up to mu -> mu nu. phi and theta take a Forest or a LinComb.
 
-phi_forest caches its images in _PHI_CACHE, registered in
-forest._CACHES: an intern sweep clears every registered cache, then
-forgets what only the intern tables hold.
+phi_forest caches in _PHI_CACHE only the images its fold reads back
+(those of child forests, first trees and proper suffixes, never the
+image it returns), registered in forest._CACHES: an intern sweep clears
+every registered cache, then forgets what only the intern tables hold.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .freemod import (NU, Coefficient, LinComb, _added, _as_lincomb,
 __all__ = ["phi", "phi_forest", "phi_subsets", "phi_at", "theta",
            "lc_concat"]
 
-# forest -> phi_forest of it, until the next intern sweep clears it
+# forest -> phi_forest of it, for the parts a fold reads back, until the
+# next intern sweep clears it
 _PHI_CACHE: dict = {}
 _CACHES.append(_PHI_CACHE)
 

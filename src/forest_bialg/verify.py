@@ -73,9 +73,9 @@ from functools import cmp_to_key
 from math import comb
 from typing import Optional
 
-from .coalgebra import (coproduct, coproduct_biideal, coproduct_left,
-                        coproduct_lin, coproduct_rec, coproduct_right,
-                        counit, counit_left, counit_right)
+from .coalgebra import (_biideal, coproduct, coproduct_left, coproduct_lin,
+                        coproduct_rec, coproduct_right, counit, counit_left,
+                        counit_right)
 from .dualprod import pairing, star, star_lin, star_weighted
 from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
                      _biideal_chain, _order_and_paths, concat,
@@ -284,7 +284,9 @@ def _counit_witness(F, G):
 
 
 def _rec_vs_biideal(F):
-    return coproduct_rec(F), coproduct_biideal(F)
+    # neither value is read again, so neither is kept; and a closed form
+    # computed uncached cannot be one that a replaced helper left behind
+    return coproduct_rec(F), _biideal(F)
 
 
 def _path_leq(p, q) -> bool:
@@ -533,13 +535,15 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     counts both attempts. A BaseException that is not an Exception, such
     as KeyboardInterrupt, propagates at once.
 
-    The intern tables are swept between cases once they have grown
-    enough, through forest.sweep_if_due. forest.sweep_interned follows
-    one rule: it clears every registered cache, in any order, then
-    forgets the forests, trees and coefficients that only the intern
-    tables hold, one pass per table. So memory stays bounded by what the
-    suite holds and by the enumerated universes, which live as long as
-    the process, rather than by everything the run ever built.
+    The intern tables are swept once they have grown enough, through
+    forest.sweep_if_due, which each process checks after every 64th case
+    it runs and the parent once more as the run ends.
+    forest.sweep_interned follows one rule: it clears every registered
+    cache, in any order, then forgets the forests, trees and
+    coefficients that only the intern tables hold, one pass per table.
+    So memory stays bounded by what the suite holds and by the
+    enumerated universes, which live as long as the process, rather
+    than by everything the run ever built.
 
     A call that starts on the process's only thread also turns automatic
     garbage collection off for its length, runs one young-generation
@@ -763,15 +767,20 @@ def _run(cases_of, config, shards: int):
                 found.append((cases, {
                     "case": fmt.format(*args), "lhs": failed[0],
                     "rhs": failed[1], "size": size}))
-            if sweep_if_due():
-                gc.collect(0)
             cases += 1
+            # the check sums every intern table, so it runs after every
+            # 64th case of this process's blocks (a block is a multiple
+            # of 64) and once more as the run ends
+            if not cases & 63 and sweep_if_due():
+                gc.collect(0)
         if shard:
             workers.leave(found)
         if workers is not None:
             for result in workers.results():
                 found += result
             found.sort(key=lambda f: f[0])
+        if sweep_if_due():
+            gc.collect(0)
     finally:
         if shard:
             # a worker leaves only through leave; one that raised, or

@@ -640,6 +640,75 @@ def test_graft():
         graft(AB.decoration("x"), F("a"))
 
 
+def _parts(G):
+    # what a fold of G reads back: the child forest of a one-tree forest,
+    # the first tree and the rest of a wider one, and theirs in turn
+    if not G.trees:
+        return set()
+    t = G.trees[0]
+    if len(G.trees) == 1:
+        bar = Forest.make(t.children)
+        return {bar} | _parts(bar)
+    T, rest = t.as_forest(), Forest.make(G.trees[1:])
+    return {T, rest} | _parts(T) | _parts(rest)
+
+
+# each defining recursion by name: its module and the names there of its
+# memo and its graft and concat rules, which it reads at call time
+_FOLDS = {
+    "coproduct_rec": (coalgebra, "_REC_CACHE", "_rec_graft", "_rec_concat"),
+    "phi_forest": (morphisms, "_PHI_CACHE", "_phi_graft", "_phi_concat"),
+}
+_FOLDED = ["x", "a[x b]", "a[x b] a[x b] x", "b[a[x] a[x y]] x a[x]",
+           "a[b[a[x]]] y y", "x y x y"]
+
+
+@pytest.mark.parametrize("route", sorted(_FOLDS))
+def test_a_fold_holds_what_it_reads_back_and_not_its_result(monkeypatch,
+                                                           route):
+    module, memo_name, graft_name, concat_name = _FOLDS[route]
+    for text in _FOLDED:
+        f = F(text)
+        memo = {}
+        monkeypatch.setattr(module, memo_name, memo)
+        got = getattr(module, route)(f)
+        assert f not in memo
+        assert set(memo) == _parts(f)
+        # the memo's values are the map's own values at each part
+        for part, value in list(memo.items()):
+            assert getattr(module, route)(part) == value
+        assert getattr(module, route)(f) == got
+
+
+@pytest.mark.parametrize("route", sorted(_FOLDS))
+def test_a_fold_applies_one_rule_per_part_and_none_again(monkeypatch,
+                                                        route):
+    module, memo_name, graft_name, concat_name = _FOLDS[route]
+    calls = []
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def rule(*args):
+            calls.append(name)
+            return real(*args)
+        return rule
+
+    monkeypatch.setattr(module, graft_name, counted(graft_name))
+    monkeypatch.setattr(module, concat_name, counted(concat_name))
+    for text in _FOLDED:
+        f = F(text)
+        monkeypatch.setattr(module, memo_name, {})
+        calls.clear()
+        first = getattr(module, route)(f)
+        # one rule at f and at each nonempty part, each applied once
+        assert len(calls) == 1 + sum(1 for p in _parts(f) if p.trees)
+        calls.clear()
+        # a repeat applies the one rule at f, whose parts are all held
+        assert getattr(module, route)(f) == first
+        assert calls == [graft_name if len(f.trees) == 1 else concat_name]
+
+
 def test_encoding_round_trip():
     for text in ["1", "x", "a[x b[y]] a", "b a[x]"]:
         f = F(text)

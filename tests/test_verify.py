@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 from helpers import SMALL, drop_last_term, fresh_env
 
-from forest_bialg import cli, coalgebra, dualprod, forest, freemod, verify
-from forest_bialg.forest import Alphabet
+from forest_bialg import (_kernel, cli, coalgebra, dualprod, forest, freemod,
+                          verify)
+from forest_bialg.forest import Alphabet, enumerate_forests
 from forest_bialg.freemod import LinComb
 from forest_bialg.verify import (SUITE_NAMES, RunConfig, SuiteReport,
                                  run_suite)
@@ -243,8 +244,9 @@ def test_sweeping_does_not_change_the_report(monkeypatch, sweeps, suite,
 
 
 def test_run_suite_restores_the_collector_thresholds(monkeypatch):
-    # a sweep is reported due after every case; each must be followed by
-    # one young-generation collection, and no automatic one may run
+    # a sweep is reported due at every check, after each 64th case and as
+    # the run ends; each must be followed by one young-generation
+    # collection, and no automatic one may run
     seen, collections = [], []
 
     def due():
@@ -261,10 +263,11 @@ def test_run_suite_restores_the_collector_thresholds(monkeypatch):
     try:
         gc.enable()
         gc.set_threshold(555, 7, 9)
-        rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+        rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=4))
         assert gc.isenabled() and gc.get_threshold() == (555, 7, 9)
-        assert len(seen) == rep.cases and set(seen) == {(False, (555, 7, 9))}
-        assert collections == [0] * rep.cases
+        assert rep.cases == 121 and len(seen) == 2
+        assert set(seen) == {(False, (555, 7, 9))}
+        assert collections == [0] * len(seen)
         with pytest.raises(ZeroDivisionError):
             run_suite("counit", RunConfig(alphabet=SMALL, max_vertices=2,
                                           eval_lam=Fraction(0)))
@@ -302,6 +305,26 @@ def test_run_suite_beside_another_thread_leaves_the_collector_alone(
         other.join()
     assert rep.ok and seen and all(seen)
     assert not sweeps
+
+
+def test_rec_vs_biideal_reads_no_held_closed_form(monkeypatch):
+    # coproduct_biideal holds what a replaced _kernel.biideal_splits made
+    # until the next sweep; rec-vs-biideal computes the closed form
+    # afresh, so once the helper is restored the suite passes with no
+    # sweep between (reading the held values, it failed 31 of 31)
+    real = _kernel.biideal_splits
+    monkeypatch.setattr(forest, "_sweep_at", sys.maxsize)
+    monkeypatch.setattr(coalgebra, "_BIID_CACHE", {})
+    monkeypatch.setattr(_kernel, "biideal_splits", lambda F: real(F)[:-1])
+    small = list(enumerate_forests(3, SMALL))
+    for f in small:
+        coalgebra.coproduct_biideal(f)
+    monkeypatch.setattr(_kernel, "biideal_splits", real)
+    assert all(coalgebra.coproduct_biideal(f) != coalgebra.coproduct_rec(f)
+               for f in small)
+    rep = run_suite("rec-vs-biideal", RunConfig(alphabet=SMALL,
+                                                max_vertices=3))
+    assert rep.ok and rep.cases == len(small) == 31
 
 
 def _labels(report):
@@ -656,3 +679,27 @@ def test_biideal_census_memory_stays_bounded():
                           capture_output=True, text=True, check=True)
     peak_mb = int(proc.stdout.split()[-1]) / 1024
     assert peak_mb <= 50, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_rec_vs_biideal_memory_stays_bounded():
+    # criterion 04: when the recursion held every forest's value and the
+    # suite held every closed form it compared, this run peaked at ~85 MB
+    # in the parent and in its worker; holding only what a fold reads
+    # back, at 30-31 MB and 27-28 MB. VmHWM is this process's own peak,
+    # RUSAGE_CHILDREN that of its largest worker (0 on one CPU)
+    code = (
+        "import resource\n"
+        "from forest_bialg import Alphabet, RunConfig, run_suite\n"
+        "ab = Alphabet(omega=('a', 'b'), xset=('x',))\n"
+        "rep = run_suite('rec-vs-biideal', RunConfig(alphabet=ab))\n"
+        "assert rep.ok and rep.cases == 42823, rep.cases\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')))\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, check=True)
+    parent_kb, worker_kb = map(int, proc.stdout.split()[-2:])
+    assert parent_kb / 1024 <= 39, f"parent peak {parent_kb / 1024:.0f} MB"
+    assert worker_kb / 1024 <= 35, f"worker peak {worker_kb / 1024:.0f} MB"
