@@ -15,9 +15,10 @@ restricting a forest to a vertex subset keeps the induced ancestry with
 contraction through deleted vertices. Postorder and restriction run on the
 flat preorder encoding through the pure-Python routines of _kernel; there
 is one implementation of each and no backend switch. No other module of
-the package reads a forest's encoding: _order_and_paths turns it into
-the vertex order, and _restricted into restrictions, which restrict and
-morphisms.phi_subsets (through _restrictor) both take from it.
+the package reads a forest's encoding: vertex_order turns it into the
+vertex order, which biideals reads, and _restricted into restrictions,
+which restrict and morphisms.phi_subsets (through _restrictor) both
+take from it.
 
 A forest stores its trees and its vertex count, nothing else. Its vertex
 views (the index paths, the postorder, the restrictions) are built
@@ -696,13 +697,8 @@ def vertex_order(F: Forest) -> tuple[VertexId, ...]:
     the leftmost tree of a forest is listed first. The root of each tree is
     that tree's minimum.
     """
-    return _order_and_paths(F)[0]
-
-
-def _order_and_paths(F: Forest):
-    """(vertex_order(F), the VertexIds of F in preorder), from one walk."""
     parents, _, paths = _preorder(F)
-    return tuple(paths[i] for i in _kernel.postorder_indices(parents)), paths
+    return tuple(paths[i] for i in _kernel.postorder_indices(parents))
 
 
 def biideals(F: Forest) -> tuple[VertexSet, ...]:
@@ -712,11 +708,7 @@ def biideals(F: Forest) -> tuple[VertexSet, ...]:
     upward-closed vertex sets. Their members come from F's own vertex
     order, so they are not checked again.
     """
-    return _biideal_chain(F, vertex_order(F))
-
-
-def _biideal_chain(F: Forest, order) -> tuple[VertexSet, ...]:
-    """biideals from F's vertex order."""
+    order = vertex_order(F)
     trusted = VertexSet._trusted
     return tuple(trusted(F, order[:k]) for k in range(len(order) + 1))
 

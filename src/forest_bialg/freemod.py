@@ -34,23 +34,27 @@ row is computed by _evaluated.
 Each sum is written once per shape. On a memo miss, Coefficient's sum,
 product and evaluation all add monomials through _summed. Over a basis,
 a sum that only adds is one call of _added, the one cancelling add
-loop: LinComb.__add__ and the fold rules coalgebra._rec_concat and
-morphisms._phi_graft use it. A bilinear extension is one pass of one of
-two loops, by what the basis product returns. _add_products takes a
-LinComb-valued product: star_lin, star_weighted, prelie_lin and
-bracket_lin are each one to three calls to it, and it holds the images
-they compute in one table, _HELD, keyed on the product and its left
-operand, until the next sweep (see _add_products). _basis_products takes
-a product whose value is a basis key: LinComb.tensor (the tuple of
-legs) and morphisms.lc_concat (the concatenated forest) call it, and
-nothing is held. dualprod.star holds its regrafted prefixes in _HELD
-too, keyed on (dualprod._regrafted, F) and then on G's first tree. The
-loops that stay their own are map_basis, which was slower through
-_added; apply and apply_leg, which multiply per term as the two
-bilinear loops do; dualprod.star, whose terms never cancel; and
-morphisms.phi_subsets, phi's independent route (see the comment above
-LinComb.apply). Every accumulation loop over a basis tests cancellation
-with `is ZERO`.
+loop: LinComb.__add__, LinComb.map_basis and the fold rules
+coalgebra._rec_concat and morphisms._phi_graft use it. A map that is
+injective on the basis sends distinct keys to distinct keys, so its
+image needs no sum at all: it is one dict, built with the coefficients
+as they are. act_left and act_right (concatenating a fixed forest onto
+one leg), scale, theta and coalgebra._rec_graft (B+_w) are built that
+way. A bilinear extension is one pass of one of two loops, by what the
+basis product returns. _add_products takes a LinComb-valued product:
+star_lin, star_weighted, prelie_lin and bracket_lin are each one to
+three calls to it, and it holds the images they compute in one table,
+_HELD, keyed on the product and its left operand, until the next sweep
+(see _add_products). _basis_products takes a product whose value is a
+basis key: LinComb.tensor (the tuple of legs) and morphisms.lc_concat
+(the concatenated forest) call it, and nothing is held. dualprod.star
+holds its regrafted prefixes in _HELD too, keyed on
+(dualprod._regrafted, F) and then on G's first tree. The loops that
+stay their own are the four that multiply per term (apply, apply_leg,
+_add_products and _basis_products), dualprod.star, whose terms never
+cancel, and morphisms.phi_subsets, phi's independent route (see the
+comment above LinComb.apply). Every accumulation loop over a basis
+tests cancellation with `is ZERO`.
 
 The held rows, the three memos and the coefficient table live until the
 next forest intern sweep, whether run_suite, cli.main or a library
@@ -405,9 +409,10 @@ def _added(acc: dict, pairs) -> "LinComb":
     """The LinComb of acc plus every (basis, coefficient) of pairs, a key
     whose sum is ZERO dropped.
 
-    The one cancelling sum of the free module: LinComb.__add__ and the
-    fold rules coalgebra._rec_concat and morphisms._phi_graft call it,
-    once per sum. acc is consumed as in _trusted_lincomb.
+    The one cancelling sum of the free module: LinComb.__add__,
+    LinComb.map_basis and the fold rules coalgebra._rec_concat and
+    morphisms._phi_graft call it, once per sum. acc is consumed as in
+    _trusted_lincomb.
     """
     for b, c in pairs:
         s = acc.get(b)
@@ -492,13 +497,11 @@ class LinComb:
     # _tensor_basis wrap a forest key as a leg inline, since a helper call
     # per image term to do it was 0.30 s of a profiled laws-symbolic pass.
     #
-    # A sum that only adds goes through _added: __add__ and the fold
-    # rules coalgebra._rec_concat and morphisms._phi_graft. These loops
-    # stay their own, each for a measured or stated reason:
-    # - map_basis: through _added, on zip(map(g, terms), terms.values()),
-    #   act_left and act_right of 960 pairs (24 forests of at most 3
-    #   vertices by 40 coproducts) took 9.0-9.4 ms against 8.2-8.6 ms,
-    #   10% slower (min of 5 in 4 rounds, 2-vCPU x86 host, Python 3.11);
+    # A sum that only adds goes through _added: __add__, map_basis and
+    # the fold rules coalgebra._rec_concat and morphisms._phi_graft; a
+    # map injective on the basis builds one dict and adds nothing
+    # (module docstring). These loops stay their own, each for a
+    # measured or stated reason:
     # - apply, apply_leg, _add_products and _basis_products multiply per
     #   term. A prototype that routed __add__, apply, map_basis and
     #   _add_products through one _add_scaled(acc, pairs, c) raised
@@ -567,19 +570,10 @@ class LinComb:
         return _trusted_lincomb(acc)
 
     def map_basis(self, g: Callable) -> "LinComb":
-        acc = {}
-        for b, c in self.terms.items():
-            key = g(b)
-            s = acc.get(key)
-            if s is None:
-                acc[key] = c
-                continue
-            s = s + c
-            if s is ZERO:
-                del acc[key]
-            else:
-                acc[key] = s
-        return _trusted_lincomb(acc)
+        """Linear extension of a map g: basis -> basis. Images can meet
+        (prelie's sandwich sends distinct tensors to one forest), so the
+        terms are summed through _added."""
+        return _added({}, zip(map(g, self.terms), self.terms.values()))
 
     def map_coeff(self, h: Callable) -> "LinComb":
         """Apply h to every coefficient, dropping the terms it sends to
@@ -791,10 +785,14 @@ def _as_lincomb(x) -> LinComb:
 
 
 def act_left(F: Forest, t: LinComb) -> LinComb:
-    """Bimodule action a.(b (x) c) = ab (x) c on pair tensors."""
-    return t.map_basis(lambda legs: (concat(F, legs[0]),) + legs[1:])
+    """Bimodule action a.(b (x) c) = ab (x) c on pair tensors, in one
+    dict: concatenating F onto the first leg is injective."""
+    return _trusted_lincomb({(concat(F, legs[0]),) + legs[1:]: c
+                             for legs, c in t.terms.items()})
 
 
 def act_right(t: LinComb, F: Forest) -> LinComb:
-    """Bimodule action (b (x) c).a = b (x) ca on pair tensors."""
-    return t.map_basis(lambda legs: legs[:-1] + (concat(legs[-1], F),))
+    """Bimodule action (b (x) c).a = b (x) ca on pair tensors, in one
+    dict: concatenating F onto the last leg is injective."""
+    return _trusted_lincomb({legs[:-1] + (concat(legs[-1], F),): c
+                             for legs, c in t.terms.items()})

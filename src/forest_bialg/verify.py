@@ -34,8 +34,19 @@ eps(FG) = -lambda eps(F) eps(G), so at lambda = 1 every pair is a
 witness and the first pair of any search is (1, 1).
 
 One builder, _stream, turns a suite's sections into its stream of
-cases. It is the only code here that enumerates forests, and every
-shape takes its forests from the forests(n) that _stream passes in.
+cases. It is the only code here that enumerates forests for cases, and
+every shape takes its forests from the forests(n) that _stream passes
+in; _vouched (below) only counts them.
+
+After its cases a run checks itself twice, outside the count of cases
+(_vouched), so that a verdict vouches for its universe and for its
+comparator. For each n up to the bound, the forests with n vertices
+that enumerate_forests lists are counted against a closed form that
+shares no code with the enumerator (_forest_count); a mismatch is the
+failure "universe n=...", the two counts as its lhs and rhs. And a
+control pair whose values differ at every evaluation point must compare
+unequal under the != that the cases use, or the run fails "control".
+A passing report is the same with or without the two checks.
 
 A case whose check raises is a failure of that case: its lhs is the
 exception's type and message, its rhs is empty, and the run goes on, so
@@ -67,6 +78,7 @@ import marshal
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -77,9 +89,8 @@ from .coalgebra import (_biideal, coproduct, coproduct_left, coproduct_lin,
                         coproduct_rec, coproduct_right, counit, counit_left,
                         counit_right)
 from .dualprod import pairing, star, star_lin, star_weighted
-from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest,
-                     _biideal_chain, _order_and_paths, concat,
-                     enumerate_forests, graft, sweep_if_due)
+from .forest import (EMPTY_FOREST, KIND_X, Alphabet, Forest, biideals,
+                     concat, enumerate_forests, graft, leaf, sweep_if_due)
 from .freemod import (LAM, MU, NU, ONE, Coefficient, LinComb, _check_points,
                       act_left, act_right)
 from .golden import golden_cases
@@ -306,18 +317,13 @@ def _cmp_desc(u, v) -> int:
 
 
 def _biideal_count(F):
-    # listing correctness is re-derived from the definitional comparator
-    # on index paths, independently of the postorder kernel. One preorder
-    # walk (forest._order_and_paths) feeds both: the kernel route gets the
-    # vertex order that biideals and vertex_order compute, the comparator
-    # route sorts the paths
-    order, paths = _order_and_paths(F)
-    ideals = _biideal_chain(F, order)
-    chain = all(ideals[k].members < ideals[k + 1].members
-                for k in range(len(ideals) - 1))
-    got = (len(ideals), list(order), chain)
-    want = (F.nvertices + 1, sorted(paths, key=cmp_to_key(_cmp_desc)), True)
-    return got, want
+    # the public biideals, from the postorder kernel, against the
+    # definitional comparator on index paths: the n_F + 1 biideals must
+    # be the prefixes of their last one's members sorted by _cmp_desc
+    got = [I.members for I in biideals(F)]
+    order = sorted(got[-1], key=cmp_to_key(_cmp_desc))
+    want = [frozenset(order[:k]) for k in range(len(order) + 1)]
+    return (len(got), got), (F.nvertices + 1, want)
 
 
 def _star_assoc(x, y, z):
@@ -533,7 +539,9 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
     process alone. That run raises the first error in stream order, or
     gives the whole report, so a report is never partial; its wall_time
     counts both attempts. A BaseException that is not an Exception, such
-    as KeyboardInterrupt, propagates at once.
+    as KeyboardInterrupt, propagates at once. Once the cases have run,
+    by either path, this process checks the run's universe and its
+    comparator (_vouched), once.
 
     The intern tables are swept once they have grown enough, through
     forest.sweep_if_due, which each process checks after every 64th case
@@ -586,10 +594,53 @@ def run_suite(name: str, config: RunConfig = RunConfig()) -> SuiteReport:
             # first error in stream order, or gives the whole report
             cases, failures = _run(_stream(sections, config, bound),
                                    config, 1)
+        failures += _vouched(config, bound)
     finally:
         if alone and enabled:
             gc.enable()
     return SuiteReport(name, cases, failures, time.perf_counter() - t0)
+
+
+def _forest_count(n: int, alphabet: Alphabet) -> int:
+    """f_n, the number of forests with n vertices, by its closed form,
+    which shares no code with the enumerator: a forest of n vertices and
+    j leaves is a planar tree of n edges and j leaves, which the Narayana
+    number N(n, j) counts, a leaf takes any of |Omega| + |X| symbols and
+    an internal vertex any of |Omega|, so
+    f_n = sum_j N(n, j) (|Omega| + |X|)^j |Omega|^(n - j), and f_0 = 1."""
+    if n == 0:
+        return 1
+    inner = len(alphabet.omega)
+    leaves = inner + len(alphabet.xset)
+    return sum(comb(n, j) * comb(n, j - 1) // n * leaves ** j
+               * inner ** (n - j) for j in range(1, n + 1))
+
+
+def _vouched(config: RunConfig, bound: int) -> list:
+    """The failures of the two checks a run makes of itself, none when
+    both hold; neither is counted in cases.
+
+    universe n=...: the forests with n vertices that enumerate_forests
+    lists, counted against _forest_count for each n up to bound.
+    control: .w and .w .w, for w the first Omega symbol, differ at every
+    evaluation point, so the comparison the cases use must say so."""
+    ab = config.alphabet
+    counts = Counter(F.nvertices for F in enumerate_forests(bound, ab))
+    failures = []
+    for n in range(bound + 1):
+        want = _forest_count(n, ab)
+        if counts[n] != want:
+            failures.append({"case": f"universe n={n}", "lhs": str(counts[n]),
+                             "rhs": str(want), "size": n})
+    w = leaf(ab.decoration(ab.omega[0]))
+    got, want = LinComb.single(w), LinComb.single(concat(w, w))
+    if config.has_eval:
+        got, want = _norm(got, config), _norm(want, config)
+    # the test that _run makes of every case, got != want
+    if not got != want:
+        failures.append({"case": "control", "lhs": _render(got),
+                         "rhs": _render(want), "size": 0})
+    return failures
 
 
 # cases per block. Each block runs in one process: block 0 in the parent,

@@ -887,10 +887,18 @@ def _closed_form_counts(n_omega, n_x, n_max):
 
 
 def test_the_closed_form_gives_the_recorded_counts():
-    assert _closed_form_counts(2, 1, 5) == [1, 3, 15, 93, 645, 4791]
-    assert _closed_form_counts(1, 1, 5) == [1, 2, 6, 22, 90, 394]
-    # one Omega letter and no X: planar forests are counted by Catalan
-    assert _closed_form_counts(1, 0, 5) == [1, 1, 2, 5, 14, 42]
+    from forest_bialg.verify import _forest_count
+
+    for n_omega, n_x, counts in (
+            (2, 1, [1, 3, 15, 93, 645, 4791]),
+            (1, 1, [1, 2, 6, 22, 90, 394]),
+            # one Omega letter and no X: planar forests, counted by Catalan
+            (1, 0, [1, 1, 2, 5, 14, 42])):
+        assert _closed_form_counts(n_omega, n_x, 5) == counts
+        # and the count that every suite run checks its universe against
+        ab = Alphabet(omega=[f"cfo{i}" for i in range(n_omega)],
+                      xset=[f"cfx{i}" for i in range(n_x)])
+        assert [_forest_count(n, ab) for n in range(6)] == counts
 
 
 @pytest.mark.parametrize("n_omega, n_x, n_max", [

@@ -267,9 +267,22 @@ def test_map_basis_merges():
 
 
 def test_bimodule_actions():
+    from forest_bialg.coalgebra import coproduct
+    from forest_bialg.forest import concat, enumerate_forests
+
     t = LinComb.single((F("a"), F("x")))
     assert act_left(F("b"), t).coeff_of((F("b a"), F("x"))) == ONE
     assert act_right(t, F("b")).coeff_of((F("a"), F("x b"))) == ONE
+    # each action builds one dict with no sum, which is sound because
+    # concatenating a fixed forest onto one leg is injective: on every
+    # coproduct of at most 4 vertices it equals its map_basis definition
+    for G in enumerate_forests(4, AB):
+        d = coproduct(G)
+        for H in (F("1"), F("a"), F("x b[a]")):
+            assert act_left(H, d) == d.map_basis(
+                lambda legs: (concat(H, legs[0]),) + legs[1:])
+            assert act_right(d, H) == d.map_basis(
+                lambda legs: legs[:-1] + (concat(legs[-1], H),))
 
 
 def test_lincomb_rendering_orders_by_basis_text():

@@ -327,6 +327,46 @@ def test_rec_vs_biideal_reads_no_held_closed_form(monkeypatch):
     assert rep.ok and rep.cases == len(small) == 31
 
 
+def test_a_run_checks_its_universe_against_the_closed_form(monkeypatch):
+    # the enumerator loses every forest whose first tree holds all n
+    # vertices (its loop over the first tree's size stops at max(n, 2)
+    # instead of n + 1); the enumeration cache starts cold, so the
+    # mutant's recursion builds every size
+    real = forest._forests_exact
+
+    def mutant(n, alphabet):
+        return tuple(f for f in real(n, alphabet)
+                     if n < 2 or f.trees[0].nvertices < n)
+
+    monkeypatch.setattr(forest, "_ENUM_FORESTS", {})
+    monkeypatch.setattr(forest, "_forests_exact", mutant)
+    ab = Alphabet(omega=("c", "d"), xset=("z",))
+    rep = run_suite("coassoc", RunConfig(alphabet=ab, max_vertices=3))
+    # f_2 = 15 on two Omega symbols and one X symbol, 6 of them one tree
+    assert rep.failures[0] == {"case": "universe n=2", "lhs": "9",
+                               "rhs": "15", "size": 2}
+    assert [f["case"] for f in rep.failures] == ["universe n=2",
+                                                 "universe n=3"]
+    assert rep.cases == len(list(enumerate_forests(3, ab)))
+
+
+def test_a_run_checks_its_comparator_on_a_control_pair(monkeypatch):
+    monkeypatch.setattr(LinComb, "__eq__", lambda self, other: True)
+    rep = run_suite("coassoc", RunConfig(alphabet=SMALL, max_vertices=2))
+    assert [f["case"] for f in rep.failures] == ["control"]
+    assert rep.failures[0]["lhs"] == "(1) a"
+    assert rep.failures[0]["rhs"] == "(1) a a"
+    assert rep.cases == len(list(enumerate_forests(2, SMALL)))
+
+
+def test_biideal_count_checks_the_public_biideals(monkeypatch):
+    real = forest.biideals
+    monkeypatch.setattr(verify, "biideals", lambda F: real(F)[::-1])
+    rep = run_suite("biideal-count", RunConfig(max_vertices=3))
+    # every forest but the empty one fails
+    assert rep.cases == 112 and len(rep.failures) == 111
+
+
 def _labels(report):
     return len(report.failures), [f["case"] for f in report.failures[:3]]
 
