@@ -175,10 +175,14 @@ def counit(F: Forest) -> Coefficient:
 
 
 def counit_left(t: LinComb) -> LinComb:
-    """(eps (x) id): pair tensors down to LinComb<Forest>."""
-    return t.apply(lambda legs: LinComb.single(legs[1], counit(legs[0])))
+    """(eps (x) id): pair tensors down to LinComb<Forest>, each term
+    c (F (x) G) giving c eps(F) G, summed through freemod._added.
+
+    It takes pair tensors, as coproduct values are, and only those reach
+    it in the package; a tensor of more or fewer legs raises ValueError."""
+    return _added({}, [(G, counit(F) * c) for (F, G), c in t.terms.items()])
 
 
 def counit_right(t: LinComb) -> LinComb:
-    """(id (x) eps)."""
-    return t.apply(lambda legs: LinComb.single(legs[0], counit(legs[1])))
+    """(id (x) eps): c (F (x) G) gives c eps(G) F, as counit_left."""
+    return _added({}, [(F, counit(G) * c) for (F, G), c in t.terms.items()])

@@ -20,9 +20,9 @@ identity: _ADD and _MUL map a pair (c, d) to the canonical c + d and
 c * d. The suites multiply a handful of distinct coefficients over and
 over (every biideal coproduct term is -l or m), so nearly every ring
 operation in a law check is one dict lookup. Only this module reads
-the memos: the operators look a pair up first, and LinComb.apply,
-apply_leg, _add_products and _basis_products, which carry the suites'
-ring work, read them inline. Evaluation is memoised the same way, in
+the memos: the operators look a pair up first, and _add_scaled,
+LinComb.apply_leg and _basis_products, which carry the suites' ring
+work, read them inline. Evaluation is memoised the same way, in
 one table: _SUBST maps a point (lam, mu, nu) to a row {c: c evaluated
 there}, since an evaluated suite or CLI result substitutes one point
 into the same few coefficients over and over. Coefficient.subst_partial
@@ -33,28 +33,31 @@ row is computed by _evaluated.
 
 Each sum is written once per shape. On a memo miss, Coefficient's sum,
 product and evaluation all add monomials through _summed. Over a basis,
-a sum that only adds is one call of _added, the one cancelling add
-loop: LinComb.__add__, LinComb.map_basis and the fold rules
-coalgebra._rec_concat and morphisms._phi_graft use it. A map that is
-injective on the basis sends distinct keys to distinct keys, so its
-image needs no sum at all: it is one dict, built with the coefficients
-as they are. act_left and act_right (concatenating a fixed forest onto
-one leg), scale, theta and coalgebra._rec_graft (B+_w) are built that
-way. A bilinear extension is one pass of one of two loops, by what the
-basis product returns. _add_products takes a LinComb-valued product:
-star_lin, star_weighted, prelie_lin and bracket_lin are each one to
-three calls to it, and it holds the images they compute in one table,
-_HELD, keyed on the product and its left operand, until the next sweep
-(see _add_products). _basis_products takes a product whose value is a
-basis key: LinComb.tensor (the tuple of legs) and morphisms.lc_concat
-(the concatenated forest) call it, and nothing is held. dualprod.star
-holds its regrafted prefixes in _HELD too, keyed on
-(dualprod._regrafted, F) and then on G's first tree. The loops that
-stay their own are the four that multiply per term (apply, apply_leg,
-_add_products and _basis_products), dualprod.star, whose terms never
-cancel, and morphisms.phi_subsets, phi's independent route (see the
-comment above LinComb.apply). Every accumulation loop over a basis
-tests cancellation with `is ZERO`.
+the one cancelling multiply-add is _add_scaled, which adds c d at key
+for every (key, d) of its pairs: _added runs it with c = ONE, for every
+sum that only adds (LinComb.__add__, LinComb.map_basis, the counit maps
+coalgebra.counit_left and counit_right, and the fold rules
+coalgebra._rec_concat and morphisms._phi_graft), LinComb.apply once per
+basis term with that term's image, and _add_products once per pair of
+terms with the pair's held image. A map that is injective on the basis
+sends distinct keys to distinct keys, so its image needs no sum at all:
+it is one dict, built with the coefficients as they are. act_left and
+act_right (concatenating a fixed forest onto one leg), scale, theta and
+coalgebra._rec_graft (B+_w) are built that way. A bilinear extension is
+one pass of one of two loops, by what the basis product returns.
+_add_products takes a LinComb-valued product: star_lin, star_weighted,
+prelie_lin and bracket_lin are each one to three calls to it, and it
+holds the images they compute in one table, _HELD, keyed on the product
+and its left operand, until the next sweep (see _add_products).
+_basis_products takes a product whose value is a basis key:
+LinComb.tensor (the tuple of legs) and morphisms.lc_concat (the
+concatenated forest) call it, and nothing is held. dualprod.star holds
+its regrafted prefixes in _HELD too, keyed on (dualprod._regrafted, F)
+and then on G's first tree. The loops that stay their own are
+LinComb.apply_leg and _basis_products, which build a key per term,
+dualprod.star, whose terms never cancel, and morphisms.phi_subsets,
+phi's independent route (see the comment above LinComb.apply). Every
+accumulation loop over a basis tests cancellation with `is ZERO`.
 
 The held rows, the three memos and the coefficient table live until the
 next forest intern sweep, whether run_suite, cli.main or a library
@@ -405,25 +408,51 @@ def _trusted_lincomb(terms: dict) -> "LinComb":
     return out
 
 
+def _add_scaled(acc: dict, pairs, c: "Coefficient") -> None:
+    """Add c d at key into acc for every (key, d) of pairs, a key whose
+    sum is ZERO dropped.
+
+    The one cancelling multiply-add of the free module: _added (c = ONE),
+    LinComb.apply (once per basis term, with its image) and _add_products
+    (once per pair, with the held image) run it. It reads the memos
+    inline, as the operators would after their isinstance check, and ONE
+    on either side costs no product. Products of nonzero coefficients
+    are nonzero (the ring has no zero divisors), so only a sum can
+    cancel a term.
+    """
+    for key, d in pairs:
+        if d is ONE:
+            p = c
+        elif c is ONE:
+            p = d
+        else:
+            p = _MUL.get((d, c))
+            if p is None:
+                p = d * c
+        s = acc.get(key)
+        if s is None:
+            acc[key] = p
+            continue
+        t = _ADD.get((s, p))
+        if t is None:
+            t = s + p
+        if t is ZERO:
+            del acc[key]
+        else:
+            acc[key] = t
+
+
 def _added(acc: dict, pairs) -> "LinComb":
     """The LinComb of acc plus every (basis, coefficient) of pairs, a key
-    whose sum is ZERO dropped.
+    whose sum is ZERO dropped: _add_scaled with c = ONE.
 
     The one cancelling sum of the free module: LinComb.__add__,
-    LinComb.map_basis and the fold rules coalgebra._rec_concat and
+    LinComb.map_basis, the counit maps coalgebra.counit_left and
+    counit_right and the fold rules coalgebra._rec_concat and
     morphisms._phi_graft call it, once per sum. acc is consumed as in
     _trusted_lincomb.
     """
-    for b, c in pairs:
-        s = acc.get(b)
-        if s is None:
-            acc[b] = c
-            continue
-        s = s + c
-        if s is ZERO:
-            del acc[b]
-        else:
-            acc[b] = s
+    _add_scaled(acc, pairs, ONE)
     return _trusted_lincomb(acc)
 
 
@@ -491,24 +520,27 @@ class LinComb:
         each basis of other."""
         return _basis_products(self, other, _tensor_basis)
 
-    # apply and apply_leg carry the law suites' ring work, so they read
-    # the memos directly instead of calling the operators (with the
-    # operators, a laws-symbolic pass took ~9% longer); apply_leg and
-    # _tensor_basis wrap a forest key as a leg inline, since a helper call
-    # per image term to do it was 0.30 s of a profiled laws-symbolic pass.
-    #
-    # A sum that only adds goes through _added: __add__, map_basis and
-    # the fold rules coalgebra._rec_concat and morphisms._phi_graft; a
-    # map injective on the basis builds one dict and adds nothing
-    # (module docstring). These loops stay their own, each for a
-    # measured or stated reason:
-    # - apply, apply_leg, _add_products and _basis_products multiply per
-    #   term. A prototype that routed __add__, apply, map_basis and
-    #   _add_products through one _add_scaled(acc, pairs, c) raised
-    #   laws-symbolic wall_s from 2.018 to 2.228 s and its query_p50_ms
-    #   from 285 to 316 ms (perfbench, medians of 5 alternating pairs,
-    #   same host), and routing apply_leg through per-term lists made it
-    #   slower in 8 of 8 pairs (raw wall time);
+    # The cancelling multiply-add is written once, in _add_scaled: apply
+    # runs it once per basis term, _add_products once per pair and
+    # _added, for __add__, map_basis, the counit maps and the fold rules,
+    # with c = ONE; a map injective on the basis builds one dict and adds
+    # nothing (module docstring). It reads the memos inline: with the
+    # operators, a laws-symbolic pass took ~9% longer. A loop that
+    # returned a LinComb on every call, which apply and _add_products
+    # dropped, made star-assoc slower in 9 of 9 rounds (medians 0.147 ->
+    # 0.162 s; each round one process per side under one CPU, 2-vCPU
+    # shared x86 host, Python 3.11.7, as below).
+    # These loops stay their own, each for a measured or stated reason:
+    # - apply_leg and _basis_products build a key per term (a spliced leg
+    #   tuple, a product of two bases). apply_leg feeding _add_scaled a
+    #   generator of spliced keys made coassoc slower in 4 of 5 rounds
+    #   (0.381 -> 0.428 s), and _basis_products feeding it
+    #   zip(map(f, repeat(F), ys), ds) made a cold
+    #   coproduct(F).apply(lambda legs: phi(legs[0]).tensor(phi(legs[1])))
+    #   on 100 random forests of 6-10 vertices slower in 8 of 9 rounds
+    #   (0.443 -> 0.489 s). apply_leg and _tensor_basis wrap a forest key
+    #   as a leg inline, since a helper call per image term to do it was
+    #   0.30 s of a profiled laws-symbolic pass;
     # - dualprod.star: the hottest loop of star-products, whose terms
     #   never cancel;
     # - morphisms.phi_subsets: phi's independent route keeps a sum of
@@ -517,26 +549,12 @@ class LinComb:
     def apply(self, f: Callable) -> "LinComb":
         """Linear extension of a basis map f: basis -> LinComb.
 
-        Products of nonzero coefficients are nonzero (the ring has no zero
-        divisors), so only a sum can cancel a term.
+        Each term c b adds c times every term of f(b) through
+        _add_scaled, so no scaled image is made.
         """
         acc = {}
         for b, c in self.terms.items():
-            for key, d in f(b).terms.items():
-                p = _MUL.get((d, c))
-                if p is None:
-                    p = d * c
-                s = acc.get(key)
-                if s is None:
-                    acc[key] = p
-                    continue
-                t = _ADD.get((s, p))
-                if t is None:
-                    t = s + p
-                if t is ZERO:
-                    del acc[key]
-                else:
-                    acc[key] = t
+            _add_scaled(acc, f(b).terms.items(), c)
         return _trusted_lincomb(acc)
 
     def apply_leg(self, i: int, f: Callable) -> "LinComb":
@@ -545,7 +563,7 @@ class LinComb:
         Each term c (legs) contributes d c (legs[:i] + k + legs[i+1:]) for
         every term d k of f(legs[i]), where a forest k counts as one leg
         and a tuple k as its legs. Everything accumulates into one dict
-        with the cancellation of apply, so (D (x) id) D needs no
+        with the cancellation of _add_scaled, so (D (x) id) D needs no
         intermediate tensor per term.
         """
         acc = {}
@@ -693,9 +711,9 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
     pass: each image term is multiplied once and added straight into
     acc, with no LinComb per pair, and a further call with the same acc
     adds another product to the same sum. x is the outer loop, so f sees
-    one F for all of y in a row. Like apply, it reads the memos inline
-    and drops a cancelled term on `is ZERO`; an image coefficient of ONE,
-    as nearly all of star's are, costs no product.
+    one F for all of y in a row. Each image goes into acc through
+    _add_scaled, as apply's do, scaled by k c d, so an image coefficient
+    of ONE, as nearly all of star's are, costs no product.
 
     The images are held in _HELD, which maps (f, F) to a dict
     G -> f(F, G), so a pair seen before costs one lookup, whichever call
@@ -720,24 +738,7 @@ def _add_products(acc: dict, x: LinComb, y: LinComb, f: Callable,
             image = row.get(G)
             if image is None:
                 image = row[G] = f(F, G)
-            for key, e in image.terms.items():
-                if e is ONE:
-                    p = cd
-                else:
-                    p = _MUL.get((e, cd))
-                    if p is None:
-                        p = e * cd
-                s = acc.get(key)
-                if s is None:
-                    acc[key] = p
-                    continue
-                t = _ADD.get((s, p))
-                if t is None:
-                    t = s + p
-                if t is ZERO:
-                    del acc[key]
-                else:
-                    acc[key] = t
+            _add_scaled(acc, image.terms.items(), cd)
     return _trusted_lincomb(acc)
 
 
@@ -750,7 +751,7 @@ def _basis_products(x: LinComb, y: LinComb, f: Callable) -> LinComb:
     so no image is made or held and each pair costs one product of
     coefficients. Distinct pairs can share a key (the concatenations
     a . b x and a b . x are one forest), so a term can cancel, and the
-    sum drops it on `is ZERO` as apply does.
+    sum drops it on `is ZERO` as _add_scaled does.
     """
     acc: dict = {}
     yterms = y.terms.items()

@@ -81,8 +81,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import comb
+from math import comb, inf
 from typing import Optional
 
 from .coalgebra import (_biideal, coproduct, coproduct_left, coproduct_lin,
@@ -300,28 +299,15 @@ def _rec_vs_biideal(F):
     return coproduct_rec(F), _biideal(F)
 
 
-def _path_leq(p, q) -> bool:
-    """p <= q in the vertex order: q is a descendant or lies more left."""
-    if p == q:
-        return True
-    for a, b in zip(p, q):
-        if a != b:
-            return b < a
-    return len(p) < len(q)
-
-
-def _cmp_desc(u, v) -> int:
-    if u.path == v.path:
-        return 0
-    return -1 if _path_leq(v.path, u.path) else 1
-
-
 def _biideal_count(F):
     # the public biideals, from the postorder kernel, against the
-    # definitional comparator on index paths: the n_F + 1 biideals must
-    # be the prefixes of their last one's members sorted by _cmp_desc
+    # definitional order on index paths: the n_F + 1 biideals must be the
+    # prefixes of their last one's members sorted with each descendant
+    # before its ancestors and each branch before those to its right. A
+    # descendant's path extends its ancestor's, so the key (*path, inf)
+    # puts it first, and two branches part at their first differing index
     got = [I.members for I in biideals(F)]
-    order = sorted(got[-1], key=cmp_to_key(_cmp_desc))
+    order = sorted(got[-1], key=lambda v: (*v.path, inf))
     want = [frozenset(order[:k]) for k in range(len(order) + 1)]
     return (len(got), got), (F.nvertices + 1, want)
 

@@ -197,6 +197,14 @@ def test_counit_is_two_sided():
         assert counit_right(cop) == one
 
 
+def test_counit_maps_take_pair_tensors_only():
+    # a triple tensor (D (x) id) D(x) has no one leg to keep
+    triple = coproduct_left(coproduct(F("x")))
+    for counit_map in (counit_left, counit_right):
+        with pytest.raises(ValueError):
+            counit_map(triple)
+
+
 def test_counit_multiplicative_only_at_minus_one():
     # e(FG) = e(F) e(G) after setting l = -1; the unit pair witnesses
     # failure at l = +1.

@@ -588,6 +588,8 @@ def _cancelling_sums():
     cancels fully, a key that cancels part-way, that key's final value).
     Each key gets contributions that cancel each other, listed with the
     construction."""
+    from forest_bialg.coalgebra import counit as eps
+    from forest_bialg.coalgebra import counit_left, counit_right
     from forest_bialg.dualprod import star_lin
     from forest_bialg.morphisms import lc_concat
     from forest_bialg.prelie import bracket_lin
@@ -635,6 +637,21 @@ def _cancelling_sums():
         "star_lin": (star_lin(_lc(("1", MU), ("a", -MU), ("a a", LAM)),
                               _lc(("a a", ONE), ("a", ONE), ("1", ONE))),
                      F("a"), F("a a"), LAM),
+        # with eps(a) = eps(b) = eps(x): x: eps(a) eps(1) - eps(a) eps(1);
+        # a: eps(a) eps(1) - eps(a) eps(1) + l eps(1)
+        "counit_left": (counit_left(_lc((("1", "x"), eps(F("a"))),
+                                        (("a", "x"), -eps(F("1"))),
+                                        (("b", "a"), eps(F("1"))),
+                                        (("x", "a"), -eps(F("1"))),
+                                        (("1", "a"), LAM))),
+                        F("x"), F("a"), LAM * eps(F("1"))),
+        # the same with the legs swapped
+        "counit_right": (counit_right(_lc((("x", "1"), eps(F("a"))),
+                                          (("x", "a"), -eps(F("1"))),
+                                          (("a", "b"), eps(F("1"))),
+                                          (("a", "x"), -eps(F("1"))),
+                                          (("a", "1"), LAM))),
+                         F("x"), F("a"), LAM * eps(F("1"))),
         # [a, a + b]: with a |> b = m a - l b a - l a b, the a b of a |> b
         # goes against that of b |> a; a: m + m - m
         "bracket_lin": (bracket_lin(_lc(("a", ONE)), _lc(("a", ONE), ("b", ONE))),
@@ -644,7 +661,8 @@ def _cancelling_sums():
 
 @pytest.mark.parametrize("entry", ["+", "-", "tensor", "lc_concat",
                                    "map_basis", "apply", "apply_leg-0",
-                                   "apply_leg-1", "star_lin", "bracket_lin"])
+                                   "apply_leg-1", "counit_left",
+                                   "counit_right", "star_lin", "bracket_lin"])
 def test_sums_drop_cancelled_terms(entry):
     got, gone, part, value = _cancelling_sums()[entry]
     assert gone not in got.terms
@@ -665,12 +683,16 @@ def test_apply_leg_splices_the_image_in_place_of_the_leg():
 
 @settings(max_examples=200)
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "x", "a b"]),
-                          mixed_coefficients), max_size=4))
+                          st.one_of(st.just(ONE), mixed_coefficients)),
+                max_size=4))
 def test_apply_matches_sum_of_scaled_images(pairs):
+    # ONE on either side of a product is apply's shortcut: the images all
+    # have a term x x with coefficient ONE, and a term of u may have ONE
     u = LinComb()
     for text, c in pairs:
         u = u + LinComb.single(F(text), c)
     images = {F(t): LinComb.single(F("x"), LAM) + LinComb.single(F(t), -MU)
+              + LinComb.single(F("x x"))
               for t in ["a", "b", "x", "a b"]}
     expect = LinComb()
     for b, c in u.terms.items():
